@@ -73,6 +73,7 @@ from .secular import (
     objective_F,
     secular_det,
     secular_matrix,
+    secular_objective,
 )
 from .special_cases import (
     CaseCrossCheck,

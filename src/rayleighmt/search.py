@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,14 +23,18 @@ from .errors import (
 )
 from .material import MaterialCoefficients
 from .modes import ComplexSpeed
-from .secular import AmplitudeVector, amplitudes, objective_F
+from .secular import AmplitudeVector, amplitudes, objective_F, secular_objective
 
-#: Environment variable capping scan parallelism (0 requests auto).
+#: Environment variable holding a scan thread count (0 requests the CPU count).
 THREADS_ENV = "RAYLEIGH_THREADS"
 
 
 def resolve_thread_count(threads=None) -> int:
-    """Thread count for scans: argument, else environment, else serial."""
+    """Thread count for scans: argument, else environment, else serial.
+
+    The scan is vectorised and single-threaded; the count is still
+    validated, so an invalid value raises, but it changes nothing.
+    """
     if threads is None:
         raw = os.environ.get(THREADS_ENV, "")
         if not raw.strip():
@@ -82,57 +86,53 @@ class ScanWindow:
 
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """Objective samples over a window; failed points hold NaN."""
+    """Objective samples over a window; failed points hold NaN.
+
+    ``failure_causes`` counts the failed points by the class of the error
+    ``objective_F`` raises there (``ModeFailureError.cause_name``).
+    """
 
     window: ScanWindow
     values: np.ndarray  # shape (nx, ny), F or NaN
     failures: int
-
-
-def _scan_point(M, re_v, im_v) -> float:
-    if re_v < 0.0 or im_v > 0.0:
-        return math.nan
-    try:
-        return objective_F(M, re_v, -im_v)
-    except ModeFailureError:
-        return math.nan
+    failure_causes: dict = field(default_factory=dict)
 
 
 def grid_scan(M: MaterialCoefficients, window: ScanWindow, threads=None) -> ScanGrid:
     """Sample the objective on the window lattice.
 
-    Points outside the admissible quadrant or where the objective is
-    undefined become NaN and are counted as failures.  The result is
-    bit-identical for any thread count, since every lattice point is an
-    independent evaluation.
+    Each lattice row (one Re v, every Im v) is one call of the batched
+    objective.  Points outside the admissible quadrant or where the
+    objective is undefined become NaN and are counted as failures.  Each of
+    them is evaluated once more by ``objective_F``, whose typed error is
+    tallied in ``failure_causes``, so the failures are exactly the points
+    where ``objective_F`` raises.  ``threads`` is validated and otherwise
+    ignored.
 
     Raises
     ------
     AllPointsFailedError
         If no lattice point evaluates.
     """
+    resolve_thread_count(threads)
     res = window.re_values()
     ims = window.im_values()
     values = np.empty((window.nx, window.ny))
-    n_threads = resolve_thread_count(threads)
+    for i, re_v in enumerate(res):
+        values[i] = secular_objective(M, re_v + 1j * ims)
 
-    def fill_row(i):
-        re_v = res[i]
-        row = values[i]
-        for j in range(window.ny):
-            row[j] = _scan_point(M, re_v, ims[j])
-
-    if n_threads <= 1:
-        for i in range(window.nx):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill_row, range(window.nx)))
+    causes = Counter()
+    for i, j in zip(*np.nonzero(np.isnan(values))):
+        try:
+            values[i, j] = objective_F(M, res[i], -ims[j])
+        except ModeFailureError as exc:
+            causes[exc.cause_name] += 1
 
     failures = int(np.isnan(values).sum())
     if failures == values.size:
         raise AllPointsFailedError("objective undefined at every lattice point")
-    return ScanGrid(window=window, values=values, failures=failures)
+    return ScanGrid(window=window, values=values, failures=failures,
+                    failure_causes=dict(causes))
 
 
 def local_minima(grid: ScanGrid) -> list:
@@ -141,20 +141,17 @@ def local_minima(grid: ScanGrid) -> list:
     A point qualifies when it is finite and strictly below all eight
     neighbors; NaN neighbors count as +inf, so minima at the edge of the
     evaluable region still qualify as long as they are interior to the
-    lattice itself.
+    lattice itself.  The list is in row-major order.
     """
     padded = np.where(np.isnan(grid.values), np.inf, grid.values)
-    out = []
-    for i in range(1, grid.window.nx - 1):
-        for j in range(1, grid.window.ny - 1):
-            center = padded[i, j]
-            if not np.isfinite(center):
-                continue
-            neighborhood = padded[i - 1:i + 2, j - 1:j + 2].copy()
-            neighborhood[1, 1] = np.inf
-            if center < neighborhood.min():
-                out.append((i, j))
-    return out
+    nx, ny = padded.shape
+    center = padded[1:-1, 1:-1]
+    strict = np.isfinite(center)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if (di, dj) != (1, 1):
+                strict &= center < padded[di:nx - 2 + di, dj:ny - 2 + dj]
+    return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(strict))]
 
 
 @dataclass(frozen=True)

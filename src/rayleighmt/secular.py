@@ -5,6 +5,12 @@ flux amplitudes (t21, t22, L21, L22, S2) it generates at the surface.  A
 surface wave exists when some combination of the five modes leaves the
 surface flux-free, i.e. when the 5x5 secular matrix A is singular.  The
 search objective is F = ln |det A|.
+
+The objective comes from one batched kernel over arrays of speeds
+(``secular_objective``; ``objective_F`` is its one-point call), built on
+material-only data computed once per material.  ``secular_matrix`` and
+``secular_det`` assemble the same matrix one speed at a time from
+``mode_vector`` and serve as the verification route.
 """
 
 from __future__ import annotations
@@ -15,9 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModeFailureError, NotARootError, RayleighError
+from .errors import (
+    DegenerateKernelError,
+    DomainError,
+    ModeFailureError,
+    NonDecayingError,
+    NotARootError,
+    RayleighError,
+    UnsupportedCouplingError,
+)
 from .material import MaterialCoefficients
-from .modes import ComplexSpeed, Matrix5, mode_vector
+from .modes import NULLSPACE_RTOL, ComplexSpeed, Matrix5, mode_vector, propagation_blocks
 from .spectrum import mode_speeds
 
 #: Objective value reported where the determinant is exactly zero.
@@ -98,33 +112,6 @@ def det_elimination(A: Matrix5) -> complex:
     return det
 
 
-def det_cofactor(A: Matrix5) -> complex:
-    """Determinant by cofactor expansion along the first row.
-
-    Exponential in the matrix size; kept as an independent cross-check of
-    the elimination determinant.
-    """
-    a = [[complex(x) for x in row] for row in np.asarray(A)]
-
-    def expand(rows, cols):
-        if len(cols) == 1:
-            return a[rows[0]][cols[0]]
-        first = rows[0]
-        rest = rows[1:]
-        total = complex(0.0)
-        sign = 1.0
-        for i, col in enumerate(cols):
-            entry = a[first][col]
-            if entry != 0.0:
-                sub_cols = cols[:i] + cols[i + 1:]
-                total += sign * entry * expand(rest, sub_cols)
-            sign = -sign
-        return total
-
-    n = len(a)
-    return expand(tuple(range(n)), tuple(range(n)))
-
-
 def secular_det(M: MaterialCoefficients, v: ComplexSpeed) -> complex:
     """Determinant of the secular matrix at speed v."""
     return det_elimination(secular_matrix(M, v).A)
@@ -138,8 +125,163 @@ def objective_from_det(det: complex) -> float:
     return math.log(mag)
 
 
+#: Ways one mode can fail at one speed, in the order ``mode_vector`` checks
+#: them: no decaying branch, a vanishing closed form, a kernel of D(p_k)
+#: whose dimension is not one.
+NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION = 1, 2, 3
+
+
+def _poly_blocks(M: MaterialCoefficients) -> tuple:
+    """Constant blocks of D(p) = p^2 Q1 + p (Q2 + v V) + R0 + v R1 + v^2 R2
+    and S(p) = p Q1 + S0 + v V.
+
+    Q1, Q2, R0 and S0 are ``propagation_blocks`` and ``assemble_Sp`` at
+    v = 0; V, R1 and R2 hold their beta, m, rho, b and a entries.
+    """
+    q1, q2, r0 = propagation_blocks(M, 0j)
+    s0 = assemble_Sp(M, 0j, 0.0)
+    v_lin, r1 = np.zeros((5, 5)), np.zeros((5, 5))
+    v_lin[1, 4] = v_lin[4, 1] = r1[0, 4] = r1[4, 0] = M.beta
+    v_lin[3, 4] = v_lin[4, 3] = r1[2, 4] = r1[4, 2] = M.m
+    r2 = -np.diag([M.rho, M.rho, M.b, M.b, M.a])
+    return q1, q2, v_lin, r0, r1, r2, s0
+
+
+@dataclass(frozen=True, eq=False)
+class SecularKernel:
+    """Material-only data of the batched objective.
+
+    The closed-form kernel vector of mode k (see ``mode_vector``) is
+    u_k = u0_k + p_k u1_k + v u2_k, with the coefficients Phi for the
+    transverse modes and Gamma, Lambda and the B factor for the
+    longitudinal ones folded into ``u0``, ``u1`` and ``u2``.
+    """
+
+    roots: tuple  # ModeRoot, indices 1..5
+    t: np.ndarray  # (5,)
+    u0: np.ndarray  # (5 modes, 5 components)
+    u1: np.ndarray
+    u2: np.ndarray
+    blocks: tuple  # _poly_blocks
+
+    @classmethod
+    def build(cls, M: MaterialCoefficients) -> "SecularKernel":
+        roots = mode_speeds(M).roots
+        if M.eps2 == 0.0 or M.m == 0.0 or M.beta == 0.0:
+            raise UnsupportedCouplingError(
+                "closed-form kernels require eps2 != 0, m != 0 and beta != 0"
+            )
+        u0, u1, u2 = (np.zeros((5, 5)) for _ in range(3))
+        e12 = M.eps_long
+        for k, r in enumerate(roots):
+            t = r.t
+            if not t > 0.0:
+                raise DomainError(f"squared mode speed must be positive, got {t!r}")
+            if r.source == "q2":
+                phi = (M.b / M.eps2) * (t - M.d2 / M.b)
+                u0[k, [1, 3]] = (phi, 1.0)
+                u1[k, [0, 2]] = (-phi, -1.0)
+            else:
+                gamma = M.b * M.beta * (t - M.d / M.b) + M.m * e12
+                lam_k = M.rho * M.m * (t - M.p_wave_modulus / M.rho) + M.beta * e12
+                u0[k, [0, 2]] = (gamma, lam_k)
+                u1[k, [1, 3]] = (gamma, lam_k)
+                u2[k, 4] = (gamma * lam_k - e12 * (M.beta * gamma + M.m * lam_k)) / (
+                    M.m * M.beta * t)
+        t = np.array([r.t for r in roots])
+        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, blocks=_poly_blocks(M))
+
+    def evaluate(self, v: np.ndarray) -> tuple:
+        """Secular determinants at admissible complex speeds v, shape (n,).
+
+        Returns ``(det, mode, kind)``: ``mode`` holds the index of the first
+        mode that fails at each speed (0 where none does) and ``kind`` how
+        it fails (``NON_DECAYING``, ``ZERO_KERNEL`` or ``KERNEL_DIMENSION``).
+        ``det`` is meaningless where ``mode`` is nonzero.
+        """
+        q1, q2, v_lin, r0, r1, r2, s0 = self.blocks
+        vv = v[:, None]
+        root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
+        p = np.where(root.imag > 0.0, root, -root)
+        pp, vm = p[..., None], vv[..., None]
+        u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
+
+        # the v-dependent parts of D(p) and S(p), one 5x5 block per speed
+        q2v = q2 + vm * v_lin
+        rv = r0 + vm * (r1 + vm * r2)
+        sv = s0 + vm * v_lin
+        pm = pp[..., None]
+        D = pm * (pm * q1 + q2v[:, None]) + rv[:, None]  # (n, 5 modes, 5, 5)
+        s = np.linalg.svd(D, compute_uv=False)
+        dimension = np.sum(s <= NULLSPACE_RTOL * s[..., :1], axis=-1)
+
+        kind = np.where(dimension != 1, KERNEL_DIMENSION, 0)
+        kind = np.where(u.any(axis=-1), kind, ZERO_KERNEL)
+        kind = np.where(root.imag == 0.0, NON_DECAYING, kind)
+        first = np.argmax(kind > 0, axis=1)
+        kind = np.take_along_axis(kind, first[:, None], axis=1)[:, 0]
+        mode = np.where(kind > 0, first + 1, 0)
+
+        rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
+        det = np.linalg.det(np.swapaxes(rows, 1, 2))
+        return det, mode, kind
+
+    def failure(self, v: complex, mode: int, kind: int) -> RayleighError:
+        """The typed error ``mode_vector`` raises for this failure."""
+        if kind == NON_DECAYING:
+            return NonDecayingError(t=self.roots[mode - 1].t, v=v, mode_index=mode)
+        if kind == ZERO_KERNEL:
+            return DegenerateKernelError(
+                f"closed-form kernel vector vanishes for mode {mode}")
+        return DegenerateKernelError(
+            f"propagation matrix kernel at mode {mode} is not one-dimensional")
+
+
+def secular_kernel(M: MaterialCoefficients) -> SecularKernel:
+    """The batched-objective data of a material, built on first use and
+    kept on the (frozen) material instance.
+
+    Raises the errors of ``mode_speeds``, and ``UnsupportedCouplingError``
+    when a coupling the closed forms divide by vanishes.
+    """
+    kernel = vars(M).get("_secular_kernel")
+    if kernel is None:
+        kernel = SecularKernel.build(M)
+        object.__setattr__(M, "_secular_kernel", kernel)
+    return kernel
+
+
+def _admissible(v: np.ndarray) -> np.ndarray:
+    """Mask of the speeds ``ComplexSpeed`` accepts: finite, nonzero, in the
+    quadrant Re v >= 0, Im v <= 0."""
+    return np.isfinite(v) & (v.real >= 0.0) & (v.imag <= 0.0) & (v != 0.0)
+
+
+def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
+    """F = ln |det A| over an array of complex speeds v, NaN where undefined.
+
+    The objective is undefined at inadmissible speeds, where a mode fails,
+    and everywhere for a material whose mode speeds or couplings rule out
+    the closed-form kernels; ``objective_F`` names the cause at one speed.
+    """
+    v = np.asarray(v, dtype=complex)
+    out = np.full(v.shape, np.nan)
+    try:
+        kernel = secular_kernel(M)
+    except RayleighError:
+        return out
+    ok = _admissible(v)
+    det, mode, _ = kernel.evaluate(np.where(ok, v, 1.0).ravel())
+    mag = np.abs(det).reshape(v.shape)
+    with np.errstate(divide="ignore"):
+        F = np.where(mag == 0.0, F_SENTINEL, np.log(mag))
+    return np.where(ok & (mode.reshape(v.shape) == 0), F, out)
+
+
 def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
     """Search objective F(v) = ln |det A(v)| at v = v_r - i v_i.
+
+    A one-point call of the batched kernel (``SecularKernel.evaluate``).
 
     Raises
     ------
@@ -149,11 +291,14 @@ def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
         or shared mode speeds, degenerate kernel).
     """
     try:
-        v = ComplexSpeed(v_r, v_i)
-        det = secular_det(M, v)
+        vc = complex(ComplexSpeed(v_r, v_i))
+        kernel = secular_kernel(M)
+        det, mode, kind = kernel.evaluate(np.array([vc]))
+        if mode[0]:
+            raise kernel.failure(vc, int(mode[0]), int(kind[0]))
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
-    return objective_from_det(det)
+    return objective_from_det(complex(det[0]))
 
 
 @dataclass(frozen=True, eq=False)

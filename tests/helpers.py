@@ -57,6 +57,33 @@ def random_speed(rng, M, im_floor=0.01):
     return ComplexSpeed(rng.uniform(0.05, 1.6) * c, rng.uniform(im_floor, 0.5) * c)
 
 
+def det_cofactor(A):
+    """Determinant by cofactor expansion along the first row.
+
+    Exponential in the matrix size; kept as an independent cross-check of
+    the elimination determinant.
+    """
+    a = [[complex(x) for x in row] for row in np.asarray(A)]
+
+    def expand(rows, cols):
+        if len(cols) == 1:
+            return a[rows[0]][cols[0]]
+        first = rows[0]
+        rest = rows[1:]
+        total = complex(0.0)
+        sign = 1.0
+        for i, col in enumerate(cols):
+            entry = a[first][col]
+            if entry != 0.0:
+                sub_cols = cols[:i] + cols[i + 1:]
+                total += sign * entry * expand(rest, sub_cols)
+            sign = -sign
+        return total
+
+    n = len(a)
+    return expand(tuple(range(n)), tuple(range(n)))
+
+
 def nullspace_sine(u, w):
     """Sine of the angle between u and the unit vector w."""
     uhat = np.asarray(u, dtype=complex)

@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from rayleighmt import (
     AllPointsFailedError,
     ComplexSpeed,
+    ModeFailureError,
     RefineOptions,
     ScanGrid,
     ScanWindow,
@@ -16,6 +18,8 @@ from rayleighmt import (
     find_rayleigh,
     grid_scan,
     local_minima,
+    mode_speeds,
+    objective_F,
     refine_minimum,
     secular_det,
     validate_coefficients,
@@ -23,6 +27,7 @@ from rayleighmt import (
 from rayleighmt.search import DEDUP_TOL, grid_median_det, resolve_thread_count
 
 from conftest import default_window
+from helpers import random_material
 
 # frozen after the first verified solve at 128x64; the doubling run agreed
 # to 6.4e-11
@@ -68,6 +73,46 @@ def test_grid_scan_marks_failures(reference):
     assert np.isfinite(grid.values[:, :2]).all()
 
 
+def test_grid_scan_reference_failures(reference):
+    # the 99 failures of the reference window all sit on the real axis,
+    # past the slowest bulk speed
+    grid = grid_scan(reference, default_window(reference))
+    assert grid.failures == 99
+    assert grid.failure_causes == {"NonDecayingError": 99}
+    assert np.isfinite(grid.values[:, :-1]).all()
+
+
+def _pointwise_scan(M, w):
+    values = np.empty((w.nx, w.ny))
+    causes = Counter()
+    for i, re_v in enumerate(w.re_values()):
+        for j, im_v in enumerate(w.im_values()):
+            try:
+                values[i, j] = objective_F(M, re_v, -im_v)
+            except ModeFailureError as exc:
+                values[i, j] = math.nan
+                causes[exc.cause_name] += 1
+    return values, dict(causes)
+
+
+def test_grid_scan_matches_pointwise_objective():
+    # the lattice reaches past Re v = 0 and onto the real axis, so both
+    # inadmissible speeds and non-decaying modes show up as failures
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        M = random_material(rng)
+        c = math.sqrt(max(mode_speeds(M).t_values()))
+        w = ScanWindow(re_min=-0.1 * c, re_max=1.3 * c, im_min=-0.4 * c, im_max=0.0,
+                       nx=9, ny=6)
+        grid = grid_scan(M, w)
+        values, causes = _pointwise_scan(M, w)
+        assert np.array_equal(np.isnan(grid.values), np.isnan(values))
+        assert grid.failure_causes == causes
+        assert grid.failures == sum(causes.values())
+        finite = np.isfinite(values)
+        assert np.max(np.abs(grid.values[finite] - values[finite])) <= 1e-10
+
+
 def test_grid_scan_serial_parallel_identical(reference):
     w = ScanWindow(re_min=0.1, re_max=1.2, im_min=-0.3, im_max=0.0, nx=16, ny=8)
     serial = grid_scan(reference, w, threads=1)
@@ -99,6 +144,33 @@ def test_local_minima_plateau_is_not_strict():
     values[2, 3] = 1.0
     grid = ScanGrid(window=w, values=values, failures=0)
     assert local_minima(grid) == []
+
+
+def _brute_local_minima(values):
+    padded = np.where(np.isnan(values), np.inf, values)
+    out = []
+    for i in range(1, values.shape[0] - 1):
+        for j in range(1, values.shape[1] - 1):
+            center = padded[i, j]
+            if not np.isfinite(center):
+                continue
+            neighborhood = padded[i - 1:i + 2, j - 1:j + 2].copy()
+            neighborhood[1, 1] = np.inf
+            if center < neighborhood.min():
+                out.append((i, j))
+    return out
+
+
+def test_local_minima_matches_brute_force():
+    # few distinct levels make plateaus common; NaN cells count as +inf
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        nx, ny = (int(n) for n in rng.integers(2, 12, size=2))
+        values = rng.integers(0, 4, size=(nx, ny)).astype(float)
+        values[rng.random((nx, ny)) < 0.2] = math.nan
+        w = ScanWindow(re_min=0.0, re_max=1.0, im_min=-1.0, im_max=0.0, nx=nx, ny=ny)
+        grid = ScanGrid(window=w, values=values, failures=int(np.isnan(values).sum()))
+        assert local_minima(grid) == _brute_local_minima(values)
 
 
 def test_refine_from_near_seed(reference):

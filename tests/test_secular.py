@@ -8,8 +8,10 @@ import pytest
 
 from rayleighmt import (
     ComplexSpeed,
+    DegenerateKernelError,
     DomainError,
     ModeFailureError,
+    NonDecayingError,
     NotARootError,
     amplitudes,
     assemble_Sp,
@@ -23,13 +25,17 @@ from rayleighmt import (
 )
 from rayleighmt.secular import (
     F_SENTINEL,
-    det_cofactor,
+    KERNEL_DIMENSION,
+    NON_DECAYING,
+    ZERO_KERNEL,
     det_elimination,
     nullspace_amplitude,
     objective_from_det,
+    secular_kernel,
+    secular_objective,
 )
 
-from helpers import random_material, random_speed
+from helpers import det_cofactor, random_material, random_speed
 
 V05 = ComplexSpeed(0.5, 0.0)
 
@@ -91,6 +97,61 @@ def test_objective_wraps_mode_failures(reference):
     with pytest.raises(ModeFailureError) as err:
         objective_F(reference, 0.9, 0.0)
     assert err.value.cause_name == "NonDecayingError"
+
+
+def test_objective_matches_verification_route():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        M = random_material(rng)
+        v = random_speed(rng, M)
+        expected = objective_from_det(secular_det(M, v))
+        assert objective_F(M, v.v_r, v.v_i) == pytest.approx(expected, abs=1e-10)
+
+
+def test_objective_failure_matches_mode_vector():
+    # on the real axis past the slowest bulk speed some mode stops decaying;
+    # both routes must blame the same mode
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        M = random_material(rng)
+        c = math.sqrt(min(mode_speeds(M).t_values()))
+        v = ComplexSpeed(rng.uniform(1.01, 1.6) * c, 0.0)
+        with pytest.raises(ModeFailureError) as err:
+            objective_F(M, v.v_r, v.v_i)
+        with pytest.raises(NonDecayingError) as ref:
+            secular_matrix(M, v)
+        cause = err.value.__cause__
+        assert type(cause) is NonDecayingError
+        assert (cause.t, cause.v, cause.mode_index) == (
+            ref.value.t, ref.value.v, ref.value.mode_index)
+
+
+def test_objective_failure_causes(reference, case_i_material):
+    for M, v_r, v_i, name in ((reference, -0.1, 0.1, "ValueError"),
+                              (reference, 0.0, 0.0, "ValueError"),
+                              (case_i_material, 0.5, 0.1, "UnsupportedCouplingError")):
+        with pytest.raises(ModeFailureError) as err:
+            objective_F(M, v_r, v_i)
+        assert err.value.cause_name == name
+
+
+def test_kernel_failure_errors(reference):
+    kernel = secular_kernel(reference)
+    assert secular_kernel(reference) is kernel
+    err = kernel.failure(0.9 + 0j, 2, NON_DECAYING)
+    assert isinstance(err, NonDecayingError)
+    assert (err.t, err.v, err.mode_index) == (mode_speeds(reference).roots[1].t, 0.9, 2)
+    for kind in (ZERO_KERNEL, KERNEL_DIMENSION):
+        assert isinstance(kernel.failure(0.9 + 0j, 3, kind), DegenerateKernelError)
+
+
+def test_secular_objective_batch(reference, case_i_material):
+    v = np.array([[0.5 - 0.1j, 0.9 + 0j], [-0.1 - 0.1j, 0.3 + 0.1j]])
+    F = secular_objective(reference, v)
+    assert F.shape == (2, 2)
+    assert F[0, 0] == pytest.approx(objective_F(reference, 0.5, 0.1), abs=1e-12)
+    assert np.isnan(F[0, 1]) and np.isnan(F[1]).all()
+    assert np.isnan(secular_objective(case_i_material, v)).all()
 
 
 def test_secular_columns_are_traction_images(reference):
