@@ -1,13 +1,17 @@
 """Root search over the complex speed plane.
 
-The objective F = ln |det A| is sampled on a rectangular lattice, strict
-interior local minima are refined by a clamped Nelder-Mead simplex, and
-refined minima are accepted as surface-wave roots when the secular
-determinant is small against the typical determinant magnitude of the scan.
+The objective F = ln |det A| is sampled on a rectangular lattice and its
+strict interior local minima seed the refinement.  Each seed is polished
+by Muller's method on the complex determinant det A, clamped to the
+quadrant; when that fails to land on an accepted root, a clamped
+Nelder-Mead simplex on F takes over.  Refined minima are accepted as
+surface-wave roots when the secular determinant is small against the
+typical determinant magnitude of the scan.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from collections import Counter
@@ -23,7 +27,14 @@ from .errors import (
 )
 from .material import MaterialCoefficients
 from .modes import ComplexSpeed
-from .secular import AmplitudeVector, amplitudes, objective_F, secular_objective
+from .secular import (
+    AmplitudeVector,
+    amplitudes,
+    objective_F,
+    objective_from_det,
+    point_det,
+    secular_objective,
+)
 
 #: Environment variable holding a scan thread count (0 requests the CPU count).
 THREADS_ENV = "RAYLEIGH_THREADS"
@@ -156,7 +167,13 @@ def local_minima(grid: ScanGrid) -> list:
 
 @dataclass(frozen=True)
 class RefineOptions:
-    """Stopping and acceptance parameters of the simplex refinement."""
+    """Stopping and acceptance parameters of the refinement.
+
+    ``initial_step`` spaces the three start points of both stages and sets
+    the radius of the Muller stage's disc; ``max_evals`` bounds the
+    evaluations of both stages together; ``diameter_tol`` bounds the last
+    Muller step and the final simplex diameter.
+    """
 
     initial_step: tuple = (1e-3, 1e-3)
     max_evals: int = 500
@@ -177,50 +194,75 @@ class RayleighRoot:
     classification: str  # "converged" or "stagnated"
 
 
+#: Evaluations the Muller stage may spend, start points included.
+MULLER_MAX_EVALS = 40
+
+#: Radius of the disc around the seed that Muller iterates may not leave,
+#: in units of the larger initial step.
+MULLER_RADIUS_STEPS = 8.0
+
+
 def _clamp(x: tuple) -> tuple:
     return (max(x[0], 0.0), max(x[1], 0.0))
 
 
-def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
-                   opts: RefineOptions = RefineOptions()) -> RayleighRoot:
-    """Refine a seed speed by a two-dimensional Nelder-Mead simplex.
+def _muller(det_at, points: list, dets: list, opts: RefineOptions, evals: list):
+    """Muller iterates on det A from three start points (v_r, v_i).
 
-    Coordinates are (v_r, v_i) with v = v_r - i v_i; every candidate vertex
-    is clamped into the admissible quadrant before evaluation, so the
-    simplex never leaves it.  Reflection, expansion, contraction and shrink
-    coefficients are 1, 2, 0.5, 0.5.  The loop stops when the simplex
-    diameter drops below ``opts.diameter_tol`` or after ``opts.max_evals``
-    objective evaluations.  The best vertex never worsens the seed value.
-
-    The root is classified "converged" when its determinant magnitude is at
-    most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
-    (the seed determinant magnitude when no scale is given).
-
-    Raises
-    ------
-    StartFailureError
-        If the objective is undefined at the seed and at both initial
-        perturbations.
+    Each step fits a parabola through the last three points by divided
+    differences, takes the root nearer the newest point (the denominator
+    of larger modulus) and clamps it into the quadrant.  Returns the
+    evaluated point of smallest |det| as ``(x, det)`` once a step is at
+    most ``opts.diameter_tol`` or the determinant vanishes, and None when
+    the simplex must take over: an undefined evaluation, a vanishing
+    denominator, a step out of the disc around the seed, or the cap.
     """
-
-    evals = [0]
-
-    def objective(x: tuple) -> float:
-        evals[0] += 1
+    if any(d is None for d in dets):
+        return None
+    z = [complex(x[0], -x[1]) for x in points]
+    f = list(dets)
+    seed = z[0]
+    radius = MULLER_RADIUS_STEPS * max(opts.initial_step)
+    best_z, best_f = min(zip(z, f), key=lambda zf: abs(zf[1]))
+    while evals[0] < min(MULLER_MAX_EVALS, opts.max_evals):
         try:
-            return objective_F(M, x[0], x[1])
-        except ModeFailureError:
-            return math.inf
+            h1, h2 = z[1] - z[0], z[2] - z[1]
+            d1, d2 = (f[1] - f[0]) / h1, (f[2] - f[1]) / h2
+            a = (d2 - d1) / (h2 + h1)
+            b = d2 + h2 * a
+            disc = cmath.sqrt(b * b - 4.0 * f[2] * a)
+            den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
+            z_new = z[2] - 2.0 * f[2] / den
+        except (ZeroDivisionError, OverflowError):
+            return None
+        z_new = complex(max(z_new.real, 0.0), min(z_new.imag, 0.0))
+        if not abs(z_new - seed) <= radius:  # also catches a NaN step
+            return None
+        if abs(z_new - z[2]) <= opts.diameter_tol:
+            break
+        f_new = det_at((z_new.real, -z_new.imag))
+        if f_new is None:
+            return None
+        z, f = [z[1], z[2], z_new], [f[1], f[2], f_new]
+        if abs(f_new) < abs(best_f):
+            best_z, best_f = z_new, f_new
+        if f_new == 0.0:
+            break
+    else:
+        return None
+    return (best_z.real, -best_z.imag), best_f
 
-    x0 = _clamp((v0.v_r, v0.v_i))
-    hx, hy = opts.initial_step
-    simplex = [x0, _clamp((x0[0] + hx, x0[1])), _clamp((x0[0], x0[1] + hy))]
-    f_values = [objective(x) for x in simplex]
-    if all(math.isinf(f) for f in f_values):
-        raise StartFailureError(
-            f"objective undefined at seed ({v0.v_r!r}, {v0.v_i!r}) and all perturbations"
-        )
-    f_seed = min(f_values)
+
+def _nelder_mead(objective, simplex: list, f_values: list, opts: RefineOptions,
+                 evals: list) -> tuple:
+    """Clamped Nelder-Mead on F from a start simplex and its values.
+
+    Reflection, expansion, contraction and shrink coefficients are 1, 2,
+    0.5, 0.5; every candidate vertex is clamped into the quadrant.  The loop
+    stops when the simplex diameter drops below ``opts.diameter_tol`` or
+    when ``evals`` (the count ``objective`` keeps) would exceed
+    ``opts.max_evals``.  Returns the best vertex and its value.
+    """
 
     def diameter() -> float:
         return max(
@@ -279,29 +321,97 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
                     f_values[idx] = objective(shrunk)
 
     best = min(range(3), key=lambda idx: f_values[idx])
-    x_best, f_best = simplex[best], f_values[best]
-    v_best = ComplexSpeed(x_best[0], x_best[1])
-    det_abs = math.exp(f_best) if f_best < 700.0 else math.inf
+    return simplex[best], f_values[best]
 
-    scale = opts.det_scale
-    if scale is None:
-        scale = math.exp(f_seed) if f_seed < 700.0 else math.inf
+
+def _classify(M: MaterialCoefficients, x: tuple, f: float, scale: float,
+              opts: RefineOptions, iterations: int) -> RayleighRoot:
+    """The refined point x with objective f, classified against ``scale``."""
+    v = ComplexSpeed(x[0], x[1])
+    det_abs = math.exp(f) if f < 700.0 else math.inf
     converged = math.isfinite(det_abs) and det_abs <= opts.det_ratio_tol * scale
-
     gamma = None
     if converged:
         try:
-            gamma = amplitudes(M, v_best)
+            gamma = amplitudes(M, v)
         except NotARootError:
             converged = False
     return RayleighRoot(
-        v=v_best,
-        f_value=f_best,
+        v=v,
+        f_value=f,
         det_abs=det_abs,
         gamma=gamma,
-        iterations=evals[0],
+        iterations=iterations,
         classification="converged" if converged else "stagnated",
     )
+
+
+def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
+                   opts: RefineOptions = RefineOptions()) -> RayleighRoot:
+    """Refine a seed speed by Muller's method, with a simplex fallback.
+
+    Coordinates are (v_r, v_i) with v = v_r - i v_i.  Both stages start
+    from the seed and its two perturbations by ``opts.initial_step``,
+    clamped into the admissible quadrant, and every later point is clamped
+    too.  det A is holomorphic in the open quadrant, so Muller's method
+    on the complex determinant (Muller 1956) usually lands on a root in a
+    handful of evaluations.  Its point of smallest |det| is returned when
+    it classifies as "converged".  Otherwise a clamped Nelder-Mead simplex
+    on F = ln |det A| restarts from the three start points and their
+    values, with the evaluations Muller left of ``opts.max_evals``; its
+    best vertex never worsens the seed value.  ``iterations`` counts the
+    evaluations of both stages.
+
+    The root is classified "converged" when its determinant magnitude is at
+    most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
+    (the seed determinant magnitude when no scale is given) and
+    ``amplitudes`` finds the secular matrix singular there.
+
+    Raises
+    ------
+    StartFailureError
+        If the objective is undefined at the seed and at both initial
+        perturbations.
+    """
+
+    evals = [0]
+
+    def det_at(x: tuple):
+        evals[0] += 1
+        try:
+            return point_det(M, x[0], x[1])
+        except ModeFailureError:
+            return None
+
+    def objective(x: tuple) -> float:
+        evals[0] += 1
+        try:
+            return objective_F(M, x[0], x[1])
+        except ModeFailureError:
+            return math.inf
+
+    x0 = _clamp((v0.v_r, v0.v_i))
+    hx, hy = opts.initial_step
+    simplex = [x0, _clamp((x0[0] + hx, x0[1])), _clamp((x0[0], x0[1] + hy))]
+    dets = [det_at(x) for x in simplex]
+    f_values = [math.inf if d is None else objective_from_det(d) for d in dets]
+    if all(math.isinf(f) for f in f_values):
+        raise StartFailureError(
+            f"objective undefined at seed ({v0.v_r!r}, {v0.v_i!r}) and all perturbations"
+        )
+    f_seed = min(f_values)
+    scale = opts.det_scale
+    if scale is None:
+        scale = math.exp(f_seed) if f_seed < 700.0 else math.inf
+
+    polished = _muller(det_at, simplex, dets, opts, evals)
+    if polished is not None:
+        root = _classify(M, polished[0], objective_from_det(polished[1]), scale,
+                         opts, evals[0])
+        if root.classification == "converged":
+            return root
+    x_best, f_best = _nelder_mead(objective, simplex, f_values, opts, evals)
+    return _classify(M, x_best, f_best, scale, opts, evals[0])
 
 
 #: Roots closer than this in the complex plane count as duplicates.
@@ -320,7 +430,7 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
     """Locate surface-wave roots inside a window.
 
     Scans the lattice, refines every strict interior local minimum with an
-    initial simplex edge of a quarter grid cell, removes duplicates closer
+    initial step of a quarter grid cell, removes duplicates closer
     than ``DEDUP_TOL`` (keeping the lower objective value), and returns the
     roots sorted by objective value.  Convergence is judged against the
     median determinant magnitude of the scan.

@@ -7,10 +7,10 @@ surface flux-free, i.e. when the 5x5 secular matrix A is singular.  The
 search objective is F = ln |det A|.
 
 The objective comes from one batched kernel over arrays of speeds
-(``secular_objective``; ``objective_F`` is its one-point call), built on
-material-only data computed once per material.  ``secular_matrix`` and
-``secular_det`` assemble the same matrix one speed at a time from
-``mode_vector`` and serve as the verification route.
+(``secular_objective``; ``point_det`` and ``objective_F`` are its
+one-point calls), built on material-only data computed once per material.
+``secular_matrix`` and ``secular_det`` assemble the same matrix one speed
+at a time from ``mode_vector`` and serve as the verification route.
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ def objective_from_det(det: complex) -> float:
 
 #: Ways one mode can fail at one speed, in the order ``mode_vector`` checks
 #: them: no decaying branch, a vanishing closed form, a kernel of D(p_k)
-#: whose dimension is not one.
-NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION = 1, 2, 3
+#: whose dimension is not one.  A D(p_k) with an overflowed entry fails
+#: before all of them, as the SVD of the one-point route does.
+NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION, NOT_FINITE = 1, 2, 3, 4
 
 
 def _poly_blocks(M: MaterialCoefficients) -> tuple:
@@ -196,8 +197,8 @@ class SecularKernel:
 
         Returns ``(det, mode, kind)``: ``mode`` holds the index of the first
         mode that fails at each speed (0 where none does) and ``kind`` how
-        it fails (``NON_DECAYING``, ``ZERO_KERNEL`` or ``KERNEL_DIMENSION``).
-        ``det`` is meaningless where ``mode`` is nonzero.
+        it fails (``NON_DECAYING``, ``ZERO_KERNEL``, ``KERNEL_DIMENSION`` or
+        ``NOT_FINITE``).  ``det`` is meaningless where ``mode`` is nonzero.
         """
         q1, q2, v_lin, r0, r1, r2, s0 = self.blocks
         vv = v[:, None]
@@ -212,12 +213,22 @@ class SecularKernel:
         sv = s0 + vm * v_lin
         pm = pp[..., None]
         D = pm * (pm * q1 + q2v[:, None]) + rv[:, None]  # (n, 5 modes, 5, 5)
-        s = np.linalg.svd(D, compute_uv=False)
+        finite = None
+        try:
+            s = np.linalg.svd(D, compute_uv=False)
+        except np.linalg.LinAlgError:
+            # an entry of D overflowed at a huge speed: fail that speed,
+            # not the whole batch
+            finite = np.isfinite(D).all(axis=(-2, -1))  # (n, 5)
+            s = np.linalg.svd(np.where(finite[..., None, None], D, 0.0), compute_uv=False)
         dimension = np.sum(s <= NULLSPACE_RTOL * s[..., :1], axis=-1)
 
         kind = np.where(dimension != 1, KERNEL_DIMENSION, 0)
         kind = np.where(u.any(axis=-1), kind, ZERO_KERNEL)
         kind = np.where(root.imag == 0.0, NON_DECAYING, kind)
+        if finite is not None:
+            kind = np.where(finite.all(axis=1, keepdims=True), kind,
+                            np.where(finite, 0, NOT_FINITE))
         first = np.argmax(kind > 0, axis=1)
         kind = np.take_along_axis(kind, first[:, None], axis=1)[:, 0]
         mode = np.where(kind > 0, first + 1, 0)
@@ -233,6 +244,9 @@ class SecularKernel:
         if kind == ZERO_KERNEL:
             return DegenerateKernelError(
                 f"closed-form kernel vector vanishes for mode {mode}")
+        if kind == NOT_FINITE:
+            return np.linalg.LinAlgError(
+                f"propagation matrix of mode {mode} is not finite")
         return DegenerateKernelError(
             f"propagation matrix kernel at mode {mode} is not one-dimensional")
 
@@ -278,17 +292,17 @@ def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
     return np.where(ok & (mode.reshape(v.shape) == 0), F, out)
 
 
-def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
-    """Search objective F(v) = ln |det A(v)| at v = v_r - i v_i.
+def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
+    """Secular determinant det A(v) at v = v_r - i v_i.
 
     A one-point call of the batched kernel (``SecularKernel.evaluate``).
 
     Raises
     ------
     ModeFailureError
-        Wrapping whatever solver error made the objective undefined at this
-        speed sample (inadmissible quadrant, non-decaying branch, repeated
-        or shared mode speeds, degenerate kernel).
+        Wrapping whatever solver error made the determinant undefined at
+        this speed sample (inadmissible quadrant, non-decaying branch,
+        repeated or shared mode speeds, degenerate kernel, overflow).
     """
     try:
         vc = complex(ComplexSpeed(v_r, v_i))
@@ -298,7 +312,18 @@ def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
             raise kernel.failure(vc, int(mode[0]), int(kind[0]))
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
-    return objective_from_det(complex(det[0]))
+    return complex(det[0])
+
+
+def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
+    """Search objective F(v) = ln |det A(v)| at v = v_r - i v_i.
+
+    Raises
+    ------
+    ModeFailureError
+        Where ``point_det`` raises it.
+    """
+    return objective_from_det(point_det(M, v_r, v_i))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
-"""Grid scan, local minima extraction, simplex refinement, root search."""
+"""Grid scan, local minima extraction, Muller and simplex refinement, root search."""
 
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rayleighmt import (
     secular_det,
     validate_coefficients,
 )
+from rayleighmt import search
 from rayleighmt.search import DEDUP_TOL, grid_median_det, resolve_thread_count
 
 from conftest import default_window
@@ -121,6 +123,18 @@ def test_grid_scan_serial_parallel_identical(reference):
     assert serial.failures == parallel.failures
 
 
+def test_grid_scan_overflow_cells_fail(reference):
+    # v^2 overflows on the two far rows: NaN cells tallied under the error
+    # objective_F raises there, not a crash of the whole scan
+    w = ScanWindow(re_min=0.5, re_max=1e160, im_min=-0.1, im_max=0.0, nx=3, ny=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = grid_scan(reference, w)
+    assert grid.failures == 4
+    assert grid.failure_causes == {"LinAlgError": 4}
+    assert np.isfinite(grid.values[0]).all()
+    assert np.isnan(grid.values[1:]).all()
+
+
 def test_grid_scan_all_failed():
     w = ScanWindow(re_min=0.1, re_max=0.5, im_min=-0.2, im_max=0.0, nx=3, ny=3)
     with pytest.raises(AllPointsFailedError):
@@ -181,6 +195,73 @@ def test_refine_from_near_seed(reference):
     assert abs(complex(root.v) - REF_ROOT) <= 1e-8
     assert root.iterations <= 500
     assert root.det_abs <= 1e-6
+
+
+def test_refine_muller_polish_is_cheap(reference):
+    root = refine_minimum(reference, ComplexSpeed(1.04, 0.028), RefineOptions(det_scale=1.0))
+    assert root.classification == "converged"
+    assert abs(complex(root.v) - REF_ROOT) <= 1e-8
+    assert root.iterations <= 12
+
+
+def _simplex_only(monkeypatch):
+    """Make refine_minimum skip the Muller stage and run the simplex alone."""
+    monkeypatch.setattr(search, "_muller", lambda *args: None)
+
+
+# the reference scan's seed next to the bulk speed sqrt(t4), with the
+# quarter-cell step and the scan-median scale find_rayleigh gives it
+BRANCH_SEED = ComplexSpeed(1.3627, 0.0170)
+BRANCH_OPTS = RefineOptions(initial_step=(5.8e-3, 4.3e-3), det_scale=1148.9)
+
+
+def test_refine_branch_seed_falls_back_to_simplex(reference, monkeypatch):
+    root = refine_minimum(reference, BRANCH_SEED, BRANCH_OPTS)
+    assert root.classification == "stagnated"
+    assert root.gamma is None
+    _simplex_only(monkeypatch)
+    alone = refine_minimum(reference, BRANCH_SEED, BRANCH_OPTS)
+    assert complex(root.v) == complex(alone.v)
+    assert root.f_value == alone.f_value
+    assert root.iterations >= alone.iterations
+
+
+@pytest.mark.parametrize("opts", [
+    RefineOptions(det_scale=1e-30),  # Muller's root fails the det test
+    RefineOptions(initial_step=(1e-6, 1e-6), det_scale=1.0),  # root outside the disc
+], ids=["tiny_scale", "tiny_step"])
+def test_refine_muller_hands_over_to_simplex(reference, monkeypatch, opts):
+    seed = ComplexSpeed(1.04, 0.028)
+    root = refine_minimum(reference, seed, opts)
+    _simplex_only(monkeypatch)
+    alone = refine_minimum(reference, seed, opts)
+    assert complex(root.v) == complex(alone.v)
+    assert root.classification == alone.classification
+    assert root.iterations >= alone.iterations
+
+
+def test_refine_budget_covers_both_stages(reference):
+    for seed, opts in ((BRANCH_SEED, BRANCH_OPTS), (ComplexSpeed(1.04, 0.028), RefineOptions())):
+        assert refine_minimum(reference, seed, replace(opts, max_evals=20)).iterations <= 20
+
+
+def _converged_roots(M, w):
+    return sorted((complex(r.v) for r in find_rayleigh(M, w) if r.classification == "converged"),
+                  key=lambda v: (v.real, v.imag))
+
+
+def test_simplex_fallback_loses_no_root(monkeypatch):
+    rng = np.random.default_rng(21)
+    cases = [(M, default_window(M, nx=48, ny=24))
+             for M in (random_material(rng) for _ in range(8))]
+    polished = [_converged_roots(M, w) for M, w in cases]
+    _simplex_only(monkeypatch)
+    alone = [_converged_roots(M, w) for M, w in cases]
+    assert sum(map(len, alone)) > 0
+    for ours, theirs in zip(polished, alone):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert abs(a - b) <= 1e-6
 
 
 def test_refine_never_worsens_seed(reference):
