@@ -77,7 +77,8 @@ class ModeFailureError(RayleighError):
         self.v_i = v_i
         self.cause_name = type(cause).__name__
         super().__init__(
-            f"objective undefined at v = {v_r!r} - {v_i!r}i ({self.cause_name}: {cause})"
+            f"objective undefined at v = {complex(float(v_r), -float(v_i))!r} "
+            f"({self.cause_name}: {cause})"
         )
 
 

@@ -397,7 +397,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     f_values = [math.inf if d is None else objective_from_det(d) for d in dets]
     if all(math.isinf(f) for f in f_values):
         raise StartFailureError(
-            f"objective undefined at seed ({v0.v_r!r}, {v0.v_i!r}) and all perturbations"
+            f"objective undefined at seed v = {complex(v0)!r} and all perturbations"
         )
     f_seed = min(f_values)
     scale = opts.det_scale

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, payload shapes, output files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -161,3 +164,14 @@ def test_text_format(capsys):
     assert code == 0
     assert "passed: True" in out
     assert not out.lstrip().startswith("{")
+
+
+def test_module_entry_point():
+    # `python -m rayleighmt` from a checkout, without an install
+    root = MATERIALS.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rayleighmt", "check", "--material", REF],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["strong_ellipticity"]["passed"] is True

@@ -272,8 +272,10 @@ def test_refine_never_worsens_seed(reference):
 
 
 def test_refine_start_failure():
-    with pytest.raises(StartFailureError):
-        refine_minimum(INDISTINCT, ComplexSpeed(0.5, 0.1))
+    with pytest.raises(StartFailureError) as err:
+        refine_minimum(INDISTINCT, ComplexSpeed(np.float64(0.5), np.float64(0.1)))
+    assert "seed v = (0.5-0.1j)" in str(err.value)
+    assert "np.float64" not in str(err.value)
 
 
 def test_find_rayleigh_reference(reference, solved_reference):

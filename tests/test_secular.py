@@ -22,7 +22,10 @@ from rayleighmt import (
     objective_F,
     secular_det,
     secular_matrix,
+    validate_coefficients,
 )
+from rayleighmt import secular
+from rayleighmt.modes import NULLSPACE_RTOL, propagation_blocks
 from rayleighmt.secular import (
     F_SENTINEL,
     KERNEL_DIMENSION,
@@ -31,10 +34,12 @@ from rayleighmt.secular import (
     det_elimination,
     nullspace_amplitude,
     objective_from_det,
+    point_det,
     secular_kernel,
     secular_objective,
 )
 
+from conftest import default_window
 from helpers import det_cofactor, random_material, random_speed
 
 V05 = ComplexSpeed(0.5, 0.0)
@@ -221,3 +226,74 @@ def test_boundary_residual_large_off_root(reference):
     gamma = AmplitudeVector(gamma=np.ones(5, dtype=complex))
     res = boundary_residual(reference, V05, gamma, 1.0)
     assert res > 1e-3
+
+
+def _screen_lattices():
+    """Twelve seeded random materials with their 64x32 default lattices."""
+    rng = np.random.default_rng(59)
+    cases = []
+    for _ in range(12):
+        M = random_material(rng)
+        w = default_window(M, nx=64, ny=32)
+        cases.append((M, (w.re_values()[:, None] + 1j * w.im_values()).ravel()))
+    return cases
+
+
+def test_gap_screen_keeps_kernel_dimension_verdict(monkeypatch):
+    # an infinite screen sends every mode to the SVD, as before the screen
+    for M, v in _screen_lattices():
+        kernel = secular_kernel(M)
+        screened = kernel.evaluate(v)
+        monkeypatch.setattr(secular, "GAP_SCREEN", np.inf)
+        unscreened = kernel.evaluate(v)
+        monkeypatch.undo()
+        for got, want in zip(screened, unscreened):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_gap_screen_margin():
+    # every mode the screen passes over has a clearly one-dimensional kernel
+    for M, v in _screen_lattices():
+        t = secular_kernel(M).t
+        root = np.sqrt(v[:, None] ** 2 / t - 1.0)
+        p = np.where(root.imag > 0.0, root, -root)
+        p2 = p ** 2
+        rel = np.abs(p2[:, :, None] - p2[:, None, :]) / np.abs(p2)[:, :, None]
+        rel[:, np.arange(5), np.arange(5)] = np.inf
+        screened = rel.min(axis=2) >= secular.GAP_SCREEN
+        q1, q2, r = (np.stack(b) for b in zip(*(propagation_blocks(M, x) for x in v)))
+        pm = p[..., None, None]
+        D = pm * (pm * q1[:, None] + q2[:, None]) + r[:, None]
+        s = np.linalg.svd(D[screened], compute_uv=False)
+        assert np.all(s[:, 3] >= 1e3 * NULLSPACE_RTOL * s[:, 0])
+
+
+# sweep material with t1 = 1.50994 and t4 = 1.51066: at this real speed
+# p_1 and p_4 nearly coincide and D(p_4) has two near-null directions
+NEAR_DEGENERATE = {
+    "rho": 1.294360954875519, "a": 1.8921907743038624, "b": 2.107739859082496,
+    "k": 2.1066442395940266, "mu": 1.7122343939198124, "lambda": 1.2117060823123291,
+    "d1": 1.1540011216836696, "d2": 0.835004226756539, "d3": 1.040856043917264,
+    "beta": 0.2755732617033544, "m": 0.7730458026964901, "eps1": -0.214011584713653,
+    "eps2": 0.7539892979917565,
+}
+V_NEAR_DEGENERATE = 0.03979195042821225
+
+
+def test_near_degenerate_kernel_dimension():
+    M = validate_coefficients(NEAR_DEGENERATE)
+    _, mode, kind = secular_kernel(M).evaluate(np.array([V_NEAR_DEGENERATE + 0j]))
+    assert (mode[0], kind[0]) == (4, KERNEL_DIMENSION)
+    with pytest.raises(ModeFailureError) as err:
+        point_det(M, V_NEAR_DEGENERATE, 0.0)
+    assert err.value.cause_name == "DegenerateKernelError"
+    with pytest.raises(DegenerateKernelError):
+        mode_vector(M, ComplexSpeed(V_NEAR_DEGENERATE), mode_speeds(M).roots[3])
+
+
+def test_mode_failure_message_plain_speed(reference):
+    # the second pass of grid_scan hands numpy scalars to objective_F
+    with pytest.raises(ModeFailureError) as err:
+        objective_F(reference, np.float64(0.75), -np.float64(0.0))
+    assert "np.float64" not in str(err.value)
+    assert "v = (0.75+0j)" in str(err.value)
