@@ -4,8 +4,7 @@ Subcommands: ``check`` (admissibility report), ``roots`` (squared mode
 speeds), ``scan`` (objective samples as CSV), ``solve`` (surface-wave
 roots), ``case`` (decoupled-regime cross-checks).  Exit code 0 is success,
 1 a solver-domain failure, 2 a file or input problem.  Complex numbers
-serialize as objects with "re" and "im" members.  Scans are vectorised
-and single-threaded; RAYLEIGH_THREADS is validated but changes nothing.
+serialize as objects with "re" and "im" members.
 """
 
 from __future__ import annotations

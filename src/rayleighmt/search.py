@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,28 +34,6 @@ from .secular import (
     point_det,
     secular_objective,
 )
-
-#: Environment variable holding a scan thread count (0 requests the CPU count).
-THREADS_ENV = "RAYLEIGH_THREADS"
-
-
-def resolve_thread_count(threads=None) -> int:
-    """Thread count for scans: argument, else environment, else serial.
-
-    The scan is vectorised and single-threaded; the count is still
-    validated, so an invalid value raises, but it changes nothing.
-    """
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "")
-        if not raw.strip():
-            return 1
-        threads = int(raw)
-    if threads < 0:
-        raise ValueError(f"thread count must be nonnegative, got {threads!r}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
 
 @dataclass(frozen=True)
 class ScanWindow:
@@ -117,15 +94,13 @@ def grid_scan(M: MaterialCoefficients, window: ScanWindow, threads=None) -> Scan
     objective is undefined become NaN and are counted as failures.  Each of
     them is evaluated once more by ``objective_F``, whose typed error is
     tallied in ``failure_causes``, so the failures are exactly the points
-    where ``objective_F`` raises.  ``threads`` is validated and otherwise
-    ignored.
+    where ``objective_F`` raises.  ``threads`` is accepted and ignored.
 
     Raises
     ------
     AllPointsFailedError
         If no lattice point evaluates.
     """
-    resolve_thread_count(threads)
     res = window.re_values()
     ims = window.im_values()
     values = np.empty((window.nx, window.ny))
@@ -365,7 +340,8 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     The root is classified "converged" when its determinant magnitude is at
     most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
     (the seed determinant magnitude when no scale is given) and
-    ``amplitudes`` finds the secular matrix singular there.
+    ``amplitudes`` finds the secular matrix singular there, on the same
+    batched kernel that both stages evaluate.
 
     Raises
     ------
@@ -425,8 +401,7 @@ def grid_median_det(grid: ScanGrid) -> float:
 
 
 def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
-                  max_evals: int = 500, det_ratio_tol: float = 1e-6,
-                  threads=None) -> list:
+                  max_evals: int = 500, det_ratio_tol: float = 1e-6) -> list:
     """Locate surface-wave roots inside a window.
 
     Scans the lattice, refines every strict interior local minimum with an
@@ -440,7 +415,7 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
     AllPointsFailedError
         Propagated from the scan.
     """
-    grid = grid_scan(M, window, threads=threads)
+    grid = grid_scan(M, window)
     seeds = local_minima(grid)
     if not seeds:
         return []

@@ -6,14 +6,16 @@ surface wave exists when some combination of the five modes leaves the
 surface flux-free, i.e. when the 5x5 secular matrix A is singular.  The
 search objective is F = ln |det A|.
 
-The objective comes from one batched kernel over arrays of speeds
-(``secular_objective``; ``point_det`` and ``objective_F`` are its
-one-point calls), built on material-only data computed once per material.
-Its check that each D(p_k) has a one-dimensional kernel runs an SVD only
-where p_k^2 nears another p_j^2 (``GAP_SCREEN``); elsewhere the
-factorization of det D(p) guarantees it.
-``secular_matrix`` and ``secular_det`` assemble the same matrix one speed
-at a time from ``mode_vector`` and serve as the verification route.
+A solve builds A one way only, by one batched kernel over arrays of
+speeds (``secular_objective``; ``point_matrix``, ``point_det`` and
+``objective_F`` are its one-point calls) built on material-only data
+computed once per material; the mode weights of a root (``amplitudes``)
+come from it too.  Its check that each D(p_k) has a one-dimensional
+kernel runs an SVD only where p_k^2 nears another p_j^2 (``GAP_SCREEN``);
+elsewhere the factorization of det D(p) guarantees it.
+``secular_matrix`` and ``secular_det`` assemble A one speed at a time from
+``mode_vector``: the verification route, which ``field_eval`` and
+``boundary_residual`` use so that a kernel root is checked independently.
 """
 
 from __future__ import annotations
@@ -207,13 +209,14 @@ class SecularKernel:
         return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, delta=inv.min(axis=1),
                    blocks=_poly_blocks(M))
 
-    def evaluate(self, v: np.ndarray) -> tuple:
-        """Secular determinants at admissible complex speeds v, shape (n,).
+    def matrices(self, v: np.ndarray) -> tuple:
+        """Secular matrices at admissible complex speeds v, shape (n,).
 
-        Returns ``(det, mode, kind)``: ``mode`` holds the index of the first
-        mode that fails at each speed (0 where none does) and ``kind`` how
-        it fails (``NON_DECAYING``, ``ZERO_KERNEL``, ``KERNEL_DIMENSION`` or
-        ``NOT_FINITE``).  ``det`` is meaningless where ``mode`` is nonzero.
+        Returns ``(A, mode, kind)``: ``A`` is the (n, 5, 5) stack whose
+        column k is S(p_k) u_k, ``mode`` holds the index of the first mode
+        that fails at each speed (0 where none does) and ``kind`` how it
+        fails (``NON_DECAYING``, ``ZERO_KERNEL``, ``KERNEL_DIMENSION`` or
+        ``NOT_FINITE``).  ``A`` is meaningless where ``mode`` is nonzero.
         The kernel dimension of D(p_k) is checked by SVD only where the gap
         |v|^2 delta_k / |p_k|^2 = min_j |p_k^2 - p_j^2| / |p_k|^2 is below
         ``GAP_SCREEN`` or NaN; everywhere else it is one.
@@ -250,8 +253,12 @@ class SecularKernel:
         mode = np.where(kind > 0, first + 1, 0)
 
         rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
-        det = np.linalg.det(np.swapaxes(rows, 1, 2))
-        return det, mode, kind
+        return np.swapaxes(rows, 1, 2), mode, kind
+
+    def evaluate(self, v: np.ndarray) -> tuple:
+        """``matrices`` with each matrix replaced by its determinant."""
+        A, mode, kind = self.matrices(v)
+        return np.linalg.det(A), mode, kind
 
     def failure(self, v: complex, mode: int, kind: int) -> RayleighError:
         """The typed error ``mode_vector`` raises for this failure."""
@@ -308,10 +315,22 @@ def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
     return np.where(ok & (mode.reshape(v.shape) == 0), F, out)
 
 
-def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
-    """Secular determinant det A(v) at v = v_r - i v_i.
+def point_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> Matrix5:
+    """Secular matrix A(v) from a one-point call of ``SecularKernel.matrices``.
 
-    A one-point call of the batched kernel (``SecularKernel.evaluate``).
+    Raises the typed error ``mode_vector`` raises for the first failing
+    mode (``SecularKernel.failure``), and the errors of ``secular_kernel``.
+    """
+    vc = complex(v)
+    kernel = secular_kernel(M)
+    A, mode, kind = kernel.matrices(np.array([vc]))
+    if mode[0]:
+        raise kernel.failure(vc, int(mode[0]), int(kind[0]))
+    return A[0]
+
+
+def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
+    """Secular determinant det A(v) at v = v_r - i v_i, from ``point_matrix``.
 
     Raises
     ------
@@ -321,14 +340,9 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
         repeated or shared mode speeds, degenerate kernel, overflow).
     """
     try:
-        vc = complex(ComplexSpeed(v_r, v_i))
-        kernel = secular_kernel(M)
-        det, mode, kind = kernel.evaluate(np.array([vc]))
-        if mode[0]:
-            raise kernel.failure(vc, int(mode[0]), int(kind[0]))
+        return complex(np.linalg.det(point_matrix(M, ComplexSpeed(v_r, v_i))))
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
-    return complex(det[0])
 
 
 def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
@@ -365,14 +379,18 @@ def nullspace_amplitude(A: Matrix5, ratio_tol: float = ROOT_RATIO_TOL) -> Amplit
             f"> {ratio_tol:.1e})"
         )
     gamma = vh[-1].conj()
-    gamma = gamma / gamma[int(np.argmax(np.abs(gamma)))]
+    peak = int(np.argmax(np.abs(gamma)))
+    gamma = gamma / gamma[peak]
+    gamma[peak] = 1.0  # z / z is not always exactly 1 in complex arithmetic
     return AmplitudeVector(gamma=gamma)
 
 
 def amplitudes(M: MaterialCoefficients, v: ComplexSpeed,
                ratio_tol: float = ROOT_RATIO_TOL) -> AmplitudeVector:
-    """Mode weights of the surface wave at a converged secular root."""
-    return nullspace_amplitude(secular_matrix(M, v).A, ratio_tol)
+    """Mode weights of the surface wave at a converged secular root, from
+    the batched kernel's matrix (``point_matrix``) that refinement uses; the
+    fields and the residual stay on the verification route on purpose."""
+    return nullspace_amplitude(point_matrix(M, v), ratio_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,6 +420,12 @@ def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: AmplitudeVector,
         If kappa is not positive or x2 is negative (the half-space is
         x2 >= 0).
     """
+    return _fields(M, v, gamma, kappa, x1, x2, time)[0]
+
+
+def _fields(M: MaterialCoefficients, v: ComplexSpeed, gamma: AmplitudeVector,
+            kappa: float, x1: float, x2: float, time: float) -> tuple:
+    """``field_eval``'s state together with the secular matrix it used."""
     if not kappa > 0.0:
         raise DomainError(f"wavenumber must be positive, got {kappa!r}")
     if x2 < 0.0:
@@ -419,7 +443,7 @@ def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: AmplitudeVector,
     return FieldState(
         u1=fields[0], u2=fields[1], tau1=fields[2], tau2=fields[3], chi=fields[4],
         traction=traction,
-    )
+    ), sm
 
 
 def boundary_residual(M: MaterialCoefficients, v: ComplexSpeed,
@@ -432,8 +456,7 @@ def boundary_residual(M: MaterialCoefficients, v: ComplexSpeed,
     phase-independent; at a converged secular root it sits at roundoff
     level for every kappa.
     """
-    state = field_eval(M, v, gamma, kappa, x1, 0.0, time)
-    sm = secular_matrix(M, v)
+    state, sm = _fields(M, v, gamma, kappa, x1, 0.0, time)
     phase_mag = abs(cmath.exp(1j * kappa * (x1 - complex(v) * time)))
     scale = kappa * phase_mag * sum(
         abs(weight) * float(np.linalg.norm(col))

@@ -1,7 +1,6 @@
 """Grid scan, local minima extraction, Muller and simplex refinement, root search."""
 
 import math
-import os
 from collections import Counter
 from dataclasses import replace
 
@@ -26,7 +25,7 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import search
-from rayleighmt.search import DEDUP_TOL, grid_median_det, resolve_thread_count
+from rayleighmt.search import DEDUP_TOL, grid_median_det
 
 from conftest import default_window
 from helpers import random_material
@@ -52,17 +51,6 @@ def test_window_validation():
     w = ScanWindow(re_min=0.0, re_max=1.0, im_min=-0.5, im_max=0.0, nx=5, ny=3)
     assert w.cell_size() == (0.25, 0.25)
     assert list(w.re_values()) == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def test_resolve_thread_count(monkeypatch):
-    monkeypatch.delenv("RAYLEIGH_THREADS", raising=False)
-    assert resolve_thread_count() == 1
-    assert resolve_thread_count(3) == 3
-    assert resolve_thread_count(0) == (os.cpu_count() or 1)
-    monkeypatch.setenv("RAYLEIGH_THREADS", "2")
-    assert resolve_thread_count() == 2
-    with pytest.raises(ValueError):
-        resolve_thread_count(-1)
 
 
 def test_grid_scan_marks_failures(reference):

@@ -35,6 +35,7 @@ from rayleighmt.secular import (
     nullspace_amplitude,
     objective_from_det,
     point_det,
+    point_matrix,
     secular_kernel,
     secular_objective,
 )
@@ -109,13 +110,16 @@ def test_objective_matches_verification_route():
     for _ in range(40):
         M = random_material(rng)
         v = random_speed(rng, M)
-        expected = objective_from_det(secular_det(M, v))
+        A = secular_matrix(M, v).A
+        assert np.linalg.norm(point_matrix(M, v) - A) <= 1e-12 * np.linalg.norm(A)
+        expected = objective_from_det(det_elimination(A))
         assert objective_F(M, v.v_r, v.v_i) == pytest.approx(expected, abs=1e-10)
 
 
 def test_objective_failure_matches_mode_vector():
     # on the real axis past the slowest bulk speed some mode stops decaying;
-    # both routes must blame the same mode
+    # both routes must blame the same mode (the cause is what point_matrix
+    # raises)
     rng = np.random.default_rng(43)
     for _ in range(20):
         M = random_material(rng)
@@ -172,6 +176,16 @@ def test_nullspace_amplitude_synthetic():
     assert out.gamma == pytest.approx([0.0, 0.0, 0.0, 0.0, 1.0], abs=1e-15)
 
 
+def test_nullspace_amplitude_peak_is_exactly_one():
+    # a complex z / z is not always exactly 1, so the peak is set, not divided
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        A[:, 4] = A[:, :4] @ (rng.normal(size=4) + 1j * rng.normal(size=4))
+        gamma = nullspace_amplitude(A).gamma
+        assert gamma[np.argmax(np.abs(gamma))] == 1.0
+
+
 def test_nullspace_amplitude_rejects_regular():
     with pytest.raises(NotARootError):
         nullspace_amplitude(np.eye(5, dtype=complex))
@@ -183,11 +197,38 @@ def test_amplitudes_at_solved_root(reference, solved_reference):
     assert gamma.gamma[peak] == 1.0 + 0.0j
     A = secular_matrix(reference, solved_reference.v).A
     assert np.linalg.norm(A @ gamma.gamma) <= 1e-8 * np.linalg.norm(A)
+    # the kernel's matrix and the verification route's give the same weights
+    assert np.max(np.abs(gamma.gamma - nullspace_amplitude(A).gamma)) <= 1e-12
 
 
 def test_amplitudes_off_root_raises(reference):
     with pytest.raises(NotARootError):
         amplitudes(reference, V05)
+
+
+# sweep material (seed 1, material 10) on which the simplex once reached
+# v = -0.008i: the kernel evaluates there, while the verification route's
+# SVD of D(p_4) gives sigma_4 / sigma_1 = 9.99999742e-11, just under
+# NULLSPACE_RTOL.  Refinement and classification must agree on such a point.
+ROUTE_SPLIT = {
+    "rho": 1.1452292188138318, "a": 1.8570892338829705, "b": 2.923562934173338,
+    "k": 2.3915931642940764, "mu": 2.4360616600665743, "lambda": -0.8928889492816328,
+    "d1": 1.542610151025202, "d2": 1.9118668724141425, "d3": 1.8436152886247341,
+    "beta": 1.0654822176259133, "m": 0.8004990030316192, "eps1": -0.8345031330830202,
+    "eps2": 0.8984995992846102,
+}
+V_ROUTE_SPLIT = ComplexSpeed(0.0, 0.008006207323123089)
+
+
+def test_amplitudes_follow_the_kernel_where_routes_split():
+    M = validate_coefficients(ROUTE_SPLIT)
+    assert math.isfinite(abs(point_det(M, V_ROUTE_SPLIT.v_r, V_ROUTE_SPLIT.v_i)))
+    with pytest.raises(DegenerateKernelError):
+        mode_vector(M, V_ROUTE_SPLIT, mode_speeds(M).roots[3])
+    try:
+        amplitudes(M, V_ROUTE_SPLIT)
+    except NotARootError:
+        pass
 
 
 def test_field_eval_domain_checks(reference, solved_reference):
