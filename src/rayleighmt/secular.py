@@ -10,9 +10,13 @@ A solve builds A one way only, by one batched kernel over arrays of
 speeds (``secular_objective``; ``point_matrix``, ``point_det`` and
 ``objective_F`` are its one-point calls) built on material-only data
 computed once per material; the mode weights of a root (``amplitudes``)
-come from it too.  Its check that each D(p_k) has a one-dimensional
-kernel runs an SVD only where p_k^2 nears another p_j^2 (``GAP_SCREEN``);
-elsewhere the factorization of det D(p) guarantees it.
+come from it too.  It builds the propagation matrix D(p_k) of a depth
+mode only for the two checks that need it: the SVD that D(p_k) has a
+one-dimensional kernel, run only where p_k^2 nears another p_j^2
+(``GAP_SCREEN``; elsewhere the factorization of det D(p) guarantees it),
+and the check that D(p_k) is finite, run only where a bound from the
+material's constant blocks cannot rule out overflow (elsewhere every entry
+is provably finite).
 ``secular_matrix`` and ``secular_det`` assemble A one speed at a time from
 ``mode_vector``: the verification route, which ``field_eval`` and
 ``boundary_residual`` use so that a kernel root is checked independently.
@@ -168,7 +172,9 @@ class SecularKernel:
     The closed-form kernel vector of mode k (see ``mode_vector``) is
     u_k = u0_k + p_k u1_k + v u2_k, with the coefficients Phi for the
     transverse modes and Gamma, Lambda and the B factor for the
-    longitudinal ones folded into ``u0``, ``u1`` and ``u2``.
+    longitudinal ones folded into ``u0``, ``u1`` and ``u2``.  The rows of
+    A need only u_k and S(p_k); D(p_k) is built only for ``matrices``'
+    checks.
     """
 
     roots: tuple  # ModeRoot, indices 1..5
@@ -178,6 +184,7 @@ class SecularKernel:
     u2: np.ndarray
     delta: np.ndarray  # (5,) min over j != k of |1/t_k - 1/t_j|
     blocks: tuple  # _poly_blocks
+    d_reach: float  # 1 + |p| + |v| below which D(p) cannot overflow
 
     @classmethod
     def build(cls, M: MaterialCoefficients) -> "SecularKernel":
@@ -206,8 +213,17 @@ class SecularKernel:
         t = np.array([r.t for r in roots])
         inv = np.abs(1.0 / t[:, None] - 1.0 / t)
         np.fill_diagonal(inv, np.inf)
+        blocks = _poly_blocks(M)
+        # With b the largest entry modulus of Q1, Q2, V, R0, R1 and R2, every
+        # intermediate of D(p) = p (p Q1 + (Q2 + v V)) + (R0 + v (R1 + v R2))
+        # is at most b (1 + |p| + |v|)^2 in modulus: a complex product z w
+        # forms its parts from terms whose moduli sum to at most |z| |w|
+        # (Cauchy-Schwarz).  Below d_reach that bound is under a quarter of
+        # the largest double, which leaves room for rounding, so D(p) is
+        # finite there and is not built just to check it.
+        b = max(float(np.abs(x).max()) for x in blocks[:6])
         return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, delta=inv.min(axis=1),
-                   blocks=_poly_blocks(M))
+                   blocks=blocks, d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
 
     def matrices(self, v: np.ndarray) -> tuple:
         """Secular matrices at admissible complex speeds v, shape (n,).
@@ -217,48 +233,64 @@ class SecularKernel:
         that fails at each speed (0 where none does) and ``kind`` how it
         fails (``NON_DECAYING``, ``ZERO_KERNEL``, ``KERNEL_DIMENSION`` or
         ``NOT_FINITE``).  ``A`` is meaningless where ``mode`` is nonzero.
-        The kernel dimension of D(p_k) is checked by SVD only where the gap
+        A depth mode's D(p_k) is built only for the two checks that need
+        it: the kernel-dimension SVD, run only where the gap
         |v|^2 delta_k / |p_k|^2 = min_j |p_k^2 - p_j^2| / |p_k|^2 is below
-        ``GAP_SCREEN`` or NaN; everywhere else it is one.
+        ``GAP_SCREEN`` or NaN (everywhere else the kernel is
+        one-dimensional), and the finiteness check, run only where
+        1 + |p_k| + |v| reaches ``d_reach`` or is NaN (everywhere else no
+        entry of D(p_k) can overflow).
         """
         q1, q2, v_lin, r0, r1, r2, s0 = self.blocks
-        vv = v[:, None]
-        root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
-        p = np.where(root.imag > 0.0, root, -root)
-        pp, vm = p[..., None], vv[..., None]
-        u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
+        with np.errstate(all="ignore"):
+            vv = v[:, None]
+            root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
+            p = np.where(root.imag > 0.0, root, -root)
+            pp, vm = p[..., None], vv[..., None]
+            u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
+            sv = s0 + vm * v_lin  # the v-dependent part of S(p)
+            rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
 
-        # the v-dependent parts of D(p) and S(p), one 5x5 block per speed
-        q2v = q2 + vm * v_lin
-        rv = r0 + vm * (r1 + vm * r2)
-        sv = s0 + vm * v_lin
-        pm = pp[..., None]
-        D = pm * (pm * q1 + q2v[:, None]) + rv[:, None]  # (n, 5 modes, 5, 5)
-        finite = np.isfinite(D).all(axis=(-2, -1))  # (n, 5)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gap = np.abs(vv) ** 2 * self.delta / np.abs(p) ** 2
-        check = ~(gap >= GAP_SCREEN) & finite
-        dimension = np.ones(p.shape, dtype=int)
-        if check.any():
-            s = np.linalg.svd(D[check], compute_uv=False)
-            dimension[check] = np.sum(s <= NULLSPACE_RTOL * s[:, :1], axis=-1)
+            abs_p, abs_v = np.abs(p), np.abs(vv)
+            wide = abs_v ** 2 * self.delta / abs_p ** 2 >= GAP_SCREEN
+            build = ~(wide & (1.0 + abs_p + abs_v < self.d_reach))
+            finite = np.ones(p.shape, dtype=bool)
+            degenerate = np.zeros(p.shape, dtype=bool)
+            if build.any():
+                at, k = np.nonzero(build)
+                pm, vs = p[at, k, None, None], v[at, None, None]
+                D = pm * (pm * q1 + (q2 + vs * v_lin)) + (r0 + vs * (r1 + vs * r2))
+                finite[at, k] = np.isfinite(D).all(axis=(-2, -1))
+                svd = ~wide[at, k] & finite[at, k]
+                if svd.any():
+                    s = np.linalg.svd(D[svd], compute_uv=False)
+                    degenerate[at[svd], k[svd]] = np.sum(
+                        s <= NULLSPACE_RTOL * s[:, :1], axis=-1) != 1
 
-        kind = np.where(dimension != 1, KERNEL_DIMENSION, 0)
-        kind = np.where(u.any(axis=-1), kind, ZERO_KERNEL)
-        kind = np.where(root.imag == 0.0, NON_DECAYING, kind)
-        kind = np.where(finite.all(axis=1, keepdims=True), kind,
-                        np.where(finite, 0, NOT_FINITE))
-        first = np.argmax(kind > 0, axis=1)
-        kind = np.take_along_axis(kind, first[:, None], axis=1)[:, 0]
-        mode = np.where(kind > 0, first + 1, 0)
-
-        rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
+        non_decaying, zero_kernel = root.imag == 0.0, ~u.any(axis=-1)
+        failed = non_decaying | zero_kernel | degenerate | ~finite  # (n, 5)
+        mode = np.zeros(len(v), dtype=int)
+        kind = np.zeros(len(v), dtype=int)
+        bad = np.flatnonzero(failed.any(axis=1))
+        if bad.size:
+            # a non-finite D(p_k) outranks every other failure at its speed;
+            # otherwise the first failing mode is reported
+            kinds = np.select(
+                [non_decaying[bad], zero_kernel[bad], degenerate[bad]],
+                [NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION], 0)
+            overflow = ~finite[bad]
+            kinds = np.where(overflow.any(axis=1, keepdims=True),
+                             np.where(overflow, NOT_FINITE, 0), kinds)
+            first = np.argmax(kinds > 0, axis=1)
+            kind[bad] = kinds[np.arange(bad.size), first]
+            mode[bad] = first + 1
         return np.swapaxes(rows, 1, 2), mode, kind
 
     def evaluate(self, v: np.ndarray) -> tuple:
         """``matrices`` with each matrix replaced by its determinant."""
         A, mode, kind = self.matrices(v)
-        return np.linalg.det(A), mode, kind
+        with np.errstate(all="ignore"):
+            return np.linalg.det(A), mode, kind
 
     def failure(self, v: complex, mode: int, kind: int) -> RayleighError:
         """The typed error ``mode_vector`` raises for this failure."""
@@ -340,7 +372,9 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
         repeated or shared mode speeds, degenerate kernel, overflow).
     """
     try:
-        return complex(np.linalg.det(point_matrix(M, ComplexSpeed(v_r, v_i))))
+        A = point_matrix(M, ComplexSpeed(v_r, v_i))
+        with np.errstate(all="ignore"):
+            return complex(np.linalg.det(A))
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
 

@@ -17,6 +17,8 @@ from rayleighmt import (
     mode_speeds,
     validate_coefficients,
 )
+from rayleighmt import secular
+from rayleighmt.modes import NULLSPACE_RTOL
 
 
 def random_material(rng, general=True):
@@ -89,3 +91,45 @@ def nullspace_sine(u, w):
     uhat = np.asarray(u, dtype=complex)
     uhat = uhat / np.linalg.norm(uhat)
     return float(np.linalg.norm(uhat - w * np.vdot(w, uhat)))
+
+
+def full_d_matrices(kernel, v):
+    """``SecularKernel.matrices`` as it was before D(p_k) was built only
+    where a check needs it: the full (n, 5, 5, 5) stack of D(p_k), its
+    finiteness everywhere, and the failure reduction over every speed.
+
+    Returns ``(A, mode, kind, D)``; kept as the reference the lean kernel
+    must match bit for bit.
+    """
+    with np.errstate(all="ignore"):
+        q1, q2, v_lin, r0, r1, r2, s0 = kernel.blocks
+        vv = v[:, None]
+        root = np.sqrt(vv * vv / kernel.t - 1.0)
+        p = np.where(root.imag > 0.0, root, -root)
+        pp, vm = p[..., None], vv[..., None]
+        u = kernel.u0 + pp * kernel.u1 + vm * kernel.u2
+
+        q2v = q2 + vm * v_lin
+        rv = r0 + vm * (r1 + vm * r2)
+        sv = s0 + vm * v_lin
+        pm = pp[..., None]
+        D = pm * (pm * q1 + q2v[:, None]) + rv[:, None]
+        finite = np.isfinite(D).all(axis=(-2, -1))
+        gap = np.abs(vv) ** 2 * kernel.delta / np.abs(p) ** 2
+        check = ~(gap >= secular.GAP_SCREEN) & finite
+        dimension = np.ones(p.shape, dtype=int)
+        if check.any():
+            s = np.linalg.svd(D[check], compute_uv=False)
+            dimension[check] = np.sum(s <= NULLSPACE_RTOL * s[:, :1], axis=-1)
+
+        kind = np.where(dimension != 1, secular.KERNEL_DIMENSION, 0)
+        kind = np.where(u.any(axis=-1), kind, secular.ZERO_KERNEL)
+        kind = np.where(root.imag == 0.0, secular.NON_DECAYING, kind)
+        kind = np.where(finite.all(axis=1, keepdims=True), kind,
+                        np.where(finite, 0, secular.NOT_FINITE))
+        first = np.argmax(kind > 0, axis=1)
+        kind = np.take_along_axis(kind, first[:, None], axis=1)[:, 0]
+        mode = np.where(kind > 0, first + 1, 0)
+
+        rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)
+        return np.swapaxes(rows, 1, 2), mode, kind, D

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +15,22 @@ from conftest import MATERIALS
 REF = str(MATERIALS / "reference.json")
 CASE_I = str(MATERIALS / "case_i.json")
 CASE_III = str(MATERIALS / "case_iii.json")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _module_run(*argv):
+    """``python -m rayleighmt`` from a checkout, without an install."""
+    root = MATERIALS.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rayleighmt", *argv],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=root)
 
 
 def test_check_reference(capsys):
@@ -167,11 +178,26 @@ def test_text_format(capsys):
 
 
 def test_module_entry_point():
-    # `python -m rayleighmt` from a checkout, without an install
-    root = MATERIALS.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rayleighmt", "check", "--material", REF],
-                          capture_output=True, text=True, timeout=120, env=env, cwd=root)
+    proc = _module_run("check", "--material", REF)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["strong_ellipticity"]["passed"] is True
+
+
+def test_scan_overflow_window_is_quiet():
+    # speeds that overflow the kernel come out as NaN cells, with no numpy
+    # warnings on stderr
+    proc = _module_run("scan", "--material", REF, "--re-min", "0.5", "--re-max", "1e160",
+                       "--im-min", "-0.1", "--im-max", "0", "--nx", "3", "--ny", "2")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.count(",nan\n") == 4
+
+
+def test_scan_csv_byte_identical(capsys, tmp_path):
+    # the fixture is `rayleighmt scan --material materials/reference.json
+    # --nx 16 --ny 8` as printed before D(p_k) was built only where needed
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, "scan", "--material", REF, "--nx", "16", "--ny", "8",
+                     "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (DATA / "reference_scan_16x8.csv").read_bytes()

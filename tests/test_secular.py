@@ -30,6 +30,7 @@ from rayleighmt.secular import (
     F_SENTINEL,
     KERNEL_DIMENSION,
     NON_DECAYING,
+    NOT_FINITE,
     ZERO_KERNEL,
     det_elimination,
     nullspace_amplitude,
@@ -41,7 +42,7 @@ from rayleighmt.secular import (
 )
 
 from conftest import default_window
-from helpers import det_cofactor, random_material, random_speed
+from helpers import det_cofactor, full_d_matrices, random_material, random_speed
 
 V05 = ComplexSpeed(0.5, 0.0)
 
@@ -330,6 +331,78 @@ def test_near_degenerate_kernel_dimension():
     assert err.value.cause_name == "DegenerateKernelError"
     with pytest.raises(DegenerateKernelError):
         mode_vector(M, ComplexSpeed(V_NEAR_DEGENERATE), mode_speeds(M).roots[3])
+
+
+#: Speeds in the quadrant from |v| = 1e100 to 1e170, dense where D(p_k)
+#: starts to overflow (|v| near 1e153) and v^2 itself does (1.3e154).
+HUGE_SPEEDS = (
+    np.concatenate([np.logspace(100, 170, 141), np.logspace(151, 155, 161)])[:, None]
+    * np.exp(-1j * np.array([0.0, 0.4, 1.0, 1.5]))
+).ravel()
+
+
+def test_lean_kernel_matches_full_d_kernel(reference):
+    # D(p_k) built only for the screened SVD and the overflow guard gives
+    # the same matrices and verdicts as building it for every mode
+    rng = np.random.default_rng(83)
+    cases = [(validate_coefficients(NEAR_DEGENERATE), np.array([V_NEAR_DEGENERATE + 0j]))]
+    for M in [reference] + [random_material(rng) for _ in range(24)]:
+        w = default_window(M, nx=64, ny=32)
+        cases.append((M, (w.re_values()[:, None] + 1j * w.im_values()).ravel()))
+        cases.append((M, HUGE_SPEEDS))
+    kinds = set()
+    for M, v in cases:
+        kernel = secular_kernel(M)
+        A, mode, kind = kernel.matrices(v)
+        A_ref, mode_ref, kind_ref, _ = full_d_matrices(kernel, v)
+        assert np.array_equal(A, A_ref, equal_nan=True)
+        assert np.array_equal(mode, mode_ref)
+        assert np.array_equal(kind, kind_ref)
+        with np.errstate(all="ignore"):
+            det_ref = np.linalg.det(A_ref)
+        assert np.array_equal(kernel.evaluate(v)[0], det_ref, equal_nan=True)
+        kinds.update(kind.tolist())
+    assert {NON_DECAYING, KERNEL_DIMENSION, NOT_FINITE} <= kinds
+
+
+def test_overflow_guard_margin(reference):
+    # wherever the kernel skips building D(p_k) because no entry can
+    # overflow, D(p_k) is finite with a factor of 4 to spare
+    rng = np.random.default_rng(89)
+    largest = np.finfo(float).max
+    for M in [reference] + [random_material(rng) for _ in range(8)]:
+        kernel = secular_kernel(M)
+        _, _, _, D = full_d_matrices(kernel, HUGE_SPEEDS)
+        with np.errstate(all="ignore"):
+            v = HUGE_SPEEDS[:, None]
+            root = np.sqrt(v * v / kernel.t - 1.0)
+            abs_p = np.abs(np.where(root.imag > 0.0, root, -root))
+            wide = np.abs(v) ** 2 * kernel.delta / abs_p ** 2 >= secular.GAP_SCREEN
+            skipped = wide & (1.0 + abs_p + np.abs(v) < kernel.d_reach)
+            peak = np.abs(D).max(axis=(-2, -1))
+        assert np.all(peak[skipped] < largest / 4)
+        # the sample straddles the edge: skipped pairs up to near it, and
+        # pairs whose D(p_k) really overflows
+        assert peak[skipped].max() > largest / 1e4
+        assert not np.isfinite(peak).all()
+
+
+def test_point_det_matches_row_evaluate():
+    # refinement's one-point calls and the scan's row calls give the same
+    # determinant to the last bit
+    rng = np.random.default_rng(97)
+    for _ in range(6):
+        M = random_material(rng)
+        kernel = secular_kernel(M)
+        w = default_window(M, nx=24, ny=16)
+        for re_v in w.re_values():
+            det, mode, _ = kernel.evaluate(re_v + 1j * w.im_values())
+            for im_v, d, m in zip(w.im_values(), det, mode):
+                if m:
+                    with pytest.raises(ModeFailureError):
+                        point_det(M, re_v, -im_v)
+                else:
+                    assert point_det(M, re_v, -im_v) == d
 
 
 def test_mode_failure_message_plain_speed(reference):
