@@ -17,6 +17,7 @@ from .errors import (
     DegenerateRootsError,
     DomainError,
     IndistinctRootsError,
+    InputError,
     MissingFieldError,
     ModeFailureError,
     NonDecayingError,

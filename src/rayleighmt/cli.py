@@ -13,15 +13,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MissingFieldError,
-    NonFiniteError,
-    RayleighError,
-)
+from .errors import InputError, RayleighError
 from .material import (
     CouplingCase,
     MaterialCoefficients,
@@ -49,24 +44,6 @@ EXIT_INPUT = 2
 
 #: Wavenumbers exercised by ``solve --verify``.
 VERIFY_KAPPAS = (0.1, 1.0, 10.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by the subcommand handlers."""
-
-    material_path: str
-    fmt: str = "json"
-    out: str = None
-    nx: int = None
-    ny: int = None
-    re_min: float = None
-    re_max: float = None
-    im_min: float = None
-    im_max: float = None
-    tol_det: float = 1e-6
-    verify: bool = False
-    use_case: bool = False
 
 
 def _jsonable(obj):
@@ -118,14 +95,14 @@ def _scalar_text(val) -> str:
     return str(val)
 
 
-def _default_window(M: MaterialCoefficients, cfg: RunConfig,
+def _default_window(M: MaterialCoefficients, args: argparse.Namespace,
                     nx: int, ny: int) -> ScanWindow:
     """Fill unset window options from the material's mode speeds.
 
     Damped roots can sit above every bulk speed, so the window runs from
     just above zero up to 1.25 times the fastest mode speed.
     """
-    bounds = (cfg.re_min, cfg.re_max, cfg.im_min, cfg.im_max)
+    bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
     if any(val is None for val in bounds):
         c = math.sqrt(max(mode_speeds(M).t_values()))
         defaults = (0.02 * c, 1.25 * c, -0.45 * c, 0.0)
@@ -135,13 +112,13 @@ def _default_window(M: MaterialCoefficients, cfg: RunConfig,
         )
     return ScanWindow(
         re_min=bounds[0], re_max=bounds[1], im_min=bounds[2], im_max=bounds[3],
-        nx=cfg.nx if cfg.nx is not None else nx,
-        ny=cfg.ny if cfg.ny is not None else ny,
+        nx=args.nx if args.nx is not None else nx,
+        ny=args.ny if args.ny is not None else ny,
     )
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    M = load_material(cfg.material_path)
+def cmd_check(args: argparse.Namespace) -> int:
+    M = load_material(args.material)
     report = check_strong_ellipticity(M)
     case = classify_coupling(M)
     payload = {
@@ -161,15 +138,15 @@ def cmd_check(cfg: RunConfig) -> int:
         }
         distinct = check_distinct_cubic_roots(C)
     payload["distinct_cubic_roots"] = distinct
-    _emit(payload, cfg.fmt)
+    _emit(payload, args.format)
     return EXIT_OK if (report.passed and distinct) else EXIT_DOMAIN
 
 
-def cmd_roots(cfg: RunConfig) -> int:
-    M = load_material(cfg.material_path)
+def cmd_roots(args: argparse.Namespace) -> int:
+    M = load_material(args.material)
     C = derived_cubic(M)
     rows = []
-    if cfg.use_case:
+    if args.case:
         case = classify_coupling(M)
         rs = roots_case(M, case)
         for root, label in zip(rs.roots, rs.labels):
@@ -189,13 +166,13 @@ def cmd_roots(cfg: RunConfig) -> int:
                 "residual": q2_res if root.source == "q2" else q3_res,
             })
         payload = {"roots": rows, "pairwise_min_gap": rs.pairwise_min_gap}
-    _emit(payload, cfg.fmt)
+    _emit(payload, args.format)
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    M = load_material(cfg.material_path)
-    window = _default_window(M, cfg, nx=64, ny=32)
+def cmd_scan(args: argparse.Namespace) -> int:
+    M = load_material(args.material)
+    window = _default_window(M, args, nx=64, ny=32)
     grid = grid_scan(M, window)
     lines = ["re_v,im_v,F"]
     res = [float(x) for x in window.re_values()]
@@ -204,18 +181,18 @@ def cmd_scan(cfg: RunConfig) -> int:
         for j in range(window.ny):
             lines.append(f"{res[i]!r},{ims[j]!r},{float(grid.values[i, j])!r}")
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    M = load_material(cfg.material_path)
-    window = _default_window(M, cfg, nx=128, ny=64)
-    roots = find_rayleigh(M, window, det_ratio_tol=cfg.tol_det)
+def cmd_solve(args: argparse.Namespace) -> int:
+    M = load_material(args.material)
+    window = _default_window(M, args, nx=128, ny=64)
+    roots = find_rayleigh(M, window, det_ratio_tol=args.tol_det)
     payload = {
         "window": {
             "re_min": window.re_min, "re_max": window.re_max,
@@ -236,22 +213,22 @@ def cmd_solve(cfg: RunConfig) -> int:
         ],
     }
     converged = [root for root in roots if root.classification == "converged"]
-    if cfg.verify and converged:
+    if args.verify and converged:
         best = converged[0]
         payload["boundary_residuals"] = {
             repr(kappa): boundary_residual(M, best.v, best.gamma, kappa,
                                            x1=0.4, time=0.25)
             for kappa in VERIFY_KAPPAS
         }
-    _emit(payload, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
+    _emit(payload, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(json.dumps(_jsonable(payload), indent=2) + "\n")
     return EXIT_OK if converged else EXIT_DOMAIN
 
 
-def cmd_case(cfg: RunConfig) -> int:
-    M = load_material(cfg.material_path)
+def cmd_case(args: argparse.Namespace) -> int:
+    M = load_material(args.material)
     case = classify_coupling(M)
     if case not in EXPLICIT_CASES:
         raise RayleighError(
@@ -298,7 +275,7 @@ def cmd_case(cfg: RunConfig) -> int:
             "summary": "no explicit secular expansion for this case; "
                        "determinant route only",
         }
-    _emit(payload, cfg.fmt)
+    _emit(payload, args.format)
     return EXIT_OK
 
 
@@ -349,23 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        material_path=args.material,
-        fmt=args.format,
-        out=getattr(args, "out", None),
-        nx=getattr(args, "nx", None),
-        ny=getattr(args, "ny", None),
-        re_min=getattr(args, "re_min", None),
-        re_max=getattr(args, "re_max", None),
-        im_min=getattr(args, "im_min", None),
-        im_max=getattr(args, "im_max", None),
-        tol_det=getattr(args, "tol_det", 1e-6),
-        verify=getattr(args, "verify", False),
-        use_case=getattr(args, "case", False),
-    )
-
-
 _HANDLERS = {
     "check": cmd_check,
     "roots": cmd_roots,
@@ -377,10 +337,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _HANDLERS[args.command](cfg)
-    except (OSError, json.JSONDecodeError, MissingFieldError, NonFiniteError) as exc:
+        return _HANDLERS[args.command](args)
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RayleighError, ValueError) as exc:

@@ -11,7 +11,11 @@ class RayleighError(Exception):
     """Base class for all solver-domain errors."""
 
 
-class MissingFieldError(RayleighError):
+class InputError(RayleighError):
+    """A material input that cannot be read as constitutive coefficients."""
+
+
+class MissingFieldError(InputError):
     """A required constitutive coefficient is absent from the input."""
 
     def __init__(self, name: str):
@@ -19,7 +23,7 @@ class MissingFieldError(RayleighError):
         super().__init__(f"missing constitutive coefficient {name!r}")
 
 
-class NonFiniteError(RayleighError):
+class NonFiniteError(InputError):
     """A constitutive coefficient is NaN, infinite, or not a real number."""
 
     def __init__(self, name: str):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .errors import MissingFieldError, NonFiniteError, NotStronglyEllipticError
+from .errors import InputError, MissingFieldError, NonFiniteError, NotStronglyEllipticError
 
 #: JSON keys of a material file, in canonical order.
 COEFFICIENT_KEYS = (
@@ -117,7 +117,7 @@ def load_material(path) -> MaterialCoefficients:
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, Mapping):
-        raise NonFiniteError("material file does not hold a JSON object")
+        raise InputError("material file does not hold a JSON object")
     return validate_coefficients(raw)
 
 

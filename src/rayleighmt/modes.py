@@ -164,16 +164,13 @@ class ModeBasis:
     """Closed-form kernel vector of D(p_k) for one mode.
 
     ``u`` holds the amplitude components (U1, U2, A1, A2, B); ``aux`` the
-    intermediate scalars of the closed form; ``polarization`` is
-    "transverse" for the quadratic-factor modes and "longitudinal" for the
-    cubic-factor modes.
+    intermediate scalars of the closed form.
     """
 
     mode: ModeRoot
     p: AttenuationExponent
     u: np.ndarray
     aux: dict
-    polarization: str
 
     def unit(self) -> np.ndarray:
         """The kernel vector scaled so its largest component is 1."""
@@ -215,7 +212,6 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
         phi = (M.b / M.eps2) * (t - M.d2 / M.b)
         u = np.array([-p * phi, phi, -p, 1.0, 0.0], dtype=complex)
         aux = {"Phi": phi}
-        polarization = "transverse"
     else:
         e12 = M.eps_long
         # d, not d2: the longitudinal block couples through the full thermal
@@ -227,7 +223,6 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
         )
         u = np.array([gamma, p * gamma, lam_k, p * lam_k, b_k], dtype=complex)
         aux = {"Gamma": gamma, "Lambda": lam_k, "B": b_k}
-        polarization = "longitudinal"
 
     if not np.any(u):
         raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
@@ -235,7 +230,7 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
         raise DegenerateKernelError(
             f"propagation matrix kernel at mode {r.index} is not one-dimensional"
         )
-    return ModeBasis(mode=r, p=ae, u=u, aux=aux, polarization=polarization)
+    return ModeBasis(mode=r, p=ae, u=u, aux=aux)
 
 
 def polarization_check(mb: ModeBasis) -> str:

@@ -4,7 +4,8 @@ The objective F = ln |det A| is sampled on a rectangular lattice and its
 strict interior local minima seed the refinement.  Each seed is polished
 by Muller's method on the complex determinant det A, clamped to the
 quadrant; when that fails to land on an accepted root, a clamped
-Nelder-Mead simplex on F takes over.  Refined minima are accepted as
+Nelder-Mead simplex on F takes over.  Both stages work on the complex
+speed v itself, down to ``DIAMETER_TOL``.  Refined minima are accepted as
 surface-wave roots when the secular determinant is small against the
 typical determinant magnitude of the scan.
 """
@@ -146,13 +147,12 @@ class RefineOptions:
 
     ``initial_step`` spaces the three start points of both stages and sets
     the radius of the Muller stage's disc; ``max_evals`` bounds the
-    evaluations of both stages together; ``diameter_tol`` bounds the last
+    evaluations of both stages together.  ``DIAMETER_TOL`` bounds the last
     Muller step and the final simplex diameter.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
     max_evals: int = 500
-    diameter_tol: float = 1e-10
     det_ratio_tol: float = 1e-6
     det_scale: float = None  # reference |det|; falls back to the seed value
 
@@ -169,6 +169,9 @@ class RayleighRoot:
     classification: str  # "converged" or "stagnated"
 
 
+#: Bound on the last Muller step and on the final simplex diameter.
+DIAMETER_TOL = 1e-10
+
 #: Evaluations the Muller stage may spend, start points included.
 MULLER_MAX_EVALS = 40
 
@@ -177,24 +180,24 @@ MULLER_MAX_EVALS = 40
 MULLER_RADIUS_STEPS = 8.0
 
 
-def _clamp(x: tuple) -> tuple:
-    return (max(x[0], 0.0), max(x[1], 0.0))
+def _clamp(z: complex) -> complex:
+    """z moved into the admissible quadrant Re v >= 0, Im v <= 0."""
+    return complex(max(z.real, 0.0), min(z.imag, 0.0))
 
 
-def _muller(det_at, points: list, dets: list, opts: RefineOptions, evals: list):
-    """Muller iterates on det A from three start points (v_r, v_i).
+def _muller(det_at, z: list, dets: list, opts: RefineOptions, evals: list):
+    """Muller iterates on det A from three complex start speeds.
 
     Each step fits a parabola through the last three points by divided
     differences, takes the root nearer the newest point (the denominator
     of larger modulus) and clamps it into the quadrant.  Returns the
-    evaluated point of smallest |det| as ``(x, det)`` once a step is at
-    most ``opts.diameter_tol`` or the determinant vanishes, and None when
-    the simplex must take over: an undefined evaluation, a vanishing
+    evaluated speed of smallest |det| as ``(z, det)`` once a step is at
+    most ``DIAMETER_TOL`` or the determinant vanishes, and None when the
+    simplex must take over: an undefined evaluation, a vanishing
     denominator, a step out of the disc around the seed, or the cap.
     """
     if any(d is None for d in dets):
         return None
-    z = [complex(x[0], -x[1]) for x in points]
     f = list(dets)
     seed = z[0]
     radius = MULLER_RADIUS_STEPS * max(opts.initial_step)
@@ -207,15 +210,14 @@ def _muller(det_at, points: list, dets: list, opts: RefineOptions, evals: list):
             b = d2 + h2 * a
             disc = cmath.sqrt(b * b - 4.0 * f[2] * a)
             den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
-            z_new = z[2] - 2.0 * f[2] / den
+            z_new = _clamp(z[2] - 2.0 * f[2] / den)
         except (ZeroDivisionError, OverflowError):
             return None
-        z_new = complex(max(z_new.real, 0.0), min(z_new.imag, 0.0))
         if not abs(z_new - seed) <= radius:  # also catches a NaN step
             return None
-        if abs(z_new - z[2]) <= opts.diameter_tol:
+        if abs(z_new - z[2]) <= DIAMETER_TOL:
             break
-        f_new = det_at((z_new.real, -z_new.imag))
+        f_new = det_at(z_new)
         if f_new is None:
             return None
         z, f = [z[1], z[2], z_new], [f[1], f[2], f_new]
@@ -225,43 +227,34 @@ def _muller(det_at, points: list, dets: list, opts: RefineOptions, evals: list):
             break
     else:
         return None
-    return (best_z.real, -best_z.imag), best_f
+    return best_z, best_f
 
 
 def _nelder_mead(objective, simplex: list, f_values: list, opts: RefineOptions,
                  evals: list) -> tuple:
-    """Clamped Nelder-Mead on F from a start simplex and its values.
+    """Clamped Nelder-Mead on F from a start simplex of speeds and its values.
 
     Reflection, expansion, contraction and shrink coefficients are 1, 2,
     0.5, 0.5; every candidate vertex is clamped into the quadrant.  The loop
-    stops when the simplex diameter drops below ``opts.diameter_tol`` or
-    when ``evals`` (the count ``objective`` keeps) would exceed
+    stops when the simplex diameter drops below ``DIAMETER_TOL`` or when
+    ``evals`` (the count ``objective`` keeps) would exceed
     ``opts.max_evals``.  Returns the best vertex and its value.
     """
 
     def diameter() -> float:
-        return max(
-            math.hypot(p[0] - q[0], p[1] - q[1])
-            for idx, p in enumerate(simplex)
-            for q in simplex[idx + 1:]
-        )
+        return max(abs(p - q) for idx, p in enumerate(simplex) for q in simplex[idx + 1:])
 
     # One iteration spends at most 4 evaluations (reflect, contract, shrink
     # pair), so stopping 4 short keeps the hard budget.
-    while evals[0] <= opts.max_evals - 4 and diameter() > opts.diameter_tol:
-        order = sorted(range(3), key=lambda idx: f_values[idx])
-        best, mid, worst = order[0], order[1], order[2]
-        centroid = (
-            (simplex[best][0] + simplex[mid][0]) / 2.0,
-            (simplex[best][1] + simplex[mid][1]) / 2.0,
-        )
+    while evals[0] <= opts.max_evals - 4 and diameter() > DIAMETER_TOL:
+        best, mid, worst = sorted(range(3), key=lambda idx: f_values[idx])
+        centroid = (simplex[best] + simplex[mid]) / 2.0
         xw = simplex[worst]
-        reflected = _clamp((2.0 * centroid[0] - xw[0], 2.0 * centroid[1] - xw[1]))
+        reflected = _clamp(2.0 * centroid - xw)
         f_reflected = objective(reflected)
 
         if f_reflected < f_values[best]:
-            expanded = _clamp((3.0 * centroid[0] - 2.0 * xw[0],
-                               3.0 * centroid[1] - 2.0 * xw[1]))
+            expanded = _clamp(3.0 * centroid - 2.0 * xw)
             f_expanded = objective(expanded)
             if f_expanded < f_reflected:
                 simplex[worst], f_values[worst] = expanded, f_expanded
@@ -271,16 +264,10 @@ def _nelder_mead(objective, simplex: list, f_values: list, opts: RefineOptions,
             simplex[worst], f_values[worst] = reflected, f_reflected
         else:
             if f_reflected < f_values[worst]:
-                contracted = _clamp((
-                    centroid[0] + 0.5 * (reflected[0] - centroid[0]),
-                    centroid[1] + 0.5 * (reflected[1] - centroid[1]),
-                ))
+                contracted = _clamp(centroid + 0.5 * (reflected - centroid))
                 f_better = f_reflected
             else:
-                contracted = _clamp((
-                    centroid[0] + 0.5 * (xw[0] - centroid[0]),
-                    centroid[1] + 0.5 * (xw[1] - centroid[1]),
-                ))
+                contracted = _clamp(centroid + 0.5 * (xw - centroid))
                 f_better = f_values[worst]
             f_contracted = objective(contracted)
             if f_contracted < f_better:
@@ -288,21 +275,17 @@ def _nelder_mead(objective, simplex: list, f_values: list, opts: RefineOptions,
             else:
                 xb = simplex[best]
                 for idx in (mid, worst):
-                    shrunk = _clamp((
-                        xb[0] + 0.5 * (simplex[idx][0] - xb[0]),
-                        xb[1] + 0.5 * (simplex[idx][1] - xb[1]),
-                    ))
-                    simplex[idx] = shrunk
-                    f_values[idx] = objective(shrunk)
+                    simplex[idx] = _clamp(xb + 0.5 * (simplex[idx] - xb))
+                    f_values[idx] = objective(simplex[idx])
 
     best = min(range(3), key=lambda idx: f_values[idx])
     return simplex[best], f_values[best]
 
 
-def _classify(M: MaterialCoefficients, x: tuple, f: float, scale: float,
+def _classify(M: MaterialCoefficients, z: complex, f: float, scale: float,
               opts: RefineOptions, iterations: int) -> RayleighRoot:
-    """The refined point x with objective f, classified against ``scale``."""
-    v = ComplexSpeed(x[0], x[1])
+    """The refined speed z with objective f, classified against ``scale``."""
+    v = ComplexSpeed.from_complex(z)
     det_abs = math.exp(f) if f < 700.0 else math.inf
     converged = math.isfinite(det_abs) and det_abs <= opts.det_ratio_tol * scale
     gamma = None
@@ -325,17 +308,17 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
                    opts: RefineOptions = RefineOptions()) -> RayleighRoot:
     """Refine a seed speed by Muller's method, with a simplex fallback.
 
-    Coordinates are (v_r, v_i) with v = v_r - i v_i.  Both stages start
-    from the seed and its two perturbations by ``opts.initial_step``,
-    clamped into the admissible quadrant, and every later point is clamped
-    too.  det A is holomorphic in the open quadrant, so Muller's method
-    on the complex determinant (Muller 1956) usually lands on a root in a
-    handful of evaluations.  Its point of smallest |det| is returned when
-    it classifies as "converged".  Otherwise a clamped Nelder-Mead simplex
-    on F = ln |det A| restarts from the three start points and their
-    values, with the evaluations Muller left of ``opts.max_evals``; its
-    best vertex never worsens the seed value.  ``iterations`` counts the
-    evaluations of both stages.
+    Both stages work on the complex speed v itself.  They start from the
+    seed and its two perturbations by ``opts.initial_step``, +hx along
+    Re v and -hy along Im v, clamped into the admissible quadrant, and
+    every later point is clamped too.  det A is holomorphic in the open
+    quadrant, so Muller's method on the complex determinant (Muller 1956)
+    usually lands on a root in a handful of evaluations.  Its point of
+    smallest |det| is returned when it classifies as "converged".
+    Otherwise a clamped Nelder-Mead simplex on F = ln |det A| restarts from
+    the three start points and their values, with the evaluations Muller
+    left of ``opts.max_evals``; its best vertex never worsens the seed
+    value.  ``iterations`` counts the evaluations of both stages.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
@@ -352,24 +335,24 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
 
     evals = [0]
 
-    def det_at(x: tuple):
+    def det_at(z: complex):
         evals[0] += 1
         try:
-            return point_det(M, x[0], x[1])
+            return point_det(M, z.real, -z.imag)
         except ModeFailureError:
             return None
 
-    def objective(x: tuple) -> float:
+    def objective(z: complex) -> float:
         evals[0] += 1
         try:
-            return objective_F(M, x[0], x[1])
+            return objective_F(M, z.real, -z.imag)
         except ModeFailureError:
             return math.inf
 
-    x0 = _clamp((v0.v_r, v0.v_i))
+    z0 = _clamp(complex(v0))
     hx, hy = opts.initial_step
-    simplex = [x0, _clamp((x0[0] + hx, x0[1])), _clamp((x0[0], x0[1] + hy))]
-    dets = [det_at(x) for x in simplex]
+    simplex = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
+    dets = [det_at(z) for z in simplex]
     f_values = [math.inf if d is None else objective_from_det(d) for d in dets]
     if all(math.isinf(f) for f in f_values):
         raise StartFailureError(
@@ -386,8 +369,8 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
                          opts, evals[0])
         if root.classification == "converged":
             return root
-    x_best, f_best = _nelder_mead(objective, simplex, f_values, opts, evals)
-    return _classify(M, x_best, f_best, scale, opts, evals[0])
+    z_best, f_best = _nelder_mead(objective, simplex, f_values, opts, evals)
+    return _classify(M, z_best, f_best, scale, opts, evals[0])
 
 
 #: Roots closer than this in the complex plane count as duplicates.
@@ -401,7 +384,7 @@ def grid_median_det(grid: ScanGrid) -> float:
 
 
 def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
-                  max_evals: int = 500, det_ratio_tol: float = 1e-6) -> list:
+                  det_ratio_tol: float = 1e-6) -> list:
     """Locate surface-wave roots inside a window.
 
     Scans the lattice, refines every strict interior local minimum with an
@@ -422,7 +405,6 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
     dx, dy = grid.window.cell_size()
     opts = RefineOptions(
         initial_step=(dx / 4.0, abs(dy) / 4.0),
-        max_evals=max_evals,
         det_ratio_tol=det_ratio_tol,
         det_scale=grid_median_det(grid),
     )

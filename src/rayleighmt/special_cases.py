@@ -155,8 +155,6 @@ def _case_kernel_vectors(M: MaterialCoefficients, v: ComplexSpeed,
                       M.m * vc * (M.b * t[4] - M.d2)], dtype=complex),
         ]
         aux = [{}, {}, {}, {"Pi": pi4}, {"Pi": pi5}]
-        polarization = ("transverse", "transverse", "longitudinal",
-                        "longitudinal", "longitudinal")
     elif rs.case is CouplingCase.CASE_II:
         om4 = M.beta ** 2 * t[3] + (M.a * t[3] - M.k) * (M.lam + M.mu)
         om5 = M.beta ** 2 * t[4] + (M.a * t[4] - M.k) * (M.lam + M.mu)
@@ -170,8 +168,6 @@ def _case_kernel_vectors(M: MaterialCoefficients, v: ComplexSpeed,
                       M.beta * vc * (M.rho * t[4] - M.mu)], dtype=complex),
         ]
         aux = [{}, {}, {}, {"Omega": om4}, {"Omega": om5}]
-        polarization = ("transverse", "transverse", "longitudinal",
-                        "longitudinal", "longitudinal")
     else:
         e12 = M.eps_long
         psi_hat = [M.rho * t[0] - M.mu, M.rho * t[1] - M.mu]
@@ -187,8 +183,6 @@ def _case_kernel_vectors(M: MaterialCoefficients, v: ComplexSpeed,
         ]
         aux = [{"Psi_hat": psi_hat[0]}, {"Psi_hat": psi_hat[1]}, {},
                {"Psi": psi[0]}, {"Psi": psi[1]}]
-        polarization = ("transverse", "transverse", "longitudinal",
-                        "longitudinal", "longitudinal")
 
     return [
         ModeBasis(
@@ -196,7 +190,6 @@ def _case_kernel_vectors(M: MaterialCoefficients, v: ComplexSpeed,
             p=AttenuationExponent(p=p[idx], mode_index=root.index),
             u=vectors[idx],
             aux=aux[idx],
-            polarization=polarization[idx],
         )
         for idx, root in enumerate(rs.roots)
     ]

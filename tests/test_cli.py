@@ -76,6 +76,14 @@ def test_missing_field_is_input_error(capsys, tmp_path):
     assert "beta" in err
 
 
+def test_non_object_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "check", "--material", str(path))
+    assert code == 2
+    assert err == "error: InputError: material file does not hold a JSON object\n"
+
+
 def test_roots_payload(capsys):
     code, out, _ = run(capsys, "roots", "--material", REF)
     payload = json.loads(out)
@@ -201,3 +209,31 @@ def test_scan_csv_byte_identical(capsys, tmp_path):
                      "--out", str(out))
     assert code == 0
     assert out.read_bytes() == (DATA / "reference_scan_16x8.csv").read_bytes()
+
+
+def _complex_close(a, b, tol=1e-12):
+    return abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= tol
+
+
+def test_solve_verify_matches_fixture(capsys):
+    # the fixture is `rayleighmt solve --material materials/reference.json
+    # --verify` as printed before refinement ran on complex speeds; gamma
+    # and the residuals may move in the last digits when the kernel route
+    # changes, the refinement results may not move at all
+    fixture = json.loads((DATA / "reference_solve.json").read_text())
+    code, out, _ = run(capsys, "solve", "--material", REF, "--verify")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["window"] == fixture["window"]
+    assert len(payload["roots"]) == len(fixture["roots"])
+    for root, frozen in zip(payload["roots"], fixture["roots"]):
+        for key in ("v_re", "v_im", "f_value", "det_abs", "iterations", "classification"):
+            assert root[key] == frozen[key], key
+        if frozen["gamma"] is None:
+            assert root["gamma"] is None
+        else:
+            assert len(root["gamma"]) == len(frozen["gamma"])
+            assert all(_complex_close(g, h) for g, h in zip(root["gamma"], frozen["gamma"]))
+    assert payload["boundary_residuals"].keys() == fixture["boundary_residuals"].keys()
+    for kappa, residual in fixture["boundary_residuals"].items():
+        assert abs(payload["boundary_residuals"][kappa] - residual) <= 1e-12
