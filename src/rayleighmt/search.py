@@ -5,9 +5,13 @@ strict interior local minima seed the refinement.  Each seed is polished
 by Muller's method on the complex determinant det A, clamped to the
 quadrant; when that fails to land on an accepted root, a clamped
 Nelder-Mead simplex on F takes over.  Both stages work on the complex
-speed v itself, down to ``DIAMETER_TOL``.  Refined minima are accepted as
-surface-wave roots when the secular determinant is small against the
-typical determinant magnitude of the scan.
+speed v itself, down to ``DIAMETER_TOL``.  Every refinement step asks
+the batched kernel (``point_dets``) for all the speeds it may need in one
+call: the three start points, each Muller iterate, the four candidates of
+a simplex iteration, the two vertices of a shrink.  Refined minima are
+accepted as surface-wave roots when the secular determinant is small
+against the typical determinant magnitude of the scan; the mode weights
+come from the matrix already computed at the refined point.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ from .material import MaterialCoefficients
 from .modes import ComplexSpeed
 from .secular import (
     AmplitudeVector,
-    amplitudes,
+    amplitudes,  # not called here; bench/tracing.py wraps search.amplitudes
+    nullspace_amplitude,
     objective_F,
     objective_from_det,
-    point_det,
+    point_dets,
     secular_objective,
 )
 
@@ -147,8 +152,10 @@ class RefineOptions:
 
     ``initial_step`` spaces the three start points of both stages and sets
     the radius of the Muller stage's disc; ``max_evals`` bounds the
-    evaluations of both stages together.  ``DIAMETER_TOL`` bounds the last
-    Muller step and the final simplex diameter.
+    evaluations of both stages together, counted as evaluating one speed at
+    a time would spend them (a simplex iteration evaluates four candidates
+    in one kernel call but counts only those it uses).  ``DIAMETER_TOL``
+    bounds the last Muller step and the final simplex diameter.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
@@ -185,23 +192,26 @@ def _clamp(z: complex) -> complex:
     return complex(max(z.real, 0.0), min(z.imag, 0.0))
 
 
-def _muller(det_at, z: list, dets: list, opts: RefineOptions, evals: list):
+def _muller(M: MaterialCoefficients, z: list, start: list, opts: RefineOptions,
+            evals: list):
     """Muller iterates on det A from three complex start speeds.
 
-    Each step fits a parabola through the last three points by divided
-    differences, takes the root nearer the newest point (the denominator
-    of larger modulus) and clamps it into the quadrant.  Returns the
-    evaluated speed of smallest |det| as ``(z, det)`` once a step is at
+    ``start`` holds the ``point_dets`` entries of the three start speeds;
+    each later iterate is one ``point_dets`` call of its own.  Each step
+    fits a parabola through the last three points by divided differences,
+    takes the root nearer the newest point (the denominator of larger
+    modulus) and clamps it into the quadrant.  Returns the evaluated speed
+    of smallest |det| with its entry, ``(z, (det, A))``, once a step is at
     most ``DIAMETER_TOL`` or the determinant vanishes, and None when the
     simplex must take over: an undefined evaluation, a vanishing
     denominator, a step out of the disc around the seed, or the cap.
     """
-    if any(d is None for d in dets):
+    if any(entry is None for entry in start):
         return None
-    f = list(dets)
+    f = [det for det, _ in start]
     seed = z[0]
     radius = MULLER_RADIUS_STEPS * max(opts.initial_step)
-    best_z, best_f = min(zip(z, f), key=lambda zf: abs(zf[1]))
+    best = min(zip(z, start), key=lambda ze: abs(ze[1][0]))
     while evals[0] < min(MULLER_MAX_EVALS, opts.max_evals):
         try:
             h1, h2 = z[1] - z[0], z[2] - z[1]
@@ -217,81 +227,102 @@ def _muller(det_at, z: list, dets: list, opts: RefineOptions, evals: list):
             return None
         if abs(z_new - z[2]) <= DIAMETER_TOL:
             break
-        f_new = det_at(z_new)
-        if f_new is None:
+        (entry,) = point_dets(M, [z_new])
+        evals[0] += 1
+        if entry is None:
             return None
+        f_new = entry[0]
         z, f = [z[1], z[2], z_new], [f[1], f[2], f_new]
-        if abs(f_new) < abs(best_f):
-            best_z, best_f = z_new, f_new
+        if abs(f_new) < abs(best[1][0]):
+            best = (z_new, entry)
         if f_new == 0.0:
             break
     else:
         return None
-    return best_z, best_f
+    return best
 
 
-def _nelder_mead(objective, simplex: list, f_values: list, opts: RefineOptions,
-                 evals: list) -> tuple:
-    """Clamped Nelder-Mead on F from a start simplex of speeds and its values.
+def _objective(entry) -> tuple:
+    """``(F, A)`` of a ``point_dets`` entry: F = ln |det A|, or +inf and no
+    matrix where the determinant is undefined."""
+    return (math.inf, None) if entry is None else (objective_from_det(entry[0]), entry[1])
+
+
+def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
+                 opts: RefineOptions, evals: list) -> tuple:
+    """Clamped Nelder-Mead on F from a start simplex of speeds and their
+    ``(F, A)`` values.
 
     Reflection, expansion, contraction and shrink coefficients are 1, 2,
-    0.5, 0.5; every candidate vertex is clamped into the quadrant.  The loop
-    stops when the simplex diameter drops below ``DIAMETER_TOL`` or when
-    ``evals`` (the count ``objective`` keeps) would exceed
-    ``opts.max_evals``.  Returns the best vertex and its value.
+    0.5, 0.5; every candidate vertex is clamped into the quadrant.  All four
+    candidates of an iteration (reflected, expanded, outside and inside
+    contraction) are known before any is evaluated, so each iteration makes
+    one ``point_dets`` call on all four, and a shrink one more on its two new
+    vertices.  ``evals`` counts only the evaluations the one-at-a-time
+    algorithm consumes: 1 for an accepted reflection, 2 for an expansion or
+    a contraction, 4 with a shrink.  The loop stops when the simplex
+    diameter drops below ``DIAMETER_TOL`` or when the next iteration could
+    take ``evals`` past ``opts.max_evals``.  Returns the best vertex and its
+    value.
     """
 
     def diameter() -> float:
         return max(abs(p - q) for idx, p in enumerate(simplex) for q in simplex[idx + 1:])
 
+    def evaluated(zs: list) -> list:
+        return [_objective(entry) for entry in point_dets(M, zs)]
+
     # One iteration spends at most 4 evaluations (reflect, contract, shrink
     # pair), so stopping 4 short keeps the hard budget.
     while evals[0] <= opts.max_evals - 4 and diameter() > DIAMETER_TOL:
-        best, mid, worst = sorted(range(3), key=lambda idx: f_values[idx])
+        best, mid, worst = sorted(range(3), key=lambda idx: values[idx][0])
         centroid = (simplex[best] + simplex[mid]) / 2.0
         xw = simplex[worst]
         reflected = _clamp(2.0 * centroid - xw)
-        f_reflected = objective(reflected)
+        expanded = _clamp(3.0 * centroid - 2.0 * xw)
+        outside = _clamp(centroid + 0.5 * (reflected - centroid))
+        inside = _clamp(centroid + 0.5 * (xw - centroid))
+        at_r, at_e, at_out, at_in = evaluated([reflected, expanded, outside, inside])
+        evals[0] += 1
 
-        if f_reflected < f_values[best]:
-            expanded = _clamp(3.0 * centroid - 2.0 * xw)
-            f_expanded = objective(expanded)
-            if f_expanded < f_reflected:
-                simplex[worst], f_values[worst] = expanded, f_expanded
+        if at_r[0] < values[best][0]:
+            evals[0] += 1
+            if at_e[0] < at_r[0]:
+                simplex[worst], values[worst] = expanded, at_e
             else:
-                simplex[worst], f_values[worst] = reflected, f_reflected
-        elif f_reflected < f_values[mid]:
-            simplex[worst], f_values[worst] = reflected, f_reflected
+                simplex[worst], values[worst] = reflected, at_r
+        elif at_r[0] < values[mid][0]:
+            simplex[worst], values[worst] = reflected, at_r
         else:
-            if f_reflected < f_values[worst]:
-                contracted = _clamp(centroid + 0.5 * (reflected - centroid))
-                f_better = f_reflected
+            evals[0] += 1
+            if at_r[0] < values[worst][0]:
+                contracted, at_c, f_better = outside, at_out, at_r[0]
             else:
-                contracted = _clamp(centroid + 0.5 * (xw - centroid))
-                f_better = f_values[worst]
-            f_contracted = objective(contracted)
-            if f_contracted < f_better:
-                simplex[worst], f_values[worst] = contracted, f_contracted
+                contracted, at_c, f_better = inside, at_in, values[worst][0]
+            if at_c[0] < f_better:
+                simplex[worst], values[worst] = contracted, at_c
             else:
+                evals[0] += 2
                 xb = simplex[best]
                 for idx in (mid, worst):
                     simplex[idx] = _clamp(xb + 0.5 * (simplex[idx] - xb))
-                    f_values[idx] = objective(simplex[idx])
+                values[mid], values[worst] = evaluated([simplex[mid], simplex[worst]])
 
-    best = min(range(3), key=lambda idx: f_values[idx])
-    return simplex[best], f_values[best]
+    best = min(range(3), key=lambda idx: values[idx][0])
+    return simplex[best], values[best]
 
 
-def _classify(M: MaterialCoefficients, z: complex, f: float, scale: float,
-              opts: RefineOptions, iterations: int) -> RayleighRoot:
-    """The refined speed z with objective f, classified against ``scale``."""
+def _classify(z: complex, f: float, A, scale: float, opts: RefineOptions,
+              iterations: int) -> RayleighRoot:
+    """The refined speed z with objective f and secular matrix A, classified
+    against ``scale``."""
     v = ComplexSpeed.from_complex(z)
     det_abs = math.exp(f) if f < 700.0 else math.inf
     converged = math.isfinite(det_abs) and det_abs <= opts.det_ratio_tol * scale
     gamma = None
     if converged:
         try:
-            gamma = amplitudes(M, v)
+            gamma = nullspace_amplitude(A)
         except NotARootError:
             converged = False
     return RayleighRoot(
@@ -318,13 +349,14 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     Otherwise a clamped Nelder-Mead simplex on F = ln |det A| restarts from
     the three start points and their values, with the evaluations Muller
     left of ``opts.max_evals``; its best vertex never worsens the seed
-    value.  ``iterations`` counts the evaluations of both stages.
+    value.  ``iterations`` counts the evaluations of both stages, as
+    ``_nelder_mead`` counts them.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
     (the seed determinant magnitude when no scale is given) and
-    ``amplitudes`` finds the secular matrix singular there, on the same
-    batched kernel that both stages evaluate.
+    ``nullspace_amplitude`` finds singular the secular matrix that the
+    batched kernel returned at that point.
 
     Raises
     ------
@@ -333,27 +365,13 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
         perturbations.
     """
 
-    evals = [0]
-
-    def det_at(z: complex):
-        evals[0] += 1
-        try:
-            return point_det(M, z.real, -z.imag)
-        except ModeFailureError:
-            return None
-
-    def objective(z: complex) -> float:
-        evals[0] += 1
-        try:
-            return objective_F(M, z.real, -z.imag)
-        except ModeFailureError:
-            return math.inf
-
     z0 = _clamp(complex(v0))
     hx, hy = opts.initial_step
     simplex = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
-    dets = [det_at(z) for z in simplex]
-    f_values = [math.inf if d is None else objective_from_det(d) for d in dets]
+    start = point_dets(M, simplex)
+    evals = [len(simplex)]
+    values = [_objective(entry) for entry in start]
+    f_values = [f for f, _ in values]
     if all(math.isinf(f) for f in f_values):
         raise StartFailureError(
             f"objective undefined at seed v = {complex(v0)!r} and all perturbations"
@@ -363,14 +381,14 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     if scale is None:
         scale = math.exp(f_seed) if f_seed < 700.0 else math.inf
 
-    polished = _muller(det_at, simplex, dets, opts, evals)
+    polished = _muller(M, simplex, start, opts, evals)
     if polished is not None:
-        root = _classify(M, polished[0], objective_from_det(polished[1]), scale,
-                         opts, evals[0])
+        z_best, (det, A) = polished
+        root = _classify(z_best, objective_from_det(det), A, scale, opts, evals[0])
         if root.classification == "converged":
             return root
-    z_best, f_best = _nelder_mead(objective, simplex, f_values, opts, evals)
-    return _classify(M, z_best, f_best, scale, opts, evals[0])
+    z_best, (f_best, A) = _nelder_mead(M, simplex, values, opts, evals)
+    return _classify(z_best, f_best, A, scale, opts, evals[0])
 
 
 #: Roots closer than this in the complex plane count as duplicates.

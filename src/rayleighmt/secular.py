@@ -7,7 +7,8 @@ surface flux-free, i.e. when the 5x5 secular matrix A is singular.  The
 search objective is F = ln |det A|.
 
 A solve builds A one way only, by one batched kernel over arrays of
-speeds (``secular_objective``; ``point_matrix``, ``point_det`` and
+speeds (``secular_objective`` for the scan, ``point_dets`` for the few
+speeds of a refinement step; ``point_matrix``, ``point_det`` and
 ``objective_F`` are its one-point calls) built on material-only data
 computed once per material; the mode weights of a root (``amplitudes``)
 come from it too.  It builds the propagation matrix D(p_k) of a depth
@@ -182,8 +183,10 @@ class SecularKernel:
     u0: np.ndarray  # (5 modes, 5 components)
     u1: np.ndarray
     u2: np.ndarray
+    zero_kernel: np.ndarray  # (5,) u0_k, u1_k and u2_k all zero
     delta: np.ndarray  # (5,) min over j != k of |1/t_k - 1/t_j|
     blocks: tuple  # _poly_blocks
+    q1t: np.ndarray  # Q1.T as complex, the p part of the rows of A
     d_reach: float  # 1 + |p| + |v| below which D(p) cannot overflow
 
     @classmethod
@@ -222,8 +225,14 @@ class SecularKernel:
         # the largest double, which leaves room for rounding, so D(p) is
         # finite there and is not built just to check it.
         b = max(float(np.abs(x).max()) for x in blocks[:6])
-        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, delta=inv.min(axis=1),
-                   blocks=blocks, d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
+        # Component 3 of a transverse u_k is 1 + p 0 + v 0, components 0 and
+        # 2 of a longitudinal one are Gamma and Lambda_k the same way, so at
+        # a finite p_k the vector u_k vanishes exactly when its three
+        # coefficient rows do; a non-finite p_k fails as NOT_FINITE first.
+        zero_kernel = ~(u0.any(axis=1) | u1.any(axis=1) | u2.any(axis=1))
+        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, zero_kernel=zero_kernel,
+                   delta=inv.min(axis=1), blocks=blocks, q1t=blocks[0].T.astype(complex),
+                   d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
 
     def matrices(self, v: np.ndarray) -> tuple:
         """Secular matrices at admissible complex speeds v, shape (n,).
@@ -242,6 +251,8 @@ class SecularKernel:
         entry of D(p_k) can overflow).
         """
         q1, q2, v_lin, r0, r1, r2, s0 = self.blocks
+        mode = np.zeros(len(v), dtype=int)
+        kind = np.zeros(len(v), dtype=int)
         with np.errstate(all="ignore"):
             vv = v[:, None]
             root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
@@ -249,11 +260,15 @@ class SecularKernel:
             pp, vm = p[..., None], vv[..., None]
             u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
             sv = s0 + vm * v_lin  # the v-dependent part of S(p)
-            rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
+            rows = pp * (u @ self.q1t) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
+            A = np.swapaxes(rows, 1, 2)
 
             abs_p, abs_v = np.abs(p), np.abs(vv)
             wide = abs_v ** 2 * self.delta / abs_p ** 2 >= GAP_SCREEN
             build = ~(wide & (1.0 + abs_p + abs_v < self.d_reach))
+            non_decaying = root.imag == 0.0
+            if not (build.any() or non_decaying.any() or self.zero_kernel.any()):
+                return A, mode, kind
             finite = np.ones(p.shape, dtype=bool)
             degenerate = np.zeros(p.shape, dtype=bool)
             if build.any():
@@ -267,10 +282,8 @@ class SecularKernel:
                     degenerate[at[svd], k[svd]] = np.sum(
                         s <= NULLSPACE_RTOL * s[:, :1], axis=-1) != 1
 
-        non_decaying, zero_kernel = root.imag == 0.0, ~u.any(axis=-1)
+        zero_kernel = np.broadcast_to(self.zero_kernel, p.shape)
         failed = non_decaying | zero_kernel | degenerate | ~finite  # (n, 5)
-        mode = np.zeros(len(v), dtype=int)
-        kind = np.zeros(len(v), dtype=int)
         bad = np.flatnonzero(failed.any(axis=1))
         if bad.size:
             # a non-finite D(p_k) outranks every other failure at its speed;
@@ -284,7 +297,7 @@ class SecularKernel:
             first = np.argmax(kinds > 0, axis=1)
             kind[bad] = kinds[np.arange(bad.size), first]
             mode[bad] = first + 1
-        return np.swapaxes(rows, 1, 2), mode, kind
+        return A, mode, kind
 
     def evaluate(self, v: np.ndarray) -> tuple:
         """``matrices`` with each matrix replaced by its determinant."""
@@ -377,6 +390,28 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
             return complex(np.linalg.det(A))
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
+
+
+def point_dets(M: MaterialCoefficients, zs) -> list:
+    """``point_det`` and ``point_matrix`` at each complex speed of ``zs``
+    (v itself, not ``(v_r, v_i)``), from one call of
+    ``SecularKernel.matrices``.
+
+    Returns one ``(det, A)`` per speed, or None exactly where ``point_det``
+    raises: an inadmissible speed, a failing mode, or a material the
+    closed-form kernels cannot handle.
+    """
+    v = np.array(zs, dtype=complex)
+    try:
+        kernel = secular_kernel(M)
+    except RayleighError:
+        return [None] * len(v)
+    ok = _admissible(v)
+    A, mode, _ = kernel.matrices(np.where(ok, v, 1.0))
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(A)
+    return [(complex(d), a) if good else None
+            for d, a, good in zip(det, A, ok & (mode == 0))]
 
 
 def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:

@@ -27,8 +27,9 @@ from rayleighmt import (
 from rayleighmt import search
 from rayleighmt.search import DEDUP_TOL, grid_median_det
 
+import helpers
 from conftest import default_window
-from helpers import random_material
+from helpers import random_material, reference_refine_minimum
 
 # frozen after the first verified solve at 128x64; the doubling run agreed
 # to 6.4e-11
@@ -264,6 +265,54 @@ def test_refine_start_failure():
         refine_minimum(INDISTINCT, ComplexSpeed(np.float64(0.5), np.float64(0.1)))
     assert "seed v = (0.5-0.1j)" in str(err.value)
     assert "np.float64" not in str(err.value)
+
+
+# the reference solve's three seeds with the options find_rayleigh gives
+# them: the golden root and the two that stagnate at sqrt(t4) and sqrt(t3)
+REFERENCE_SEED_OPTS = RefineOptions(initial_step=(0.005767977578577557, 0.004253967203712832),
+                                    det_scale=1148.9222112511563)
+REFERENCE_SEEDS = (ComplexSpeed(1.0397365761969235, 0.034031737629702574),
+                   ComplexSpeed(1.3627433205972668, 0.017015868814851176),
+                   ComplexSpeed(2.3548354641126066, 0.017015868814851176))
+
+
+def _assert_same_root(ours, theirs):
+    for a, b in ((ours.v.v_r, theirs.v.v_r), (ours.v.v_i, theirs.v.v_i)):
+        assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    assert ours.f_value == theirs.f_value
+    assert ours.det_abs == theirs.det_abs
+    assert ours.iterations == theirs.iterations
+    assert ours.classification == theirs.classification
+    if theirs.gamma is None:
+        assert ours.gamma is None
+    else:
+        assert list(ours.gamma.gamma) == list(theirs.gamma.gamma)
+
+
+def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
+    # each simplex iteration evaluates all four candidates in one kernel
+    # call; the roots, budgets and counts must stay those of evaluating one
+    # candidate at a time
+    cases = [(reference, seed, REFERENCE_SEED_OPTS) for seed in REFERENCE_SEEDS]
+    cases += [(reference, seed, replace(REFERENCE_SEED_OPTS, max_evals=20))
+              for seed in REFERENCE_SEEDS]
+    rng = np.random.default_rng(47)
+    for M in [random_material(rng) for _ in range(2)]:
+        w = default_window(M, nx=4, ny=2)
+        dx, dy = w.cell_size()
+        opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0))
+        # the Im v = 0 row sends the simplex against the clamped axis
+        cases += [(M, ComplexSpeed(re, -im), opts)
+                  for re in w.re_values()[1:] for im in w.im_values()]
+    monkeypatch.setattr(helpers, "BRANCHES", Counter())
+    for M, seed, opts in cases:
+        _assert_same_root(refine_minimum(M, seed, opts), reference_refine_minimum(M, seed, opts))
+    for refine in (refine_minimum, reference_refine_minimum):
+        with pytest.raises(StartFailureError):
+            refine(INDISTINCT, ComplexSpeed(0.5, 0.1))
+    for branch in ("handover", "expansion", "outside_contraction", "inside_contraction",
+                   "shrink"):
+        assert helpers.BRANCHES[branch] > 0, branch
 
 
 def test_find_rayleigh_reference(reference, solved_reference):

@@ -36,6 +36,7 @@ from rayleighmt.secular import (
     nullspace_amplitude,
     objective_from_det,
     point_det,
+    point_dets,
     point_matrix,
     secular_kernel,
     secular_objective,
@@ -331,6 +332,26 @@ def test_near_degenerate_kernel_dimension():
     assert err.value.cause_name == "DegenerateKernelError"
     with pytest.raises(DegenerateKernelError):
         mode_vector(M, ComplexSpeed(V_NEAR_DEGENERATE), mode_speeds(M).roots[3])
+
+
+def test_point_dets_matches_point_det(reference):
+    # one batched call, mixing every way point_det can succeed or raise
+    golden = 1.038454844666989 - 0.02631077604792278j
+    zs = [golden, 0.9 + 0j, 0j, complex(math.nan, 0.0), complex(math.inf, -1.0),
+          -0.5 - 0.1j, 0.5 + 0.1j, 1e160 + 0j, V_NEAR_DEGENERATE + 0j, complex(0.7, -0.0)]
+    for M in (reference, validate_coefficients(NEAR_DEGENERATE)):
+        entries = point_dets(M, zs)
+        assert len(entries) == len(zs)
+        for z, entry in zip(zs, entries):
+            try:
+                det = point_det(M, z.real, -z.imag)
+            except ModeFailureError:
+                assert entry is None, z
+                continue
+            assert repr(entry[0]) == repr(det), z
+            assert entry[1].tobytes() == point_matrix(M, ComplexSpeed.from_complex(z)).tobytes()
+    assert point_dets(reference, zs)[0] is not None
+    assert point_dets(validate_coefficients(NEAR_DEGENERATE), zs)[8] is None
 
 
 #: Speeds in the quadrant from |v| = 1e100 to 1e170, dense where D(p_k)
