@@ -183,10 +183,8 @@ class SecularKernel:
     u0: np.ndarray  # (5 modes, 5 components)
     u1: np.ndarray
     u2: np.ndarray
-    zero_kernel: np.ndarray  # (5,) u0_k, u1_k and u2_k all zero
     delta: np.ndarray  # (5,) min over j != k of |1/t_k - 1/t_j|
     blocks: tuple  # _poly_blocks
-    q1t: np.ndarray  # Q1.T as complex, the p part of the rows of A
     d_reach: float  # 1 + |p| + |v| below which D(p) cannot overflow
 
     @classmethod
@@ -225,14 +223,8 @@ class SecularKernel:
         # the largest double, which leaves room for rounding, so D(p) is
         # finite there and is not built just to check it.
         b = max(float(np.abs(x).max()) for x in blocks[:6])
-        # Component 3 of a transverse u_k is 1 + p 0 + v 0, components 0 and
-        # 2 of a longitudinal one are Gamma and Lambda_k the same way, so at
-        # a finite p_k the vector u_k vanishes exactly when its three
-        # coefficient rows do; a non-finite p_k fails as NOT_FINITE first.
-        zero_kernel = ~(u0.any(axis=1) | u1.any(axis=1) | u2.any(axis=1))
-        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, zero_kernel=zero_kernel,
-                   delta=inv.min(axis=1), blocks=blocks, q1t=blocks[0].T.astype(complex),
-                   d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
+        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, delta=inv.min(axis=1),
+                   blocks=blocks, d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
 
     def matrices(self, v: np.ndarray) -> tuple:
         """Secular matrices at admissible complex speeds v, shape (n,).
@@ -251,8 +243,6 @@ class SecularKernel:
         entry of D(p_k) can overflow).
         """
         q1, q2, v_lin, r0, r1, r2, s0 = self.blocks
-        mode = np.zeros(len(v), dtype=int)
-        kind = np.zeros(len(v), dtype=int)
         with np.errstate(all="ignore"):
             vv = v[:, None]
             root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
@@ -260,15 +250,11 @@ class SecularKernel:
             pp, vm = p[..., None], vv[..., None]
             u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
             sv = s0 + vm * v_lin  # the v-dependent part of S(p)
-            rows = pp * (u @ self.q1t) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
-            A = np.swapaxes(rows, 1, 2)
+            rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
 
             abs_p, abs_v = np.abs(p), np.abs(vv)
             wide = abs_v ** 2 * self.delta / abs_p ** 2 >= GAP_SCREEN
             build = ~(wide & (1.0 + abs_p + abs_v < self.d_reach))
-            non_decaying = root.imag == 0.0
-            if not (build.any() or non_decaying.any() or self.zero_kernel.any()):
-                return A, mode, kind
             finite = np.ones(p.shape, dtype=bool)
             degenerate = np.zeros(p.shape, dtype=bool)
             if build.any():
@@ -282,8 +268,10 @@ class SecularKernel:
                     degenerate[at[svd], k[svd]] = np.sum(
                         s <= NULLSPACE_RTOL * s[:, :1], axis=-1) != 1
 
-        zero_kernel = np.broadcast_to(self.zero_kernel, p.shape)
+        non_decaying, zero_kernel = root.imag == 0.0, ~u.any(axis=-1)
         failed = non_decaying | zero_kernel | degenerate | ~finite  # (n, 5)
+        mode = np.zeros(len(v), dtype=int)
+        kind = np.zeros(len(v), dtype=int)
         bad = np.flatnonzero(failed.any(axis=1))
         if bad.size:
             # a non-finite D(p_k) outranks every other failure at its speed;
@@ -297,7 +285,7 @@ class SecularKernel:
             first = np.argmax(kinds > 0, axis=1)
             kind[bad] = kinds[np.arange(bad.size), first]
             mode[bad] = first + 1
-        return A, mode, kind
+        return np.swapaxes(rows, 1, 2), mode, kind
 
     def evaluate(self, v: np.ndarray) -> tuple:
         """``matrices`` with each matrix replaced by its determinant."""
@@ -339,6 +327,25 @@ def _admissible(v: np.ndarray) -> np.ndarray:
     return np.isfinite(v) & (v.real >= 0.0) & (v.imag <= 0.0) & (v != 0.0)
 
 
+def _defined_dets(M: MaterialCoefficients, v: np.ndarray) -> tuple:
+    """``(defined, A, det A)`` at a 1-D array of complex speeds v, from one
+    call of ``SecularKernel.matrices``.
+
+    A speed is defined where it is admissible and no mode fails there;
+    none is for a material whose mode speeds or couplings rule out the
+    closed-form kernels (its A and det are NaN).
+    """
+    try:
+        kernel = secular_kernel(M)
+    except RayleighError:
+        A = np.full((len(v), 5, 5), np.nan, dtype=complex)
+        return np.zeros(len(v), dtype=bool), A, A[:, 0, 0]
+    ok = _admissible(v)
+    A, mode, _ = kernel.matrices(np.where(ok, v, 1.0))
+    with np.errstate(all="ignore"):
+        return ok & (mode == 0), A, np.linalg.det(A)
+
+
 def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
     """F = ln |det A| over an array of complex speeds v, NaN where undefined.
 
@@ -347,17 +354,11 @@ def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
     the closed-form kernels; ``objective_F`` names the cause at one speed.
     """
     v = np.asarray(v, dtype=complex)
-    out = np.full(v.shape, np.nan)
-    try:
-        kernel = secular_kernel(M)
-    except RayleighError:
-        return out
-    ok = _admissible(v)
-    det, mode, _ = kernel.evaluate(np.where(ok, v, 1.0).ravel())
+    defined, _, det = _defined_dets(M, v.ravel())
     mag = np.abs(det).reshape(v.shape)
     with np.errstate(divide="ignore"):
         F = np.where(mag == 0.0, F_SENTINEL, np.log(mag))
-    return np.where(ok & (mode.reshape(v.shape) == 0), F, out)
+    return np.where(defined.reshape(v.shape), F, np.nan)
 
 
 def point_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> Matrix5:
@@ -401,17 +402,8 @@ def point_dets(M: MaterialCoefficients, zs) -> list:
     raises: an inadmissible speed, a failing mode, or a material the
     closed-form kernels cannot handle.
     """
-    v = np.array(zs, dtype=complex)
-    try:
-        kernel = secular_kernel(M)
-    except RayleighError:
-        return [None] * len(v)
-    ok = _admissible(v)
-    A, mode, _ = kernel.matrices(np.where(ok, v, 1.0))
-    with np.errstate(all="ignore"):
-        det = np.linalg.det(A)
-    return [(complex(d), a) if good else None
-            for d, a, good in zip(det, A, ok & (mode == 0))]
+    defined, A, det = _defined_dets(M, np.array(zs, dtype=complex))
+    return [(complex(d), a) if good else None for d, a, good in zip(det, A, defined)]
 
 
 def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:

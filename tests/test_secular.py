@@ -334,12 +334,12 @@ def test_near_degenerate_kernel_dimension():
         mode_vector(M, ComplexSpeed(V_NEAR_DEGENERATE), mode_speeds(M).roots[3])
 
 
-def test_point_dets_matches_point_det(reference):
+def test_point_dets_matches_point_det(reference, case_i_material):
     # one batched call, mixing every way point_det can succeed or raise
     golden = 1.038454844666989 - 0.02631077604792278j
     zs = [golden, 0.9 + 0j, 0j, complex(math.nan, 0.0), complex(math.inf, -1.0),
           -0.5 - 0.1j, 0.5 + 0.1j, 1e160 + 0j, V_NEAR_DEGENERATE + 0j, complex(0.7, -0.0)]
-    for M in (reference, validate_coefficients(NEAR_DEGENERATE)):
+    for M in (reference, validate_coefficients(NEAR_DEGENERATE), case_i_material):
         entries = point_dets(M, zs)
         assert len(entries) == len(zs)
         for z, entry in zip(zs, entries):
@@ -352,6 +352,7 @@ def test_point_dets_matches_point_det(reference):
             assert entry[1].tobytes() == point_matrix(M, ComplexSpeed.from_complex(z)).tobytes()
     assert point_dets(reference, zs)[0] is not None
     assert point_dets(validate_coefficients(NEAR_DEGENERATE), zs)[8] is None
+    assert point_dets(case_i_material, zs) == [None] * len(zs)
 
 
 #: Speeds in the quadrant from |v| = 1e100 to 1e170, dense where D(p_k)
