@@ -3,19 +3,25 @@
 Each regime kills two of the three coupling coefficients and admits
 closed-form labeled mode speeds plus an explicit secular expression
 (for the first two).  The demo prints the labeled roots, cross-checks
-the explicit route against the determinant route, and shows the general
-roots converging to the closed forms as the couplings shrink.
+the explicit route against the determinant route, solves each material
+with ``find_rayleigh`` (the same kernel as for a fully coupled material),
+and shows the general roots converging to the closed forms as the
+couplings shrink.
 
 Run:
   python3 demos/decoupled_cases.py
 """
 
+import math
 from pathlib import Path
 
 from rayleighmt import (
+    ScanWindow,
     cross_check_case,
+    find_rayleigh,
     limit_consistency,
     load_material,
+    mode_speeds,
     roots_case,
     validate_coefficients,
 )
@@ -41,6 +47,16 @@ def main():
             cc = cross_check_case(M, case)
             print(f"  explicit vs determinant agreement: "
                   f"{cc.agreements}/{cc.total} samples")
+        c = math.sqrt(max(mode_speeds(M).t_values()))
+        window = ScanWindow(re_min=0.02 * c, re_max=1.25 * c,
+                            im_min=-0.45 * c, im_max=0.0, nx=128, ny=64)
+        print("  find_rayleigh roots:")
+        for r in find_rayleigh(M, window):
+            print(f"    v = {complex(r.v):.10f}  {r.classification}")
+        if case is CouplingCase.CASE_III:
+            # the thermal column k p eps2 vanishes as p -> 0 at t = k/a
+            print("    (v = sqrt(k/a) = 1 does not decay with depth: an artefact, "
+                  "not a surface wave)")
         print()
 
     # general solver against the closed forms as couplings go to zero

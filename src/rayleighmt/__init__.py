@@ -6,8 +6,11 @@ solve the quadratic and cubic factors for the five squared bulk mode
 speeds, select the decaying depth branch of each mode, assemble the
 closed-form kernel vectors of the propagation matrix, build the secular
 matrix of the traction-free surface condition, and minimize the log
-magnitude of its determinant over the complex speed plane.  Decoupled
-coupling regimes have fully explicit parallel routes used as cross-checks.
+magnitude of its determinant over the complex speed plane.  One table of
+closed-form kernel rows (``kernel_row``) covers the fully coupled
+materials and the paper's three decoupled regimes, so every one of them is
+solved the same way; the decoupled regimes also have labelled closed-form
+speeds and explicit secular expansions, used as cross-checks.
 """
 
 from .errors import (
@@ -47,6 +50,7 @@ from .modes import (
     ComplexSpeed,
     ModeBasis,
     assemble_Dp,
+    kernel_row,
     mode_vector,
     numeric_nullspace,
     p_from_t,

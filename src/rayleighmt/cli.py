@@ -26,11 +26,10 @@ from .material import (
     derived_cubic,
     load_material,
 )
-from .modes import ComplexSpeed, assemble_Dp
+from .modes import DECOUPLED_CASES, ComplexSpeed, assemble_Dp
 from .search import ScanWindow, find_rayleigh, grid_scan
 from .secular import boundary_residual
 from .special_cases import (
-    EXPLICIT_CASES,
     cross_check_case,
     mode_vectors_case,
     reduced_cubic_coefficients,
@@ -230,7 +229,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_case(args: argparse.Namespace) -> int:
     M = load_material(args.material)
     case = classify_coupling(M)
-    if case not in EXPLICIT_CASES:
+    if case not in DECOUPLED_CASES:
         raise RayleighError(
             f"material classifies as {case.value}; no decoupled route applies"
         )

@@ -5,13 +5,17 @@ one partial wave is exp(i kappa p x2) with p the attenuation exponent
 satisfying t (p^2 + 1) = v^2 and Im p > 0.  Substituting the ansatz into
 the field equations gives a 5x5 propagation matrix D(p) acting on the
 amplitude vector (U1, U2, A1, A2, B); its kernel at p = p_k carries the
-mode shape.  Closed forms for those kernel vectors are implemented here and
-cross-checked against an SVD nullspace.
+mode shape.  ``kernel_row`` holds the closed forms of those kernel vectors
+for every coupling regime the solver handles, the general one and the
+paper's three decoupled cases, written once as u = u0 + p u1 + v u2;
+``mode_vector`` and the batched secular kernel both read it, and the tests
+check it against an SVD nullspace.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +26,7 @@ from .errors import (
     NonDecayingError,
     UnsupportedCouplingError,
 )
-from .material import MaterialCoefficients
+from .material import CouplingCase, MaterialCoefficients, classify_coupling
 from .spectrum import ModeRoot
 
 #: 5x5 complex matrix (plain ndarray; the alias only documents intent).
@@ -30,6 +34,9 @@ Matrix5 = np.ndarray
 
 #: Relative singular-value threshold below which a direction counts as null.
 NULLSPACE_RTOL = 1e-10
+
+#: The coupling regimes with their own closed-form speeds and kernel rows.
+DECOUPLED_CASES = (CouplingCase.CASE_I, CouplingCase.CASE_II, CouplingCase.CASE_III)
 
 #: Relative tolerance for the bilinear polarization tests.
 POLARIZATION_RTOL = 1e-10
@@ -159,18 +166,124 @@ def numeric_nullspace(D: Matrix5, rel_tol: float = NULLSPACE_RTOL) -> list:
     return [vh[i].conj() for i in range(len(s) - 1, -1, -1) if s[i] <= tol]
 
 
+def case_speeds(M: MaterialCoefficients, case: CouplingCase) -> tuple:
+    """Closed-form squared mode speeds of a decoupled regime.
+
+    In each regime the transverse factor and the cubic factor split: the
+    five speeds are the transverse pair, the root of the cubic's linear
+    factor, then the two roots of its quadratic factor, in that order.
+    """
+    pw = M.p_wave_modulus
+    rho, A, B, k = M.rho, M.a, M.b, M.k
+    d = M.d
+    if case is CouplingCase.CASE_I:
+        disc = M.m ** 4 + (A * d - B * k) ** 2 + 2.0 * M.m ** 2 * (A * d + B * k)
+        s = math.sqrt(disc)
+        return (M.mu / rho, M.d2 / B, pw / rho,
+                (M.m ** 2 + A * d + B * k + s) / (2.0 * A * B),
+                (M.m ** 2 + A * d + B * k - s) / (2.0 * A * B))
+    if case is CouplingCase.CASE_II:
+        disc = (M.beta ** 4 + (A * pw - rho * k) ** 2
+                + 2.0 * M.beta ** 2 * (A * pw + rho * k))
+        s = math.sqrt(disc)
+        return (M.mu / rho, M.d2 / B, d / B,
+                (A * pw + M.beta ** 2 + k * rho + s) / (2.0 * A * rho),
+                (A * pw + M.beta ** 2 + k * rho - s) / (2.0 * A * rho))
+    disc2 = (M.mu * B - rho * M.d2) ** 2 + 4.0 * rho * B * M.eps2 ** 2
+    s2 = math.sqrt(disc2)
+    disc = (B * pw - rho * d) ** 2 + 4.0 * rho * B * M.eps_long ** 2
+    s = math.sqrt(disc)
+    return ((M.mu * B + rho * M.d2 + s2) / (2.0 * rho * B),
+            (M.mu * B + rho * M.d2 - s2) / (2.0 * rho * B),
+            k / A,
+            (B * pw + d * rho + s) / (2.0 * rho * B),
+            (B * pw + d * rho - s) / (2.0 * rho * B))
+
+
+_ZERO = (0.0,) * 5
+
+
+def _transverse(x, y) -> tuple:
+    """(u0, u1, u2) of u = (-p x, x, -p y, y, 0)."""
+    return (0.0, x, 0.0, y, 0.0), (-x, 0.0, -y, 0.0, 0.0), _ZERO
+
+
+def _longitudinal(x, y, z) -> tuple:
+    """(u0, u1, u2) of u = (x, p x, y, p y, v z)."""
+    return (x, 0.0, y, 0.0, 0.0), (0.0, x, 0.0, y, 0.0), (0.0, 0.0, 0.0, 0.0, z)
+
+
+def kernel_row(M: MaterialCoefficients, r: ModeRoot) -> tuple:
+    """Closed-form kernel vector of D(p) at one mode root.
+
+    Returns ``(u0, u1, u2)``, three 5-tuples of floats: the kernel of
+    D(p_k) at speed v is spanned by u0 + p_k u1 + v u2, with coefficients
+    that depend on the material and t_k alone.  A general material takes
+    the transverse row (Phi) or the longitudinal row (Gamma, Lambda and the
+    B factor) by the root's factor.  A decoupled material takes the row of
+    the closed-form speed (``case_speeds``) its t lies nearest to, so a
+    root gets the same row whatever its index.
+
+    Raises
+    ------
+    UnsupportedCouplingError
+        For a DEGENERATE material, and for a GENERAL one with eps2 = 0:
+        the general rows divide by eps2, m and beta.
+    DomainError
+        If the squared mode speed is not positive.
+    """
+    general = M.eps2 != 0.0 and M.m != 0.0 and M.beta != 0.0
+    case = None if general else classify_coupling(M)
+    if case is not None and case not in DECOUPLED_CASES:
+        raise UnsupportedCouplingError(
+            f"no closed-form kernels for a {case.value} material with eps2 = {M.eps2!r}"
+        )
+    t = r.t
+    if not t > 0.0:
+        raise DomainError(f"squared mode speed must be positive, got {t!r}")
+    e12 = M.eps_long
+    if general and r.source == "q2":
+        return _transverse((M.b / M.eps2) * (t - M.d2 / M.b), 1.0)
+    if general:
+        # d, not d2: the longitudinal block couples through the full thermal
+        # stiffness, and only this choice makes B consistent across rows.
+        gamma = M.b * M.beta * (t - M.d / M.b) + M.m * e12
+        lam_k = M.rho * M.m * (t - M.p_wave_modulus / M.rho) + M.beta * e12
+        return _longitudinal(gamma, lam_k, (gamma * lam_k - e12 * (
+            M.beta * gamma + M.m * lam_k)) / (M.m * M.beta * t))
+    ts = case_speeds(M, case)
+    slot = min(range(5), key=lambda j: abs(ts[j] - t))
+    if case is CouplingCase.CASE_III:
+        if slot < 2:
+            return _transverse(M.eps2, M.rho * t - M.mu)
+        if slot == 2:
+            return (0.0, 0.0, 0.0, 0.0, M.eps2), _ZERO, _ZERO  # thermal, at k/a
+        return _longitudinal(e12, M.rho * t - M.p_wave_modulus, 0.0)
+    if slot < 2:
+        # the shear wave at mu/rho or the microtemperature one at d2/b
+        return _transverse(float(slot == 0), float(slot == 1))
+    if slot == 2:
+        # the P wave at (lambda+2mu)/rho (case I) or the longitudinal
+        # microtemperature wave at d/b (case II)
+        first = case is CouplingCase.CASE_I
+        return _longitudinal(float(first), float(not first), 0.0)
+    if case is CouplingCase.CASE_I:
+        pi = M.m ** 2 * t + (M.a * t - M.k) * (M.d1 + M.d3)
+        return _longitudinal(0.0, pi, M.m * (M.b * t - M.d2))
+    om = M.beta ** 2 * t + (M.a * t - M.k) * (M.lam + M.mu)
+    return _longitudinal(om, 0.0, M.beta * (M.rho * t - M.mu))
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Closed-form kernel vector of D(p_k) for one mode.
 
-    ``u`` holds the amplitude components (U1, U2, A1, A2, B); ``aux`` the
-    intermediate scalars of the closed form.
+    ``u`` holds the amplitude components (U1, U2, A1, A2, B).
     """
 
     mode: ModeRoot
     p: AttenuationExponent
     u: np.ndarray
-    aux: dict
 
     def unit(self) -> np.ndarray:
         """The kernel vector scaled so its largest component is 1."""
@@ -183,54 +296,32 @@ def _kernel_dimension(D: Matrix5, rel_tol: float = NULLSPACE_RTOL) -> int:
 
 
 def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBasis:
-    """Closed-form kernel vector for one mode root.
+    """Closed-form kernel vector for one mode root, from ``kernel_row``.
 
-    The closed forms divide by eps2, m, and beta, so all three couplings
-    must be nonzero; decoupled materials are served by the dedicated
-    case routines.
+    The root may come from ``mode_speeds`` or, for a decoupled material,
+    from ``special_cases.roots_case``; both get the same vector.
 
     Raises
     ------
-    UnsupportedCouplingError
-        If eps2, m, or beta vanishes.
+    UnsupportedCouplingError, DomainError
+        Propagated from ``kernel_row``.
     NonDecayingError
         Propagated from the branch selection.
     DegenerateKernelError
         If the numeric kernel of D(p_k) does not have dimension one, or the
         closed form degenerates to the zero vector.
     """
-    if M.eps2 == 0.0 or M.m == 0.0 or M.beta == 0.0:
-        raise UnsupportedCouplingError(
-            "closed-form kernels require eps2 != 0, m != 0 and beta != 0"
-        )
+    rows = kernel_row(M, r)
     ae = p_from_t(v, r.t, r.index)
-    p = ae.p
-    t = r.t
     vc = complex(v)
-
-    if r.source == "q2":
-        phi = (M.b / M.eps2) * (t - M.d2 / M.b)
-        u = np.array([-p * phi, phi, -p, 1.0, 0.0], dtype=complex)
-        aux = {"Phi": phi}
-    else:
-        e12 = M.eps_long
-        # d, not d2: the longitudinal block couples through the full thermal
-        # stiffness, and only this choice makes B consistent across rows.
-        gamma = M.b * M.beta * (t - M.d / M.b) + M.m * e12
-        lam_k = M.rho * M.m * (t - M.p_wave_modulus / M.rho) + M.beta * e12
-        b_k = (vc / (M.m * M.beta * t)) * (
-            gamma * lam_k - e12 * (M.beta * gamma + M.m * lam_k)
-        )
-        u = np.array([gamma, p * gamma, lam_k, p * lam_k, b_k], dtype=complex)
-        aux = {"Gamma": gamma, "Lambda": lam_k, "B": b_k}
-
+    u = np.array([x + ae.p * y + vc * z for x, y, z in zip(*rows)])
     if not np.any(u):
         raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
-    if _kernel_dimension(assemble_Dp(M, v, p)) != 1:
+    if _kernel_dimension(assemble_Dp(M, v, ae.p)) != 1:
         raise DegenerateKernelError(
             f"propagation matrix kernel at mode {r.index} is not one-dimensional"
         )
-    return ModeBasis(mode=r, p=ae, u=u, aux=aux)
+    return ModeBasis(mode=r, p=ae, u=u)
 
 
 def polarization_check(mb: ModeBasis) -> str:

@@ -122,7 +122,8 @@ def grid_scan(M: MaterialCoefficients, window: ScanWindow, threads=None) -> Scan
 
     failures = int(np.isnan(values).sum())
     if failures == values.size:
-        raise AllPointsFailedError("objective undefined at every lattice point")
+        named = ", ".join(f"{name} at {count}" for name, count in sorted(causes.items()))
+        raise AllPointsFailedError(f"objective undefined at every lattice point ({named})")
     return ScanGrid(window=window, values=values, failures=failures,
                     failure_causes=dict(causes))
 

@@ -20,7 +20,9 @@ material's constant blocks cannot rule out overflow (elsewhere every entry
 is provably finite).
 ``secular_matrix`` and ``secular_det`` assemble A one speed at a time from
 ``mode_vector``: the verification route, which ``field_eval`` and
-``boundary_residual`` use so that a kernel root is checked independently.
+``boundary_residual`` use so that a kernel root is checked by a separate
+assembly.  Both routes read the closed forms of ``modes.kernel_row``; the
+tests check those against the SVD nullspace of D(p_k).
 """
 
 from __future__ import annotations
@@ -38,10 +40,16 @@ from .errors import (
     NonDecayingError,
     NotARootError,
     RayleighError,
-    UnsupportedCouplingError,
 )
 from .material import MaterialCoefficients
-from .modes import NULLSPACE_RTOL, ComplexSpeed, Matrix5, mode_vector, propagation_blocks
+from .modes import (
+    NULLSPACE_RTOL,
+    ComplexSpeed,
+    Matrix5,
+    kernel_row,
+    mode_vector,
+    propagation_blocks,
+)
 from .spectrum import mode_speeds
 
 #: Objective value reported where the determinant is exactly zero.
@@ -170,12 +178,10 @@ def _poly_blocks(M: MaterialCoefficients) -> tuple:
 class SecularKernel:
     """Material-only data of the batched objective.
 
-    The closed-form kernel vector of mode k (see ``mode_vector``) is
-    u_k = u0_k + p_k u1_k + v u2_k, with the coefficients Phi for the
-    transverse modes and Gamma, Lambda and the B factor for the
-    longitudinal ones folded into ``u0``, ``u1`` and ``u2``.  The rows of
-    A need only u_k and S(p_k); D(p_k) is built only for ``matrices``'
-    checks.
+    The closed-form kernel vector of mode k is u_k = u0_k + p_k u1_k +
+    v u2_k, with the rows of ``modes.kernel_row`` for the material's
+    coupling regime.  The rows of A need only u_k and S(p_k); D(p_k) is
+    built only for ``matrices``' checks.
     """
 
     roots: tuple  # ModeRoot, indices 1..5
@@ -190,27 +196,7 @@ class SecularKernel:
     @classmethod
     def build(cls, M: MaterialCoefficients) -> "SecularKernel":
         roots = mode_speeds(M).roots
-        if M.eps2 == 0.0 or M.m == 0.0 or M.beta == 0.0:
-            raise UnsupportedCouplingError(
-                "closed-form kernels require eps2 != 0, m != 0 and beta != 0"
-            )
-        u0, u1, u2 = (np.zeros((5, 5)) for _ in range(3))
-        e12 = M.eps_long
-        for k, r in enumerate(roots):
-            t = r.t
-            if not t > 0.0:
-                raise DomainError(f"squared mode speed must be positive, got {t!r}")
-            if r.source == "q2":
-                phi = (M.b / M.eps2) * (t - M.d2 / M.b)
-                u0[k, [1, 3]] = (phi, 1.0)
-                u1[k, [0, 2]] = (-phi, -1.0)
-            else:
-                gamma = M.b * M.beta * (t - M.d / M.b) + M.m * e12
-                lam_k = M.rho * M.m * (t - M.p_wave_modulus / M.rho) + M.beta * e12
-                u0[k, [0, 2]] = (gamma, lam_k)
-                u1[k, [1, 3]] = (gamma, lam_k)
-                u2[k, 4] = (gamma * lam_k - e12 * (M.beta * gamma + M.m * lam_k)) / (
-                    M.m * M.beta * t)
+        u0, u1, u2 = np.array([kernel_row(M, r) for r in roots]).swapaxes(0, 1)
         t = np.array([r.t for r in roots])
         inv = np.abs(1.0 / t[:, None] - 1.0 / t)
         np.fill_diagonal(inv, np.inf)
@@ -311,8 +297,9 @@ def secular_kernel(M: MaterialCoefficients) -> SecularKernel:
     """The batched-objective data of a material, built on first use and
     kept on the (frozen) material instance.
 
-    Raises the errors of ``mode_speeds``, and ``UnsupportedCouplingError``
-    when a coupling the closed forms divide by vanishes.
+    Raises the errors of ``mode_speeds`` and of ``modes.kernel_row``:
+    ``UnsupportedCouplingError`` for a material no closed-form kernel
+    covers (DEGENERATE, or GENERAL with eps2 = 0).
     """
     kernel = vars(M).get("_secular_kernel")
     if kernel is None:

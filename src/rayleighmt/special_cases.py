@@ -1,15 +1,17 @@
-"""Decoupled coupling regimes with fully explicit solutions.
+"""Decoupled coupling regimes: labelled roots and explicit secular forms.
 
 When some coupling coefficients vanish the quintic propagation condition
-factors into quadratics, so every squared mode speed, kernel vector, and
-(for two of the regimes) the secular function itself has a closed form.
-These routes exist to cross-check the general pipeline, and to serve
-materials the general closed-form kernels cannot (they divide by the
-couplings).
+factors into quadratics, so every squared mode speed and (for two of the
+regimes) the secular function itself has a closed form.  The kernel
+vectors and the batched secular kernel are those of the general pipeline
+(``modes.kernel_row`` holds the rows of every regime), so ``scan`` and
+``solve`` handle these materials like any other; this module adds the
+paper's labelled speeds, its explicit secular expansions and the checks
+that tie them to the determinant and to the general route.
 
-Mode indices always follow the root order: 1-2 transverse pair, 3-5 cubic
-group, matching the general pipeline, so each kernel vector is paired with
-the root whose identities it satisfies.
+Roots are numbered in label order (transverse pair, the cubic's linear
+factor, its quadratic factor), which need not be the order of
+``mode_speeds``; a root's kernel row follows its t, not its index.
 """
 
 from __future__ import annotations
@@ -19,31 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateKernelError,
-    DegenerateRootsError,
-    NotStronglyEllipticError,
-    WrongCaseError,
-)
+from .errors import DegenerateRootsError, NotStronglyEllipticError, WrongCaseError
 from .material import (
     CouplingCase,
     MaterialCoefficients,
     check_strong_ellipticity,
     classify_coupling,
 )
-from .modes import (
-    AttenuationExponent,
-    ComplexSpeed,
-    ModeBasis,
-    assemble_Dp,
-    p_from_t,
-    _kernel_dimension,
-)
+from .modes import DECOUPLED_CASES, ComplexSpeed, case_speeds, mode_vector, p_from_t
 from .secular import assemble_Sp, det_elimination
 from .spectrum import GAP_RTOL, ModeRoot, mode_speeds
 
-#: The regimes served by this module.
-EXPLICIT_CASES = (CouplingCase.CASE_I, CouplingCase.CASE_II, CouplingCase.CASE_III)
+#: Formula labels of ``modes.case_speeds``, in its order.
+CASE_LABELS = {
+    CouplingCase.CASE_I: ("mu/rho", "d2/b", "(lambda+2mu)/rho", "radical+", "radical-"),
+    CouplingCase.CASE_II: ("mu/rho", "d2/b", "d/b", "radical+", "radical-"),
+    CouplingCase.CASE_III: ("transverse+", "transverse-", "k/a", "radical+", "radical-"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class CaseRootSet:
 
 
 def _require_case(M: MaterialCoefficients, case: CouplingCase) -> None:
-    if case not in EXPLICIT_CASES:
+    if case not in DECOUPLED_CASES:
         raise WrongCaseError(expected="one of the decoupled cases", actual=case.value)
     actual = classify_coupling(M)
     if actual is not case:
@@ -86,40 +80,8 @@ def roots_case(M: MaterialCoefficients, case: CouplingCase) -> CaseRootSet:
         breaks down and the material needs a different treatment.
     """
     _require_case(M, case)
-    pw = M.p_wave_modulus
-    rho, A, B, k = M.rho, M.a, M.b, M.k
-    d = M.d
-
-    if case is CouplingCase.CASE_I:
-        t1, t2 = M.mu / rho, M.d2 / B
-        t3 = pw / rho
-        disc = M.m ** 4 + (A * d - B * k) ** 2 + 2.0 * M.m ** 2 * (A * d + B * k)
-        s = math.sqrt(disc)
-        t4 = (M.m ** 2 + A * d + B * k + s) / (2.0 * A * B)
-        t5 = (M.m ** 2 + A * d + B * k - s) / (2.0 * A * B)
-        labels = ("mu/rho", "d2/b", "(lambda+2mu)/rho", "radical+", "radical-")
-    elif case is CouplingCase.CASE_II:
-        t1, t2 = M.mu / rho, M.d2 / B
-        t3 = d / B
-        disc = (M.beta ** 4 + (A * pw - rho * k) ** 2
-                + 2.0 * M.beta ** 2 * (A * pw + rho * k))
-        s = math.sqrt(disc)
-        t4 = (A * pw + M.beta ** 2 + k * rho + s) / (2.0 * A * rho)
-        t5 = (A * pw + M.beta ** 2 + k * rho - s) / (2.0 * A * rho)
-        labels = ("mu/rho", "d2/b", "d/b", "radical+", "radical-")
-    else:
-        disc2 = (M.mu * B - rho * M.d2) ** 2 + 4.0 * rho * B * M.eps2 ** 2
-        s2 = math.sqrt(disc2)
-        t1 = (M.mu * B + rho * M.d2 + s2) / (2.0 * rho * B)
-        t2 = (M.mu * B + rho * M.d2 - s2) / (2.0 * rho * B)
-        t3 = k / A
-        disc = (B * pw - rho * d) ** 2 + 4.0 * rho * B * M.eps_long ** 2
-        s = math.sqrt(disc)
-        t4 = (B * pw + d * rho + s) / (2.0 * rho * B)
-        t5 = (B * pw + d * rho - s) / (2.0 * rho * B)
-        labels = ("transverse+", "transverse-", "k/a", "radical+", "radical-")
-
-    ts = (t1, t2, t3, t4, t5)
+    ts = case_speeds(M, case)
+    labels = CASE_LABELS[case]
     tol = GAP_RTOL * max(abs(t) for t in ts)
     for i in range(5):
         for j in range(i + 1, 5):
@@ -135,102 +97,26 @@ def roots_case(M: MaterialCoefficients, case: CouplingCase) -> CaseRootSet:
     return CaseRootSet(case=case, roots=roots, labels=labels)
 
 
-def _case_kernel_vectors(M: MaterialCoefficients, v: ComplexSpeed,
-                         rs: CaseRootSet) -> list:
-    """Closed-form kernel vectors, one per case root, in root order."""
-    vc = complex(v)
-    t = rs.t_values()
-    p = [p_from_t(v, r.t, r.index).p for r in rs.roots]
-
-    if rs.case is CouplingCase.CASE_I:
-        pi4 = M.m ** 2 * t[3] + (M.a * t[3] - M.k) * (M.d1 + M.d3)
-        pi5 = M.m ** 2 * t[4] + (M.a * t[4] - M.k) * (M.d1 + M.d3)
-        vectors = [
-            np.array([-p[0], 1.0, 0.0, 0.0, 0.0], dtype=complex),
-            np.array([0.0, 0.0, -p[1], 1.0, 0.0], dtype=complex),
-            np.array([1.0, p[2], 0.0, 0.0, 0.0], dtype=complex),
-            np.array([0.0, 0.0, pi4, p[3] * pi4,
-                      M.m * vc * (M.b * t[3] - M.d2)], dtype=complex),
-            np.array([0.0, 0.0, pi5, p[4] * pi5,
-                      M.m * vc * (M.b * t[4] - M.d2)], dtype=complex),
-        ]
-        aux = [{}, {}, {}, {"Pi": pi4}, {"Pi": pi5}]
-    elif rs.case is CouplingCase.CASE_II:
-        om4 = M.beta ** 2 * t[3] + (M.a * t[3] - M.k) * (M.lam + M.mu)
-        om5 = M.beta ** 2 * t[4] + (M.a * t[4] - M.k) * (M.lam + M.mu)
-        vectors = [
-            np.array([-p[0], 1.0, 0.0, 0.0, 0.0], dtype=complex),
-            np.array([0.0, 0.0, -p[1], 1.0, 0.0], dtype=complex),
-            np.array([0.0, 0.0, 1.0, p[2], 0.0], dtype=complex),
-            np.array([om4, p[3] * om4, 0.0, 0.0,
-                      M.beta * vc * (M.rho * t[3] - M.mu)], dtype=complex),
-            np.array([om5, p[4] * om5, 0.0, 0.0,
-                      M.beta * vc * (M.rho * t[4] - M.mu)], dtype=complex),
-        ]
-        aux = [{}, {}, {}, {"Omega": om4}, {"Omega": om5}]
-    else:
-        e12 = M.eps_long
-        psi_hat = [M.rho * t[0] - M.mu, M.rho * t[1] - M.mu]
-        psi = [M.rho * t[3] - M.p_wave_modulus, M.rho * t[4] - M.p_wave_modulus]
-        vectors = [
-            np.array([-M.eps2 * p[0], M.eps2, -p[0] * psi_hat[0], psi_hat[0], 0.0],
-                     dtype=complex),
-            np.array([-M.eps2 * p[1], M.eps2, -p[1] * psi_hat[1], psi_hat[1], 0.0],
-                     dtype=complex),
-            np.array([0.0, 0.0, 0.0, 0.0, M.eps2], dtype=complex),
-            np.array([e12, e12 * p[3], psi[0], p[3] * psi[0], 0.0], dtype=complex),
-            np.array([e12, e12 * p[4], psi[1], p[4] * psi[1], 0.0], dtype=complex),
-        ]
-        aux = [{"Psi_hat": psi_hat[0]}, {"Psi_hat": psi_hat[1]}, {},
-               {"Psi": psi[0]}, {"Psi": psi[1]}]
-
-    return [
-        ModeBasis(
-            mode=root,
-            p=AttenuationExponent(p=p[idx], mode_index=root.index),
-            u=vectors[idx],
-            aux=aux[idx],
-        )
-        for idx, root in enumerate(rs.roots)
-    ]
-
-
 def mode_vectors_case(M: MaterialCoefficients, v: ComplexSpeed,
                       case: CouplingCase) -> list:
-    """Closed-form kernel vectors for one decoupled regime, in root order.
-
-    Every vector is verified to span a one-dimensional numeric kernel of
-    its propagation matrix.
+    """``mode_vector`` at each labelled root of ``roots_case``, in label order.
 
     Raises
     ------
     WrongCaseError, NotStronglyEllipticError, DegenerateRootsError
         Propagated from the root computation.
-    NonDecayingError
-        Propagated from the branch selection.
-    DegenerateKernelError
-        If any kernel is not one-dimensional or a closed form vanishes.
+    NonDecayingError, DegenerateKernelError
+        Propagated from ``mode_vector``.
     """
-    rs = roots_case(M, case)
-    bases = _case_kernel_vectors(M, v, rs)
-    for mb in bases:
-        if not np.any(mb.u):
-            raise DegenerateKernelError(
-                f"closed-form kernel vector vanishes for mode {mb.mode.index}"
-            )
-        if _kernel_dimension(assemble_Dp(M, v, mb.p.p)) != 1:
-            raise DegenerateKernelError(
-                f"propagation matrix kernel at mode {mb.mode.index} is not one-dimensional"
-            )
-    return bases
+    return [mode_vector(M, v, r) for r in roots_case(M, case).roots]
 
 
 def secular_case_det(M: MaterialCoefficients, v: ComplexSpeed,
                      case: CouplingCase) -> complex:
-    """Secular determinant built from the case kernel vectors.
+    """Secular determinant built from the case kernel vectors in label
+    order: ``secular_det`` up to the sign of the mode permutation.
 
-    Available for all three decoupled regimes; for the third it is the only
-    secular route.
+    The third regime has no explicit expansion to set beside it.
     """
     bases = mode_vectors_case(M, v, case)
     cols = [assemble_Sp(M, v, mb.p.p) @ mb.u for mb in bases]
@@ -242,13 +128,14 @@ def _case_i_expression(M: MaterialCoefficients, p, t, vc: complex) -> complex:
     d23 = M.d2 + M.d3
     v2 = vc * vc
     bv = b * v2 - d23
-    classical = 4.0 * mu ** 2 * p[0] * p[1] + (M.rho * v2 - 2.0 * mu) ** 2
+    # modes 1 and 3 are the shear and P waves, mode 2 the microtemperature one
+    classical = 4.0 * mu ** 2 * p[0] * p[2] + (M.rho * v2 - 2.0 * mu) ** 2
     inner = (
         b * p[3] * bv * ((k - a * t[4]) * bv + m ** 2 * v2)
         + p[4] * (
-            p[2] * p[3] * d23 ** 2 * (-2.0 * a * b * t[4] + a * d + b * k)
+            p[1] * p[3] * d23 ** 2 * (-2.0 * a * b * t[4] + a * d + b * k)
             + a * (d - b * t[4]) * bv ** 2
-            + m ** 2 * d23 * ((p[2] * p[3] + 1.0) * d23 - b * v2)
+            + m ** 2 * d23 * ((p[1] * p[3] + 1.0) * d23 - b * v2)
         )
     )
     return vc * classical * inner

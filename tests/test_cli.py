@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from rayleighmt import ComplexSpeed, CouplingCase, load_material, secular_case_explicit
 from rayleighmt.cli import main
 
 from conftest import MATERIALS
 
 REF = str(MATERIALS / "reference.json")
 CASE_I = str(MATERIALS / "case_i.json")
+CASE_II = str(MATERIALS / "case_ii.json")
 CASE_III = str(MATERIALS / "case_iii.json")
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -237,3 +239,60 @@ def test_solve_verify_matches_fixture(capsys):
     assert payload["boundary_residuals"].keys() == fixture["boundary_residuals"].keys()
     for kappa, residual in fixture["boundary_residuals"].items():
         assert abs(payload["boundary_residuals"][kappa] - residual) <= 1e-12
+
+
+def _converged(payload):
+    return [complex(r["v_re"], r["v_im"]) for r in payload["roots"]
+            if r["classification"] == "converged"]
+
+
+def test_solve_decoupled_cases(capsys):
+    code, out, _ = run(capsys, "solve", "--material", CASE_I, "--verify")
+    payload = json.loads(out)
+    assert code == 0
+    v = _converged(payload)[0]
+    assert abs(v - (1.2740462292 - 0.0147390200j)) <= 1e-6
+    assert all(res <= 1e-8 for res in payload["boundary_residuals"].values())
+    # the explicit case I expansion vanishes at the determinant's root
+    M = load_material(CASE_I)
+    f = [abs(secular_case_explicit(M, ComplexSpeed.from_complex(z), CouplingCase.CASE_I))
+         for z in (v, 1.01 * v)]
+    assert f[0] <= 1e-6 * f[1]
+
+    code, out, _ = run(capsys, "solve", "--material", CASE_II)
+    assert code == 0
+    assert any(abs(z - (0.9440266738 - 0.0229040010j)) <= 1e-6
+               for z in _converged(json.loads(out)))
+
+
+#: Exit code of each subcommand on each material file.  case_iii's solve
+#: exits 0 only on a non-decaying "root" at v = sqrt(k/a) = 1.
+EXIT_CODES = {
+    "reference.json": {"check": 0, "roots": 0, "scan": 0, "solve": 0, "case": 1},
+    "case_i.json": {"check": 0, "roots": 0, "scan": 0, "solve": 0, "case": 0},
+    "case_ii.json": {"check": 0, "roots": 0, "scan": 0, "solve": 0, "case": 0},
+    "case_iii.json": {"check": 0, "roots": 0, "scan": 0, "solve": 0, "case": 0},
+}
+
+
+@pytest.mark.parametrize("material,command", [
+    (path.name, command) for path in sorted(MATERIALS.glob("*.json"))
+    for command in ("check", "roots", "scan", "solve", "case")])
+def test_exit_code_table(capsys, material, command):
+    window = ("--nx", "8", "--ny", "4") if command == "scan" else ()
+    code, _, _ = run(capsys, command, "--material", str(MATERIALS / material), *window)
+    assert code == EXIT_CODES[material][command]
+
+
+@pytest.mark.parametrize("base,changes", [
+    ("case_i.json", {"eps1": 0.5}),                    # DEGENERATE
+    ("reference.json", {"eps2": 0.0, "eps1": 0.6, "d2": 2.0}),  # GENERAL, eps2 = 0
+])
+def test_unsupported_coupling_exits_1(capsys, tmp_path, base, changes):
+    raw = json.loads((MATERIALS / base).read_text())
+    path = tmp_path / "material.json"
+    path.write_text(json.dumps({**raw, **changes}))
+    for command in ("scan", "solve"):
+        code, _, err = run(capsys, command, "--material", str(path), "--nx", "8", "--ny", "4")
+        assert code == 1
+        assert "UnsupportedCouplingError" in err

@@ -105,17 +105,17 @@ def test_determinant_factorizes():
 def test_reference_kernels_frozen(reference):
     rs = mode_speeds(reference)
     mb1 = mode_vector(reference, V05, rs.roots[0])
-    assert mb1.aux["Phi"] == pytest.approx(1.0, rel=1e-15)
+    assert mb1.u[1] == pytest.approx(1.0, rel=1e-15)  # Phi
     p1 = 0.9128709291752769j
     assert mb1.u == pytest.approx([-p1, 1.0, -p1, 1.0, 0.0], rel=1e-14)
 
     mb2 = mode_vector(reference, V05, rs.roots[1])
-    assert mb2.aux["Phi"] == pytest.approx(-1.0, rel=1e-15)
+    assert mb2.u[1] == pytest.approx(-1.0, rel=1e-15)  # Phi
 
     mb3 = mode_vector(reference, V05, rs.roots[2])
-    assert mb3.aux["Gamma"] == pytest.approx(1.587489956937453, rel=1e-14)
-    assert mb3.aux["Lambda"] == pytest.approx(2.087489956937453, rel=1e-14)
-    assert mb3.aux["B"] == pytest.approx(0.19652383441091972, rel=1e-13)
+    assert mb3.u[0] == pytest.approx(1.587489956937453, rel=1e-14)  # Gamma
+    assert mb3.u[2] == pytest.approx(2.087489956937453, rel=1e-14)  # Lambda
+    assert mb3.u[4] == pytest.approx(0.19652383441091972, rel=1e-13)  # B
 
 
 def test_kernel_membership_property():
@@ -128,6 +128,17 @@ def test_kernel_membership_property():
             D = assemble_Dp(M, v, mb.p.p)
             res = np.linalg.norm(D @ mb.u)
             assert res <= 1e-10 * np.linalg.norm(D) * np.linalg.norm(mb.u)
+
+
+def test_case_kernels_follow_root_speed(case_i_material):
+    # mode_speeds numbers the case I roots differently from roots_case; each
+    # still gets the row of the factor its t zeroes
+    v = ComplexSpeed(0.6, 0.1)
+    for r in mode_speeds(case_i_material).roots:
+        mb = mode_vector(case_i_material, v, r)
+        D = assemble_Dp(case_i_material, v, mb.p.p)
+        res = np.linalg.norm(D @ mb.u)
+        assert res <= 1e-10 * np.linalg.norm(D) * np.linalg.norm(mb.u)
 
 
 def test_kernel_parallel_to_numeric_nullspace():
@@ -210,9 +221,11 @@ def test_longitudinal_scalar_needs_total_thermal_stiffness():
 
 
 def test_mode_vector_requires_general_coupling(case_i_material):
-    rs = mode_speeds(case_i_material)
+    # beta = eps2 = 0 with eps1 and m nonzero is no regime the closed forms cover
+    M = case_i_material.replace(eps1=0.5)
+    rs = mode_speeds(M)
     with pytest.raises(UnsupportedCouplingError):
-        mode_vector(case_i_material, V05, rs.roots[0])
+        mode_vector(M, V05, rs.roots[0])
 
 
 def test_numeric_nullspace_trivial_cases():

@@ -138,9 +138,10 @@ def test_objective_failure_matches_mode_vector():
 
 
 def test_objective_failure_causes(reference, case_i_material):
+    unsupported = case_i_material.replace(eps1=0.5)
     for M, v_r, v_i, name in ((reference, -0.1, 0.1, "ValueError"),
                               (reference, 0.0, 0.0, "ValueError"),
-                              (case_i_material, 0.5, 0.1, "UnsupportedCouplingError")):
+                              (unsupported, 0.5, 0.1, "UnsupportedCouplingError")):
         with pytest.raises(ModeFailureError) as err:
             objective_F(M, v_r, v_i)
         assert err.value.cause_name == name
@@ -162,7 +163,7 @@ def test_secular_objective_batch(reference, case_i_material):
     assert F.shape == (2, 2)
     assert F[0, 0] == pytest.approx(objective_F(reference, 0.5, 0.1), abs=1e-12)
     assert np.isnan(F[0, 1]) and np.isnan(F[1]).all()
-    assert np.isnan(secular_objective(case_i_material, v)).all()
+    assert np.isnan(secular_objective(case_i_material.replace(eps1=0.5), v)).all()
 
 
 def test_secular_columns_are_traction_images(reference):
@@ -339,7 +340,8 @@ def test_point_dets_matches_point_det(reference, case_i_material):
     golden = 1.038454844666989 - 0.02631077604792278j
     zs = [golden, 0.9 + 0j, 0j, complex(math.nan, 0.0), complex(math.inf, -1.0),
           -0.5 - 0.1j, 0.5 + 0.1j, 1e160 + 0j, V_NEAR_DEGENERATE + 0j, complex(0.7, -0.0)]
-    for M in (reference, validate_coefficients(NEAR_DEGENERATE), case_i_material):
+    unsupported = case_i_material.replace(eps1=0.5)
+    for M in (reference, validate_coefficients(NEAR_DEGENERATE), case_i_material, unsupported):
         entries = point_dets(M, zs)
         assert len(entries) == len(zs)
         for z, entry in zip(zs, entries):
@@ -352,7 +354,8 @@ def test_point_dets_matches_point_det(reference, case_i_material):
             assert entry[1].tobytes() == point_matrix(M, ComplexSpeed.from_complex(z)).tobytes()
     assert point_dets(reference, zs)[0] is not None
     assert point_dets(validate_coefficients(NEAR_DEGENERATE), zs)[8] is None
-    assert point_dets(case_i_material, zs) == [None] * len(zs)
+    assert point_dets(case_i_material, zs)[0] is not None
+    assert point_dets(unsupported, zs) == [None] * len(zs)
 
 
 #: Speeds in the quadrant from |v| = 1e100 to 1e170, dense where D(p_k)

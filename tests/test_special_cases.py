@@ -21,8 +21,10 @@ from rayleighmt import (
     roots_case,
     secular_case_det,
     secular_case_explicit,
+    secular_matrix,
     validate_coefficients,
 )
+from rayleighmt.secular import point_matrix
 
 from helpers import nullspace_sine
 
@@ -119,6 +121,30 @@ def test_explicit_matches_det_zero_sets(case_i_material, case_ii_material):
         cc = cross_check_case(M, case)
         assert cc.total == 200
         assert cc.agreed, (cc.agreements, cc.total)
+
+
+def test_case_i_explicit_is_a_multiple_of_det(case_i_material):
+    # the expansion and the determinant differ by one constant factor
+    rng = np.random.default_rng(20)
+    ratios = []
+    for _ in range(20):
+        v = ComplexSpeed(rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.4))
+        ratios.append(secular_case_det(case_i_material, v, CouplingCase.CASE_I)
+                      / secular_case_explicit(case_i_material, v, CouplingCase.CASE_I))
+    ratios = np.array(ratios)
+    assert np.abs(ratios - ratios[0]).max() <= 1e-10 * abs(ratios[0])
+
+
+@pytest.mark.parametrize("fixture", ["case_i_material", "case_ii_material",
+                                     "case_iii_material"])
+def test_case_kernel_matches_verification_route(fixture, request):
+    # the batched kernel's rows and mode_vector read the same table
+    M = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        v = ComplexSpeed(rng.uniform(0.05, 1.2), rng.uniform(0.0, 0.5))
+        A, ref = point_matrix(M, v), secular_matrix(M, v).A
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_explicit_unavailable_for_thermal_case(case_iii_material):
