@@ -9,8 +9,9 @@ matrix of the traction-free surface condition, and minimize the log
 magnitude of its determinant over the complex speed plane.  One table of
 closed-form kernel rows (``kernel_row``) covers the fully coupled
 materials and the paper's three decoupled regimes, so every one of them is
-solved the same way; the decoupled regimes also have labelled closed-form
-speeds and explicit secular expansions, used as cross-checks.
+solved the same way, from the same secular determinant; the decoupled
+regimes also have labelled closed-form speeds and explicit secular
+expansions, used as cross-checks against that determinant.
 """
 
 from .errors import (
@@ -76,7 +77,6 @@ from .secular import (
     boundary_residual,
     field_eval,
     objective_F,
-    secular_det,
     secular_matrix,
     secular_objective,
 )
@@ -86,10 +86,8 @@ from .special_cases import (
     LimitReport,
     cross_check_case,
     limit_consistency,
-    mode_vectors_case,
     reduced_cubic_coefficients,
     roots_case,
-    secular_case_det,
     secular_case_explicit,
 )
 from .spectrum import (

@@ -26,15 +26,10 @@ from .material import (
     derived_cubic,
     load_material,
 )
-from .modes import DECOUPLED_CASES, ComplexSpeed, assemble_Dp
+from .modes import DECOUPLED_CASES, ComplexSpeed, assemble_Dp, mode_vector
 from .search import ScanWindow, find_rayleigh, grid_scan
 from .secular import boundary_residual
-from .special_cases import (
-    cross_check_case,
-    mode_vectors_case,
-    reduced_cubic_coefficients,
-    roots_case,
-)
+from .special_cases import cross_check_case, reduced_cubic_coefficients, roots_case
 from .spectrum import mode_speeds, polynomial_residual
 
 EXIT_OK = 0
@@ -252,7 +247,7 @@ def cmd_case(args: argparse.Namespace) -> int:
 
     c = math.sqrt(min(rs.t_values()))
     v_probe = ComplexSpeed(0.5 * c, 0.1 * c)
-    bases = mode_vectors_case(M, v_probe, case)
+    bases = [mode_vector(M, v_probe, root) for root in rs.roots]
     payload["kernel_max_residual"] = max(
         float(
             np.linalg.norm(assemble_Dp(M, v_probe, mb.p.p) @ mb.u)

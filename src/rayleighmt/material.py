@@ -242,18 +242,11 @@ _CASE_DESCRIPTIONS = {
 }
 
 
-def classify_coupling(M: MaterialCoefficients, zero_tol: float = 0.0) -> CouplingCase:
-    """Classify the coupling pattern of a material.
-
-    A coefficient counts as zero when its magnitude is at most ``zero_tol``;
-    the default demands exact zeros.
-    """
-
-    def is_zero(x: float) -> bool:
-        return abs(x) <= zero_tol
-
-    m_zero, beta_zero = is_zero(M.m), is_zero(M.beta)
-    e1_zero, e2_zero = is_zero(M.eps1), is_zero(M.eps2)
+def classify_coupling(M: MaterialCoefficients) -> CouplingCase:
+    """Classify the coupling pattern of a material; only exact zeros count
+    as vanishing couplings."""
+    m_zero, beta_zero = M.m == 0.0, M.beta == 0.0
+    e1_zero, e2_zero = M.eps1 == 0.0, M.eps2 == 0.0
 
     if not m_zero and not beta_zero and not (e1_zero and e2_zero):
         return CouplingCase.GENERAL

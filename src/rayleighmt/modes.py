@@ -155,14 +155,14 @@ def assemble_Dp(M: MaterialCoefficients, v: ComplexSpeed, p: complex) -> Matrix5
     return (p * p) * q1 + p * q2 + r
 
 
-def numeric_nullspace(D: Matrix5, rel_tol: float = NULLSPACE_RTOL) -> list:
+def numeric_nullspace(D: Matrix5) -> list:
     """Unit kernel vectors of D, ordered by increasing singular value.
 
     A right singular direction belongs to the kernel when its singular
-    value is at most ``rel_tol`` times the largest one.
+    value is at most ``NULLSPACE_RTOL`` times the largest one.
     """
     _, s, vh = np.linalg.svd(D)
-    tol = rel_tol * s[0]
+    tol = NULLSPACE_RTOL * s[0]
     return [vh[i].conj() for i in range(len(s) - 1, -1, -1) if s[i] <= tol]
 
 
@@ -285,14 +285,10 @@ class ModeBasis:
     p: AttenuationExponent
     u: np.ndarray
 
-    def unit(self) -> np.ndarray:
-        """The kernel vector scaled so its largest component is 1."""
-        return self.u / self.u[int(np.argmax(np.abs(self.u)))]
 
-
-def _kernel_dimension(D: Matrix5, rel_tol: float = NULLSPACE_RTOL) -> int:
+def _kernel_dimension(D: Matrix5) -> int:
     s = np.linalg.svd(D, compute_uv=False)
-    return int(np.sum(s <= rel_tol * s[0]))
+    return int(np.sum(s <= NULLSPACE_RTOL * s[0]))
 
 
 def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBasis:

@@ -58,6 +58,11 @@ class ScanWindow:
     ny: int
 
     def __post_init__(self):
+        nonfinite = [f"{name} = {getattr(self, name)!r}"
+                     for name in ("re_min", "re_max", "im_min", "im_max")
+                     if not math.isfinite(getattr(self, name))]
+        if nonfinite:
+            raise ValueError(f"window bounds must be finite, got {', '.join(nonfinite)}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("window bounds must satisfy re_min < re_max and im_min < im_max")
         if self.nx < 2 or self.ny < 2:
@@ -152,15 +157,12 @@ class RefineOptions:
     """Stopping and acceptance parameters of the refinement.
 
     ``initial_step`` spaces the three start points of both stages and sets
-    the radius of the Muller stage's disc; ``max_evals`` bounds the
-    evaluations of both stages together, counted as evaluating one speed at
-    a time would spend them (a simplex iteration evaluates four candidates
-    in one kernel call but counts only those it uses).  ``DIAMETER_TOL``
-    bounds the last Muller step and the final simplex diameter.
+    the radius of the Muller stage's disc.  ``MAX_EVALS`` bounds the
+    evaluations of both stages together and ``DIAMETER_TOL`` the last
+    Muller step and the final simplex diameter.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
-    max_evals: int = 500
     det_ratio_tol: float = 1e-6
     det_scale: float = None  # reference |det|; falls back to the seed value
 
@@ -179,6 +181,12 @@ class RayleighRoot:
 
 #: Bound on the last Muller step and on the final simplex diameter.
 DIAMETER_TOL = 1e-10
+
+#: Evaluations both refinement stages may spend together, counted as
+#: evaluating one speed at a time would spend them (a simplex iteration
+#: evaluates four candidates in one kernel call but counts only those it
+#: uses).  Read at call time.
+MAX_EVALS = 500
 
 #: Evaluations the Muller stage may spend, start points included.
 MULLER_MAX_EVALS = 40
@@ -213,7 +221,7 @@ def _muller(M: MaterialCoefficients, z: list, start: list, opts: RefineOptions,
     seed = z[0]
     radius = MULLER_RADIUS_STEPS * max(opts.initial_step)
     best = min(zip(z, start), key=lambda ze: abs(ze[1][0]))
-    while evals[0] < min(MULLER_MAX_EVALS, opts.max_evals):
+    while evals[0] < min(MULLER_MAX_EVALS, MAX_EVALS):
         try:
             h1, h2 = z[1] - z[0], z[2] - z[1]
             d1, d2 = (f[1] - f[0]) / h1, (f[2] - f[1]) / h2
@@ -250,7 +258,7 @@ def _objective(entry) -> tuple:
 
 
 def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
-                 opts: RefineOptions, evals: list) -> tuple:
+                 evals: list) -> tuple:
     """Clamped Nelder-Mead on F from a start simplex of speeds and their
     ``(F, A)`` values.
 
@@ -263,7 +271,7 @@ def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
     algorithm consumes: 1 for an accepted reflection, 2 for an expansion or
     a contraction, 4 with a shrink.  The loop stops when the simplex
     diameter drops below ``DIAMETER_TOL`` or when the next iteration could
-    take ``evals`` past ``opts.max_evals``.  Returns the best vertex and its
+    take ``evals`` past ``MAX_EVALS``.  Returns the best vertex and its
     value.
     """
 
@@ -275,7 +283,7 @@ def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
 
     # One iteration spends at most 4 evaluations (reflect, contract, shrink
     # pair), so stopping 4 short keeps the hard budget.
-    while evals[0] <= opts.max_evals - 4 and diameter() > DIAMETER_TOL:
+    while evals[0] <= MAX_EVALS - 4 and diameter() > DIAMETER_TOL:
         best, mid, worst = sorted(range(3), key=lambda idx: values[idx][0])
         centroid = (simplex[best] + simplex[mid]) / 2.0
         xw = simplex[worst]
@@ -349,7 +357,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     smallest |det| is returned when it classifies as "converged".
     Otherwise a clamped Nelder-Mead simplex on F = ln |det A| restarts from
     the three start points and their values, with the evaluations Muller
-    left of ``opts.max_evals``; its best vertex never worsens the seed
+    left of ``MAX_EVALS``; its best vertex never worsens the seed
     value.  ``iterations`` counts the evaluations of both stages, as
     ``_nelder_mead`` counts them.
 
@@ -388,7 +396,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
         root = _classify(z_best, objective_from_det(det), A, scale, opts, evals[0])
         if root.classification == "converged":
             return root
-    z_best, (f_best, A) = _nelder_mead(M, simplex, values, opts, evals)
+    z_best, (f_best, A) = _nelder_mead(M, simplex, values, evals)
     return _classify(z_best, f_best, A, scale, opts, evals[0])
 
 
@@ -414,9 +422,13 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
 
     Raises
     ------
+    ValueError
+        If ``det_ratio_tol`` is not a nonnegative number.
     AllPointsFailedError
         Propagated from the scan.
     """
+    if not det_ratio_tol >= 0.0:
+        raise ValueError(f"det_ratio_tol must be a nonnegative number, got {det_ratio_tol!r}")
     grid = grid_scan(M, window)
     seeds = local_minima(grid)
     if not seeds:

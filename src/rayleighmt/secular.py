@@ -18,11 +18,11 @@ one-dimensional kernel, run only where p_k^2 nears another p_j^2
 and the check that D(p_k) is finite, run only where a bound from the
 material's constant blocks cannot rule out overflow (elsewhere every entry
 is provably finite).
-``secular_matrix`` and ``secular_det`` assemble A one speed at a time from
-``mode_vector``: the verification route, which ``field_eval`` and
-``boundary_residual`` use so that a kernel root is checked by a separate
-assembly.  Both routes read the closed forms of ``modes.kernel_row``; the
-tests check those against the SVD nullspace of D(p_k).
+``secular_matrix`` assembles A one speed at a time from ``mode_vector``:
+the verification route, which ``field_eval`` and ``boundary_residual`` use
+so that a kernel root is checked by a separate assembly.  Both routes read
+the closed forms of ``modes.kernel_row``; the tests check those against
+the SVD nullspace of D(p_k).
 """
 
 from __future__ import annotations
@@ -128,11 +128,6 @@ def det_elimination(A: Matrix5) -> complex:
                 for c in range(col + 1, n):
                     row_r[c] -= factor * row_c[c]
     return det
-
-
-def secular_det(M: MaterialCoefficients, v: ComplexSpeed) -> complex:
-    """Determinant of the secular matrix at speed v."""
-    return det_elimination(secular_matrix(M, v).A)
 
 
 def objective_from_det(det: complex) -> float:
@@ -273,12 +268,6 @@ class SecularKernel:
             mode[bad] = first + 1
         return np.swapaxes(rows, 1, 2), mode, kind
 
-    def evaluate(self, v: np.ndarray) -> tuple:
-        """``matrices`` with each matrix replaced by its determinant."""
-        A, mode, kind = self.matrices(v)
-        with np.errstate(all="ignore"):
-            return np.linalg.det(A), mode, kind
-
     def failure(self, v: complex, mode: int, kind: int) -> RayleighError:
         """The typed error ``mode_vector`` raises for this failure."""
         if kind == NON_DECAYING:
@@ -411,20 +400,20 @@ class AmplitudeVector:
     gamma: np.ndarray
 
 
-def nullspace_amplitude(A: Matrix5, ratio_tol: float = ROOT_RATIO_TOL) -> AmplitudeVector:
+def nullspace_amplitude(A: Matrix5) -> AmplitudeVector:
     """Smallest singular direction of A, max-normalized.
 
     Raises
     ------
     NotARootError
-        If sigma_min / sigma_max exceeds ``ratio_tol``, i.e. the matrix is
+        If sigma_min / sigma_max exceeds ``ROOT_RATIO_TOL``, i.e. the matrix is
         not numerically singular.
     """
     _, s, vh = np.linalg.svd(A)
-    if s[-1] > ratio_tol * s[0]:
+    if s[-1] > ROOT_RATIO_TOL * s[0]:
         raise NotARootError(
             f"secular matrix is not singular (sigma ratio {s[-1] / s[0]:.3e} "
-            f"> {ratio_tol:.1e})"
+            f"> {ROOT_RATIO_TOL:.1e})"
         )
     gamma = vh[-1].conj()
     peak = int(np.argmax(np.abs(gamma)))
@@ -433,12 +422,11 @@ def nullspace_amplitude(A: Matrix5, ratio_tol: float = ROOT_RATIO_TOL) -> Amplit
     return AmplitudeVector(gamma=gamma)
 
 
-def amplitudes(M: MaterialCoefficients, v: ComplexSpeed,
-               ratio_tol: float = ROOT_RATIO_TOL) -> AmplitudeVector:
+def amplitudes(M: MaterialCoefficients, v: ComplexSpeed) -> AmplitudeVector:
     """Mode weights of the surface wave at a converged secular root, from
     the batched kernel's matrix (``point_matrix``) that refinement uses; the
     fields and the residual stay on the verification route on purpose."""
-    return nullspace_amplitude(point_matrix(M, v), ratio_tol)
+    return nullspace_amplitude(point_matrix(M, v))
 
 
 @dataclass(frozen=True, eq=False)

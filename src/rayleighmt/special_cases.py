@@ -5,13 +5,15 @@ factors into quadratics, so every squared mode speed and (for two of the
 regimes) the secular function itself has a closed form.  The kernel
 vectors and the batched secular kernel are those of the general pipeline
 (``modes.kernel_row`` holds the rows of every regime), so ``scan`` and
-``solve`` handle these materials like any other; this module adds the
-paper's labelled speeds, its explicit secular expansions and the checks
-that tie them to the determinant and to the general route.
+``solve`` handle these materials like any other, and the determinant of
+a case is ``point_det``'s.  This module adds the paper's labelled speeds,
+its explicit secular expansions and the checks that tie them to the
+determinant and to the general route.
 
 Roots are numbered in label order (transverse pair, the cubic's linear
 factor, its quadratic factor), which need not be the order of
-``mode_speeds``; a root's kernel row follows its t, not its index.
+``mode_speeds``; a root's kernel row follows its t, not its index, so
+``mode_vector`` takes a labelled root as it is.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .material import (
     check_strong_ellipticity,
     classify_coupling,
 )
-from .modes import DECOUPLED_CASES, ComplexSpeed, case_speeds, mode_vector, p_from_t
-from .secular import assemble_Sp, det_elimination
+from .modes import DECOUPLED_CASES, ComplexSpeed, case_speeds, p_from_t
+from .secular import point_det, point_dets
 from .spectrum import GAP_RTOL, ModeRoot, mode_speeds
 
 #: Formula labels of ``modes.case_speeds``, in its order.
@@ -50,9 +52,6 @@ class CaseRootSet:
 
     def t_values(self) -> tuple:
         return tuple(r.t for r in self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
 
 
 def _require_case(M: MaterialCoefficients, case: CouplingCase) -> None:
@@ -97,32 +96,6 @@ def roots_case(M: MaterialCoefficients, case: CouplingCase) -> CaseRootSet:
     return CaseRootSet(case=case, roots=roots, labels=labels)
 
 
-def mode_vectors_case(M: MaterialCoefficients, v: ComplexSpeed,
-                      case: CouplingCase) -> list:
-    """``mode_vector`` at each labelled root of ``roots_case``, in label order.
-
-    Raises
-    ------
-    WrongCaseError, NotStronglyEllipticError, DegenerateRootsError
-        Propagated from the root computation.
-    NonDecayingError, DegenerateKernelError
-        Propagated from ``mode_vector``.
-    """
-    return [mode_vector(M, v, r) for r in roots_case(M, case).roots]
-
-
-def secular_case_det(M: MaterialCoefficients, v: ComplexSpeed,
-                     case: CouplingCase) -> complex:
-    """Secular determinant built from the case kernel vectors in label
-    order: ``secular_det`` up to the sign of the mode permutation.
-
-    The third regime has no explicit expansion to set beside it.
-    """
-    bases = mode_vectors_case(M, v, case)
-    cols = [assemble_Sp(M, v, mb.p.p) @ mb.u for mb in bases]
-    return det_elimination(np.stack(cols, axis=1))
-
-
 def _case_i_expression(M: MaterialCoefficients, p, t, vc: complex) -> complex:
     mu, a, b, d, k, m = M.mu, M.a, M.b, M.d, M.k, M.m
     d23 = M.d2 + M.d3
@@ -164,8 +137,8 @@ def secular_case_explicit(M: MaterialCoefficients, v: ComplexSpeed,
                           case: CouplingCase) -> complex:
     """Fully expanded secular expression for the first two regimes.
 
-    The third regime has no tractable expansion; use
-    :func:`secular_case_det` there.
+    The third regime has no tractable expansion; the determinant
+    (``point_det``) is its only secular function.
 
     Raises
     ------
@@ -218,45 +191,53 @@ class CaseCrossCheck:
     explicit_roots: int
     det_roots: int
 
-    @property
-    def agreed(self) -> bool:
-        return self.agreements == self.total
+
+#: Random speeds ``cross_check_case`` draws, and the seed of the draw.
+CROSS_CHECK_SAMPLES = 200
+CROSS_CHECK_SEED = 20240814
+
+#: Fraction of a function's median magnitude over the samples at or below
+#: which ``cross_check_case`` counts a sample as a root of that function.
+CROSS_CHECK_ROOT_RTOL = 1e-6
 
 
-def cross_check_case(M: MaterialCoefficients, case: CouplingCase,
-                     n_samples: int = 200, seed: int = 20240814,
-                     root_rtol: float = 1e-6) -> CaseCrossCheck:
+def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCheck:
     """Compare the explicit secular expression against the determinant.
 
-    Both functions are evaluated at ``n_samples`` random admissible speeds;
-    a sample counts as a root of either function when its magnitude falls
-    below ``root_rtol`` times that function's median magnitude over the
-    sample set.  Agreement means both functions give the same root flag.
-    Only the first two regimes have explicit expressions.
+    Both functions are evaluated at ``CROSS_CHECK_SAMPLES`` random
+    admissible speeds, the determinant in one ``point_dets`` call; a sample
+    counts as a root of either function when its magnitude falls below
+    ``CROSS_CHECK_ROOT_RTOL`` times that function's median magnitude over
+    the sample set.  Agreement means both functions give the same root
+    flag.  Only the first two regimes have explicit expressions.
 
     Raises
     ------
     WrongCaseError
         Propagated when the material or the case does not fit.
+    ModeFailureError
+        If the determinant is undefined at a sample (``point_det``'s error).
     """
     rs = roots_case(M, case)
     c = math.sqrt(min(rs.t_values()))
-    rng = np.random.default_rng(seed)
-    v_res = rng.uniform(0.05 * c, 0.95 * c, n_samples)
-    v_ims = rng.uniform(0.0, 0.4 * c, n_samples)
+    rng = np.random.default_rng(CROSS_CHECK_SEED)
+    v_res = rng.uniform(0.05 * c, 0.95 * c, CROSS_CHECK_SAMPLES)
+    v_ims = rng.uniform(0.0, 0.4 * c, CROSS_CHECK_SAMPLES)
 
-    explicit_mags = np.empty(n_samples)
-    det_mags = np.empty(n_samples)
-    for i in range(n_samples):
-        v = ComplexSpeed(v_res[i], v_ims[i])
-        explicit_mags[i] = abs(secular_case_explicit(M, v, case))
-        det_mags[i] = abs(secular_case_det(M, v, case))
+    explicit_mags = np.array([abs(secular_case_explicit(M, ComplexSpeed(x, y), case))
+                              for x, y in zip(v_res, v_ims)])
+    # the kernel orders the modes as mode_speeds does, not by label; that
+    # permutation can flip the sign of det A but not its magnitude.  Where
+    # the batch has no determinant, point_det raises the typed error.
+    entries = point_dets(M, v_res - 1j * v_ims)
+    det_mags = np.array([abs(point_det(M, x, y) if entry is None else entry[0])
+                         for x, y, entry in zip(v_res, v_ims, entries)])
 
-    explicit_flags = explicit_mags <= root_rtol * np.median(explicit_mags)
-    det_flags = det_mags <= root_rtol * np.median(det_mags)
+    explicit_flags = explicit_mags <= CROSS_CHECK_ROOT_RTOL * np.median(explicit_mags)
+    det_flags = det_mags <= CROSS_CHECK_ROOT_RTOL * np.median(det_mags)
     return CaseCrossCheck(
         case=case,
-        total=n_samples,
+        total=CROSS_CHECK_SAMPLES,
         agreements=int(np.sum(explicit_flags == det_flags)),
         explicit_roots=int(np.sum(explicit_flags)),
         det_roots=int(np.sum(det_flags)),
@@ -298,12 +279,15 @@ _CASE_ZEROED_FIELDS = {
 }
 
 
-def limit_consistency(M_general: MaterialCoefficients, case: CouplingCase,
-                      scales: tuple = (1e-2, 1e-4, 1e-6)) -> LimitReport:
+#: Factors by which ``limit_consistency`` scales a case's couplings.
+LIMIT_SCALES = (1e-2, 1e-4, 1e-6)
+
+
+def limit_consistency(M_general: MaterialCoefficients, case: CouplingCase) -> LimitReport:
     """Drive the case's couplings to zero and compare root sets.
 
     The couplings the case requires to vanish are scaled by each factor in
-    ``scales``; the general pipeline roots of every scaled material are
+    ``LIMIT_SCALES``; the general pipeline roots of every scaled material are
     compared against the closed forms of the fully decoupled material.
 
     Raises
@@ -318,11 +302,11 @@ def limit_consistency(M_general: MaterialCoefficients, case: CouplingCase,
     target = sorted(roots_case(M_limit, case).t_values())
 
     gaps = []
-    for scale in scales:
+    for scale in LIMIT_SCALES:
         M_scaled = M_general.replace(
             **{name: getattr(M_general, name) * scale for name in fields}
         )
         ts = sorted(mode_speeds(M_scaled).t_values())
         gaps.append(max(abs(x - y) for x, y in zip(ts, target)))
-    return LimitReport(case=case, scales=tuple(scales), gaps=tuple(gaps),
+    return LimitReport(case=case, scales=LIMIT_SCALES, gaps=tuple(gaps),
                        limit_ts=tuple(target))

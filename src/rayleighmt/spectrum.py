@@ -49,7 +49,7 @@ class RootSet:
         return iter(self.roots)
 
 
-def roots_q2(C: CubicCoefficients, M: MaterialCoefficients) -> tuple:
+def roots_q2(M: MaterialCoefficients) -> tuple:
     """Roots of the transverse factor, in descending order.
 
     Uses the explicit radical; the discriminant
@@ -112,7 +112,7 @@ def mode_speeds(M: MaterialCoefficients) -> RootSet:
         If the two factors share a root (gap below ``GAP_RTOL * b4``).
     """
     C = derived_cubic(M)
-    t1, t2 = roots_q2(C, M)
+    t1, t2 = roots_q2(M)
     t3, t4, t5 = roots_q3(C)
 
     tol = GAP_RTOL * C.b4

@@ -152,7 +152,7 @@ def _reference_muller(det_at, z, dets, opts, evals):
     seed = z[0]
     radius = search.MULLER_RADIUS_STEPS * max(opts.initial_step)
     best_z, best_f = min(zip(z, f), key=lambda zf: abs(zf[1]))
-    while evals[0] < min(search.MULLER_MAX_EVALS, opts.max_evals):
+    while evals[0] < min(search.MULLER_MAX_EVALS, search.MAX_EVALS):
         try:
             h1, h2 = z[1] - z[0], z[2] - z[1]
             d1, d2 = (f[1] - f[0]) / h1, (f[2] - f[1]) / h2
@@ -180,13 +180,13 @@ def _reference_muller(det_at, z, dets, opts, evals):
     return best_z, best_f
 
 
-def _reference_nelder_mead(objective, simplex, f_values, opts, evals):
+def _reference_nelder_mead(objective, simplex, f_values, evals):
     clamp = search._clamp
 
     def diameter():
         return max(abs(p - q) for idx, p in enumerate(simplex) for q in simplex[idx + 1:])
 
-    while evals[0] <= opts.max_evals - 4 and diameter() > search.DIAMETER_TOL:
+    while evals[0] <= search.MAX_EVALS - 4 and diameter() > search.DIAMETER_TOL:
         best, mid, worst = sorted(range(3), key=lambda idx: f_values[idx])
         centroid = (simplex[best] + simplex[mid]) / 2.0
         xw = simplex[worst]
@@ -283,5 +283,5 @@ def reference_refine_minimum(M, v0, opts=search.RefineOptions()):
         if root.classification == "converged":
             return root
     BRANCHES["handover"] += 1
-    z_best, f_best = _reference_nelder_mead(objective, simplex, f_values, opts, evals)
+    z_best, f_best = _reference_nelder_mead(objective, simplex, f_values, evals)
     return _reference_classify(M, z_best, f_best, scale, opts, evals[0])

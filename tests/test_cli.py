@@ -203,6 +203,24 @@ def test_scan_overflow_window_is_quiet():
     assert proc.stdout.count(",nan\n") == 4
 
 
+def test_solve_rejects_infinite_window():
+    # an infinite bound used to reach linspace (a numpy RuntimeWarning) and
+    # fail at every lattice point
+    proc = _module_run("solve", "--material", REF, "--re-max", "inf")
+    assert proc.returncode == 1
+    assert "ValueError: window bounds must be finite, got re_max = inf" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "-0.5"])
+def test_solve_rejects_bad_tol_det(capsys, tol):
+    # NaN used to label every root stagnated
+    code, out, err = run(capsys, "solve", "--material", REF, "--tol-det", tol)
+    assert code == 1
+    assert out == ""
+    assert f"det_ratio_tol must be a nonnegative number, got {float(tol)!r}" in err
+
+
 def test_scan_csv_byte_identical(capsys, tmp_path):
     # the fixture is `rayleighmt scan --material materials/reference.json
     # --nx 16 --ny 8` as printed before D(p_k) was built only where needed

@@ -233,8 +233,3 @@ def test_numeric_nullspace_trivial_cases():
     basis = numeric_nullspace(np.zeros((5, 5), dtype=complex))
     assert len(basis) == 5
 
-
-def test_mode_basis_unit_normalization(reference):
-    mb = mode_vector(reference, V05, mode_speeds(reference).roots[2])
-    unit = mb.unit()
-    assert np.max(np.abs(unit)) == pytest.approx(1.0, rel=1e-15)

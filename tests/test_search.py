@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from rayleighmt import (
     mode_speeds,
     objective_F,
     refine_minimum,
-    secular_det,
     validate_coefficients,
 )
 from rayleighmt import search
@@ -49,6 +47,10 @@ def test_window_validation():
         ScanWindow(re_min=0.0, re_max=1.0, im_min=-1.0, im_max=0.0, nx=1, ny=4)
     with pytest.raises(ValueError):
         ScanWindow(re_min=-2.0, re_max=-1.0, im_min=-1.0, im_max=0.0, nx=4, ny=4)
+    for bounds in ((0.0, math.inf, -1.0, 0.0), (0.0, 1.0, -math.inf, 0.0),
+                   (math.nan, 1.0, -1.0, 0.0)):
+        with pytest.raises(ValueError, match="window bounds must be finite"):
+            ScanWindow(*bounds, nx=4, ny=4)
     w = ScanWindow(re_min=0.0, re_max=1.0, im_min=-0.5, im_max=0.0, nx=5, ny=3)
     assert w.cell_size() == (0.25, 0.25)
     assert list(w.re_values()) == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -229,9 +231,10 @@ def test_refine_muller_hands_over_to_simplex(reference, monkeypatch, opts):
     assert root.iterations >= alone.iterations
 
 
-def test_refine_budget_covers_both_stages(reference):
+def test_refine_budget_covers_both_stages(reference, monkeypatch):
+    monkeypatch.setattr(search, "MAX_EVALS", 20)
     for seed, opts in ((BRANCH_SEED, BRANCH_OPTS), (ComplexSpeed(1.04, 0.028), RefineOptions())):
-        assert refine_minimum(reference, seed, replace(opts, max_evals=20)).iterations <= 20
+        assert refine_minimum(reference, seed, opts).iterations <= 20
 
 
 def _converged_roots(M, w):
@@ -294,8 +297,6 @@ def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
     # call; the roots, budgets and counts must stay those of evaluating one
     # candidate at a time
     cases = [(reference, seed, REFERENCE_SEED_OPTS) for seed in REFERENCE_SEEDS]
-    cases += [(reference, seed, replace(REFERENCE_SEED_OPTS, max_evals=20))
-              for seed in REFERENCE_SEEDS]
     rng = np.random.default_rng(47)
     for M in [random_material(rng) for _ in range(2)]:
         w = default_window(M, nx=4, ny=2)
@@ -307,6 +308,10 @@ def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
     monkeypatch.setattr(helpers, "BRANCHES", Counter())
     for M, seed, opts in cases:
         _assert_same_root(refine_minimum(M, seed, opts), reference_refine_minimum(M, seed, opts))
+    monkeypatch.setattr(search, "MAX_EVALS", 20)
+    for seed in REFERENCE_SEEDS:
+        _assert_same_root(refine_minimum(reference, seed, REFERENCE_SEED_OPTS),
+                          reference_refine_minimum(reference, seed, REFERENCE_SEED_OPTS))
     for refine in (refine_minimum, reference_refine_minimum):
         with pytest.raises(StartFailureError):
             refine(INDISTINCT, ComplexSpeed(0.5, 0.1))

@@ -9,26 +9,32 @@ from rayleighmt import (
     ComplexSpeed,
     CouplingCase,
     DegenerateRootsError,
+    ModeFailureError,
     WrongCaseError,
     assemble_Dp,
     cross_check_case,
     derived_cubic,
     limit_consistency,
-    mode_vectors_case,
+    mode_vector,
     numeric_nullspace,
     polarization_check,
     reduced_cubic_coefficients,
     roots_case,
-    secular_case_det,
     secular_case_explicit,
     secular_matrix,
     validate_coefficients,
 )
-from rayleighmt.secular import point_matrix
+from rayleighmt import secular
+from rayleighmt.secular import point_det, point_matrix
 
 from helpers import nullspace_sine
 
 VPROBE = ComplexSpeed(0.35, 0.07)
+
+
+def _case_modes(M, case):
+    """``mode_vector`` at VPROBE for each labelled root, in label order."""
+    return [mode_vector(M, VPROBE, r) for r in roots_case(M, case).roots]
 
 def test_case_i_roots_frozen(case_i_material):
     cr = roots_case(case_i_material, CouplingCase.CASE_I)
@@ -74,7 +80,7 @@ def test_roots_case_rejects_coincident_speeds():
 ])
 def test_case_kernels_in_nullspace(fixture, case, request):
     M = request.getfixturevalue(fixture)
-    for mb in mode_vectors_case(M, VPROBE, case):
+    for mb in _case_modes(M, case):
         D = assemble_Dp(M, VPROBE, mb.p.p)
         res = np.linalg.norm(D @ mb.u)
         assert res <= 1e-10 * np.linalg.norm(D) * np.linalg.norm(mb.u)
@@ -84,7 +90,7 @@ def test_case_kernels_in_nullspace(fixture, case, request):
 
 
 def test_case_iii_thermal_mode_is_pure(case_iii_material):
-    mvs = mode_vectors_case(case_iii_material, VPROBE, CouplingCase.CASE_III)
+    mvs = _case_modes(case_iii_material, CouplingCase.CASE_III)
     thermal = mvs[2]
     assert thermal.mode.t == 1.0  # k/a
     assert np.array_equal(thermal.u[:4], np.zeros(4, dtype=complex))
@@ -92,7 +98,7 @@ def test_case_iii_thermal_mode_is_pure(case_iii_material):
 
 
 def test_case_polarization_structure(case_i_material):
-    mvs = mode_vectors_case(case_i_material, VPROBE, CouplingCase.CASE_I)
+    mvs = _case_modes(case_i_material, CouplingCase.CASE_I)
     assert [polarization_check(mb) for mb in mvs[:2]] == ["orthogonal"] * 2
     assert [polarization_check(mb) for mb in mvs[2:]] == ["parallel"] * 3
 
@@ -120,7 +126,17 @@ def test_explicit_matches_det_zero_sets(case_i_material, case_ii_material):
                     (case_ii_material, CouplingCase.CASE_II)):
         cc = cross_check_case(M, case)
         assert cc.total == 200
-        assert cc.agreed, (cc.agreements, cc.total)
+        assert cc.agreements == cc.total, (cc.agreements, cc.total)
+
+
+def test_cross_check_raises_where_det_is_undefined(case_i_material, monkeypatch):
+    # every mode sent to the SVD and every direction counted as null: no
+    # sample has a determinant, and the check raises rather than drop them
+    monkeypatch.setattr(secular, "GAP_SCREEN", np.inf)
+    monkeypatch.setattr(secular, "NULLSPACE_RTOL", 1.0)
+    with pytest.raises(ModeFailureError) as err:
+        cross_check_case(case_i_material, CouplingCase.CASE_I)
+    assert err.value.cause_name == "DegenerateKernelError"
 
 
 def test_case_i_explicit_is_a_multiple_of_det(case_i_material):
@@ -129,7 +145,7 @@ def test_case_i_explicit_is_a_multiple_of_det(case_i_material):
     ratios = []
     for _ in range(20):
         v = ComplexSpeed(rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.4))
-        ratios.append(secular_case_det(case_i_material, v, CouplingCase.CASE_I)
+        ratios.append(point_det(case_i_material, v.v_r, v.v_i)
                       / secular_case_explicit(case_i_material, v, CouplingCase.CASE_I))
     ratios = np.array(ratios)
     assert np.abs(ratios - ratios[0]).max() <= 1e-10 * abs(ratios[0])
@@ -151,7 +167,7 @@ def test_explicit_unavailable_for_thermal_case(case_iii_material):
     with pytest.raises(WrongCaseError):
         secular_case_explicit(case_iii_material, VPROBE, CouplingCase.CASE_III)
     # the determinant route still works
-    det = secular_case_det(case_iii_material, VPROBE, CouplingCase.CASE_III)
+    det = point_det(case_iii_material, VPROBE.v_r, VPROBE.v_i)
     assert np.isfinite(det.real) and np.isfinite(det.imag)
 
 

@@ -28,8 +28,7 @@ REF_MIN_GAP = 0.38609113496214187
 
 
 def test_reference_q2_exact(reference):
-    C = derived_cubic(reference)
-    assert roots_q2(C, reference) == REF_Q2
+    assert roots_q2(reference) == REF_Q2
 
 
 def test_reference_q3_frozen(reference):
@@ -63,7 +62,7 @@ def test_random_roots_match_numpy_companion():
         got = roots_q3(C)
         ref = sorted(np.roots([1.0, -C.b4, C.b2, -C.b0]).real, reverse=True)
         assert got == pytest.approx(ref, rel=1e-10)
-        got2 = roots_q2(C, M)
+        got2 = roots_q2(M)
         ref2 = sorted(np.roots([1.0, -C.a2, C.a0]).real, reverse=True)
         assert got2 == pytest.approx(ref2, rel=1e-10)
 
