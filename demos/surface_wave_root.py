@@ -41,7 +41,7 @@ def main():
     best = next(r for r in roots if r.classification == "converged")
     v, gamma = best.v, best.gamma
     print(f"\nsurface wave speed: {complex(v)}")
-    print(f"mode amplitudes: {np.array2string(gamma.gamma, precision=6)}")
+    print(f"mode amplitudes: {np.array2string(gamma, precision=6)}")
 
     # the secular equation is wavenumber free, so the residual must stay
     # at rounding level for any kappa

@@ -56,7 +56,6 @@ from .modes import (
     numeric_nullspace,
     p_from_t,
     polarization_check,
-    propagation_blocks,
 )
 from .search import (
     RayleighRoot,
@@ -69,7 +68,6 @@ from .search import (
     refine_minimum,
 )
 from .secular import (
-    AmplitudeVector,
     FieldState,
     SecularMatrix,
     amplitudes,

@@ -201,7 +201,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "det_abs": root.det_abs,
                 "classification": root.classification,
                 "iterations": root.iterations,
-                "gamma": list(root.gamma.gamma) if root.gamma is not None else None,
+                "gamma": list(root.gamma) if root.gamma is not None else None,
             }
             for root in roots
         ],

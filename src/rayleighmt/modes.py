@@ -5,9 +5,12 @@ one partial wave is exp(i kappa p x2) with p the attenuation exponent
 satisfying t (p^2 + 1) = v^2 and Im p > 0.  Substituting the ansatz into
 the field equations gives a 5x5 propagation matrix D(p) acting on the
 amplitude vector (U1, U2, A1, A2, B); its kernel at p = p_k carries the
-mode shape.  ``kernel_row`` holds the closed forms of those kernel vectors
-for every coupling regime the solver handles, the general one and the
-paper's three decoupled cases, written once as u = u0 + p u1 + v u2;
+mode shape.  ``material_blocks`` is the one table of where each
+constitutive coefficient enters D(p) and the surface flux operator S(p);
+``assemble_Dp``, ``secular.assemble_Sp`` and the batched secular kernel
+all evaluate it.  ``kernel_row`` holds the closed forms of those kernel
+vectors for every coupling regime the solver handles, the general one and
+the paper's three decoupled cases, written once as u = u0 + p u1 + v u2;
 ``mode_vector`` and the batched secular kernel both read it, and the tests
 check it against an SVD nullspace.
 """
@@ -113,46 +116,48 @@ def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExpon
     return AttenuationExponent(p=p, mode_index=mode_index)
 
 
-def propagation_blocks(M: MaterialCoefficients, v: ComplexSpeed) -> tuple:
-    """The three coefficient blocks of D(p) = p^2 Q1 + p Q2 + R."""
-    lam, mu = M.lam, M.mu
-    pw = M.p_wave_modulus
-    e12 = M.eps_long
-    e1, e2 = M.eps1, M.eps2
-    d, d1, d2, d3 = M.d, M.d1, M.d2, M.d3
-    vc = complex(v)
-    v2 = vc * vc
-    vb = vc * M.beta
-    mv = M.m * vc
+#: The constant blocks of D(p) = p^2 Q1 + p (Q2 + v V) + R0 + v R1 + v^2 R2
+#: and S(p) = p Q1 + S0 + v V: one block a line, its five rows split by "|",
+#: each entry the name of the coefficient there (``material_blocks``).  It
+#: is read once into ``_SLOTS``, so a table converts twenty values, not 175;
+#: ``secular_matrix`` builds ten tables per speed.
+_LAYOUT = """
+Q1: mu 0 e2 0 0 | 0 pw 0 e12 0 | e2 0 d2 0 0 | 0 e12 0 d 0 | 0 0 0 0 k
+Q2: 0 lm 0 ee 0 | lm 0 ee 0 0 | 0 ee 0 dd 0 | ee 0 dd 0 0 | 0 0 0 0 0
+V:  0 0 0 0 0 | 0 0 0 0 beta | 0 0 0 0 0 | 0 0 0 0 m | 0 beta 0 m 0
+R0: pw 0 e12 0 0 | 0 mu 0 e2 0 | e12 0 d 0 0 | 0 e2 0 d2 0 | 0 0 0 0 k
+R1: 0 0 0 0 beta | 0 0 0 0 0 | 0 0 0 0 m | 0 0 0 0 0 | beta 0 m 0 0
+R2: -rho 0 0 0 0 | 0 -rho 0 0 0 | 0 0 -b 0 0 | 0 0 0 -b 0 | 0 0 0 0 -a
+S0: 0 mu 0 e2 0 | lam 0 e1 0 0 | 0 e1 0 d3 0 | e2 0 d1 0 0 | 0 0 0 0 0
+"""
+_ENTRIES = [line.split(":")[1].replace("|", " ").split()
+            for line in _LAYOUT.strip().splitlines()]
+_NAMES = sorted({name for block in _ENTRIES for name in block})
+_SLOTS = np.array([[_NAMES.index(x) for x in block] for block in _ENTRIES]).reshape(7, 5, 5)
 
-    q1 = np.array([
-        [mu, 0.0, e2, 0.0, 0.0],
-        [0.0, pw, 0.0, e12, 0.0],
-        [e2, 0.0, d2, 0.0, 0.0],
-        [0.0, e12, 0.0, d, 0.0],
-        [0.0, 0.0, 0.0, 0.0, M.k],
-    ], dtype=complex)
-    q2 = np.array([
-        [0.0, lam + mu, 0.0, e1 + e2, 0.0],
-        [lam + mu, 0.0, e1 + e2, 0.0, vb],
-        [0.0, e1 + e2, 0.0, d1 + d3, 0.0],
-        [e1 + e2, 0.0, d1 + d3, 0.0, mv],
-        [0.0, vb, 0.0, mv, 0.0],
-    ], dtype=complex)
-    r = np.array([
-        [pw - M.rho * v2, 0.0, e12, 0.0, vb],
-        [0.0, mu - M.rho * v2, 0.0, e2, 0.0],
-        [e12, 0.0, d - M.b * v2, 0.0, mv],
-        [0.0, e2, 0.0, d2 - M.b * v2, 0.0],
-        [vb, 0.0, mv, 0.0, M.k - M.a * v2],
-    ], dtype=complex)
-    return (q1, q2, r)
+
+def material_blocks(M: MaterialCoefficients) -> tuple:
+    """Constant blocks ``(Q1, Q2, V, R0, R1, R2, S0)`` of ``_LAYOUT``: the
+    only place a coefficient enters D(p) or the boundary flux operator S(p),
+    which maps (U1, U2, A1, A2, B) to the fluxes (t21, t22, L21, L22, S2).
+    S0 is not symmetric in the couplings (lambda against (lambda+2mu)p, d3
+    against d1, eps1 against eps2): its rows follow the constitutive fluxes
+    through the surface x2 = 0.
+    """
+    value = {
+        "0": 0.0, "lam": M.lam, "mu": M.mu, "pw": M.p_wave_modulus, "lm": M.lam + M.mu,
+        "e1": M.eps1, "e2": M.eps2, "e12": M.eps_long, "ee": M.eps1 + M.eps2,
+        "d": M.d, "d1": M.d1, "d2": M.d2, "d3": M.d3, "dd": M.d1 + M.d3, "k": M.k,
+        "beta": M.beta, "m": M.m, "-rho": -M.rho, "-b": -M.b, "-a": -M.a,
+    }
+    return tuple(np.array([value[name] for name in _NAMES], dtype=complex)[_SLOTS])
 
 
 def assemble_Dp(M: MaterialCoefficients, v: ComplexSpeed, p: complex) -> Matrix5:
     """Propagation matrix D(p) for one attenuation exponent."""
-    q1, q2, r = propagation_blocks(M, v)
-    return (p * p) * q1 + p * q2 + r
+    q1, q2, v_lin, r0, r1, r2, _ = material_blocks(M)
+    vc = complex(v)
+    return (p * p) * q1 + p * (q2 + vc * v_lin) + (r0 + vc * r1 + (vc * vc) * r2)
 
 
 def numeric_nullspace(D: Matrix5) -> list:

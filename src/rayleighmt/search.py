@@ -32,7 +32,6 @@ from .errors import (
 from .material import MaterialCoefficients
 from .modes import ComplexSpeed
 from .secular import (
-    AmplitudeVector,
     amplitudes,  # not called here; bench/tracing.py wraps search.amplitudes
     nullspace_amplitude,
     objective_F,
@@ -174,7 +173,7 @@ class RayleighRoot:
     v: ComplexSpeed
     f_value: float
     det_abs: float
-    gamma: AmplitudeVector  # None when not converged
+    gamma: np.ndarray  # max-normalized mode weights; None when not converged
     iterations: int
     classification: str  # "converged" or "stagnated"
 

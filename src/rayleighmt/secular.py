@@ -1,21 +1,22 @@
 """Secular determinant of the traction-free surface condition.
 
 Each depth mode contributes a column S(p_k) u_k holding the five boundary
-flux amplitudes (t21, t22, L21, L22, S2) it generates at the surface.  A
+flux amplitudes (t21, t22, L21, L22, S2) it generates at the surface, with
+S(p) = p Q1 + S0 + v V from the blocks of ``modes.material_blocks``.  A
 surface wave exists when some combination of the five modes leaves the
 surface flux-free, i.e. when the 5x5 secular matrix A is singular.  The
 search objective is F = ln |det A|.
 
-A solve builds A one way only, by one batched kernel over arrays of
-speeds (``secular_objective`` for the scan, ``point_dets`` for the few
-speeds of a refinement step; ``point_matrix``, ``point_det`` and
-``objective_F`` are its one-point calls) built on material-only data
-computed once per material; the mode weights of a root (``amplitudes``)
-come from it too.  It builds the propagation matrix D(p_k) of a depth
-mode only for the two checks that need it: the SVD that D(p_k) has a
-one-dimensional kernel, run only where p_k^2 nears another p_j^2
-(``GAP_SCREEN``; elsewhere the factorization of det D(p) guarantees it),
-and the check that D(p_k) is finite, run only where a bound from the
+A solve builds A one way only, by one batched kernel over arrays of speeds
+(``secular_objective`` for the scan, ``point_dets`` for the few speeds of
+a refinement step; ``point_matrix``, ``point_det`` and ``objective_F`` are
+its one-point calls) built on material-only data computed once per
+material, the blocks of D(p) and S(p) among them; the mode weights of a
+root (``amplitudes``) come from it too.  It builds the propagation matrix
+D(p_k) of a depth mode only for the two checks that need it: the SVD that
+D(p_k) has a one-dimensional kernel, run only where p_k^2 nears another
+p_j^2 (``GAP_SCREEN``; elsewhere the factorization of det D(p) guarantees
+it), and the check that D(p_k) is finite, run only where a bound from the
 material's constant blocks cannot rule out overflow (elsewhere every entry
 is provably finite).
 ``secular_matrix`` assembles A one speed at a time from ``mode_vector``:
@@ -47,8 +48,8 @@ from .modes import (
     ComplexSpeed,
     Matrix5,
     kernel_row,
+    material_blocks,
     mode_vector,
-    propagation_blocks,
 )
 from .spectrum import mode_speeds
 
@@ -60,26 +61,10 @@ ROOT_RATIO_TOL = 1e-6
 
 
 def assemble_Sp(M: MaterialCoefficients, v: ComplexSpeed, p: complex) -> Matrix5:
-    """Boundary flux operator S(p) mapping (U1, U2, A1, A2, B) to
-    (t21, t22, L21, L22, S2) amplitudes.
-
-    The matrix is intentionally not symmetric in the coupling entries
-    (lambda against (lambda+2mu)p, d3 against d1, eps1 against eps2); the
-    rows follow the constitutive fluxes through the surface x2 = 0.
-    """
-    lam, mu = M.lam, M.mu
-    e1, e2 = M.eps1, M.eps2
-    e12 = M.eps_long
-    vc = complex(v)
-    vb = vc * M.beta
-    mv = M.m * vc
-    return np.array([
-        [mu * p, mu, p * e2, e2, 0.0],
-        [lam, (lam + 2.0 * mu) * p, e1, p * e12, vb],
-        [p * e2, e1, M.d2 * p, M.d3, 0.0],
-        [e2, p * e12, M.d1, M.d * p, mv],
-        [0.0, vb, 0.0, mv, M.k * p],
-    ], dtype=complex)
+    """Boundary flux operator S(p) = p Q1 + S0 + v V mapping (U1, U2, A1, A2,
+    B) to (t21, t22, L21, L22, S2) amplitudes (``modes.material_blocks``)."""
+    q1, _, v_lin, _, _, _, s0 = material_blocks(M)
+    return p * q1 + s0 + complex(v) * v_lin
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,22 +138,6 @@ NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION, NOT_FINITE = 1, 2, 3, 4
 GAP_SCREEN = 1e-3
 
 
-def _poly_blocks(M: MaterialCoefficients) -> tuple:
-    """Constant blocks of D(p) = p^2 Q1 + p (Q2 + v V) + R0 + v R1 + v^2 R2
-    and S(p) = p Q1 + S0 + v V.
-
-    Q1, Q2, R0 and S0 are ``propagation_blocks`` and ``assemble_Sp`` at
-    v = 0; V, R1 and R2 hold their beta, m, rho, b and a entries.
-    """
-    q1, q2, r0 = propagation_blocks(M, 0j)
-    s0 = assemble_Sp(M, 0j, 0.0)
-    v_lin, r1 = np.zeros((5, 5)), np.zeros((5, 5))
-    v_lin[1, 4] = v_lin[4, 1] = r1[0, 4] = r1[4, 0] = M.beta
-    v_lin[3, 4] = v_lin[4, 3] = r1[2, 4] = r1[4, 2] = M.m
-    r2 = -np.diag([M.rho, M.rho, M.b, M.b, M.a])
-    return q1, q2, v_lin, r0, r1, r2, s0
-
-
 @dataclass(frozen=True, eq=False)
 class SecularKernel:
     """Material-only data of the batched objective.
@@ -185,7 +154,7 @@ class SecularKernel:
     u1: np.ndarray
     u2: np.ndarray
     delta: np.ndarray  # (5,) min over j != k of |1/t_k - 1/t_j|
-    blocks: tuple  # _poly_blocks
+    blocks: tuple  # modes.material_blocks
     d_reach: float  # 1 + |p| + |v| below which D(p) cannot overflow
 
     @classmethod
@@ -195,7 +164,7 @@ class SecularKernel:
         t = np.array([r.t for r in roots])
         inv = np.abs(1.0 / t[:, None] - 1.0 / t)
         np.fill_diagonal(inv, np.inf)
-        blocks = _poly_blocks(M)
+        blocks = material_blocks(M)
         # With b the largest entry modulus of Q1, Q2, V, R0, R1 and R2, every
         # intermediate of D(p) = p (p Q1 + (Q2 + v V)) + (R0 + v (R1 + v R2))
         # is at most b (1 + |p| + |v|)^2 in modulus: a complex product z w
@@ -393,15 +362,9 @@ def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
     return objective_from_det(point_det(M, v_r, v_i))
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeVector:
-    """Mode weights, scaled so the largest component is exactly 1."""
-
-    gamma: np.ndarray
-
-
-def nullspace_amplitude(A: Matrix5) -> AmplitudeVector:
-    """Smallest singular direction of A, max-normalized.
+def nullspace_amplitude(A: Matrix5) -> np.ndarray:
+    """Smallest singular direction of A, scaled so the largest component is
+    exactly 1.
 
     Raises
     ------
@@ -419,10 +382,10 @@ def nullspace_amplitude(A: Matrix5) -> AmplitudeVector:
     peak = int(np.argmax(np.abs(gamma)))
     gamma = gamma / gamma[peak]
     gamma[peak] = 1.0  # z / z is not always exactly 1 in complex arithmetic
-    return AmplitudeVector(gamma=gamma)
+    return gamma
 
 
-def amplitudes(M: MaterialCoefficients, v: ComplexSpeed) -> AmplitudeVector:
+def amplitudes(M: MaterialCoefficients, v: ComplexSpeed) -> np.ndarray:
     """Mode weights of the surface wave at a converged secular root, from
     the batched kernel's matrix (``point_matrix``) that refinement uses; the
     fields and the residual stay on the verification route on purpose."""
@@ -441,7 +404,7 @@ class FieldState:
     traction: np.ndarray  # (t21, t22, L21, L22, S2)
 
 
-def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: AmplitudeVector,
+def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
                kappa: float, x1: float, x2: float, time: float) -> FieldState:
     """Evaluate the surface-wave fields at one point.
 
@@ -453,25 +416,27 @@ def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: AmplitudeVector,
     Raises
     ------
     DomainError
-        If kappa is not positive or x2 is negative (the half-space is
-        x2 >= 0).
+        If kappa is not positive and finite, x2 is not nonnegative and
+        finite (the half-space is x2 >= 0), or x1 or time is not finite.
     """
     return _fields(M, v, gamma, kappa, x1, x2, time)[0]
 
 
-def _fields(M: MaterialCoefficients, v: ComplexSpeed, gamma: AmplitudeVector,
+def _fields(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
             kappa: float, x1: float, x2: float, time: float) -> tuple:
     """``field_eval``'s state together with the secular matrix it used."""
-    if not kappa > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {kappa!r}")
-    if x2 < 0.0:
-        raise DomainError(f"depth must be nonnegative, got {x2!r}")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"wavenumber must be positive and finite, got {kappa!r}")
+    if not 0.0 <= x2 < math.inf:
+        raise DomainError(f"depth must be nonnegative and finite, got {x2!r}")
+    if not (math.isfinite(x1) and math.isfinite(time)):
+        raise DomainError(f"x1 and time must be finite, got {x1!r} and {time!r}")
 
     sm = secular_matrix(M, v)
     vc = complex(v)
     fields = np.zeros(5, dtype=complex)
     traction = np.zeros(5, dtype=complex)
-    for weight, mb, col in zip(gamma.gamma, sm.modes, sm.A.T):
+    for weight, mb, col in zip(gamma, sm.modes, sm.A.T):
         phase = cmath.exp(1j * kappa * (x1 - vc * time + mb.p.p * x2))
         fields += weight * phase * mb.u
         traction += weight * phase * col
@@ -483,19 +448,19 @@ def _fields(M: MaterialCoefficients, v: ComplexSpeed, gamma: AmplitudeVector,
 
 
 def boundary_residual(M: MaterialCoefficients, v: ComplexSpeed,
-                      gamma: AmplitudeVector, kappa: float,
+                      gamma: np.ndarray, kappa: float,
                       x1: float = 0.0, time: float = 0.0) -> float:
     """Relative size of the surface traction left by a candidate wave.
 
     Evaluates the five boundary fluxes at x2 = 0 and divides by the scale
     the individual modes contribute, so the result is wavenumber- and
     phase-independent; at a converged secular root it sits at roundoff
-    level for every kappa.
+    level for every kappa.  Raises ``field_eval``'s ``DomainError``.
     """
     state, sm = _fields(M, v, gamma, kappa, x1, 0.0, time)
     phase_mag = abs(cmath.exp(1j * kappa * (x1 - complex(v) * time)))
     scale = kappa * phase_mag * sum(
         abs(weight) * float(np.linalg.norm(col))
-        for weight, col in zip(gamma.gamma, sm.A.T)
+        for weight, col in zip(gamma, sm.A.T)
     )
     return float(np.linalg.norm(state.traction)) / scale

@@ -98,6 +98,80 @@ def nullspace_sine(u, w):
     return float(np.linalg.norm(uhat - w * np.vdot(w, uhat)))
 
 
+def reference_propagation_blocks(M, v):
+    """The three coefficient blocks of D(p) = p^2 Q1 + p Q2 + R, written
+    out entry by entry as ``modes`` once did; ``reference_Dp``,
+    ``reference_Sp`` and ``reference_blocks`` are the literal operators the
+    block table of ``modes.material_blocks`` must reproduce bit for bit."""
+    lam, mu = M.lam, M.mu
+    pw = M.p_wave_modulus
+    e12 = M.eps_long
+    e1, e2 = M.eps1, M.eps2
+    d, d1, d2, d3 = M.d, M.d1, M.d2, M.d3
+    vc = complex(v)
+    v2 = vc * vc
+    vb = vc * M.beta
+    mv = M.m * vc
+
+    q1 = np.array([
+        [mu, 0.0, e2, 0.0, 0.0],
+        [0.0, pw, 0.0, e12, 0.0],
+        [e2, 0.0, d2, 0.0, 0.0],
+        [0.0, e12, 0.0, d, 0.0],
+        [0.0, 0.0, 0.0, 0.0, M.k],
+    ], dtype=complex)
+    q2 = np.array([
+        [0.0, lam + mu, 0.0, e1 + e2, 0.0],
+        [lam + mu, 0.0, e1 + e2, 0.0, vb],
+        [0.0, e1 + e2, 0.0, d1 + d3, 0.0],
+        [e1 + e2, 0.0, d1 + d3, 0.0, mv],
+        [0.0, vb, 0.0, mv, 0.0],
+    ], dtype=complex)
+    r = np.array([
+        [pw - M.rho * v2, 0.0, e12, 0.0, vb],
+        [0.0, mu - M.rho * v2, 0.0, e2, 0.0],
+        [e12, 0.0, d - M.b * v2, 0.0, mv],
+        [0.0, e2, 0.0, d2 - M.b * v2, 0.0],
+        [vb, 0.0, mv, 0.0, M.k - M.a * v2],
+    ], dtype=complex)
+    return (q1, q2, r)
+
+
+def reference_Dp(M, v, p):
+    """Literal D(p) at speed v."""
+    q1, q2, r = reference_propagation_blocks(M, v)
+    return (p * p) * q1 + p * q2 + r
+
+
+def reference_Sp(M, v, p):
+    """Literal boundary flux operator S(p) at speed v."""
+    lam, mu = M.lam, M.mu
+    e1, e2 = M.eps1, M.eps2
+    e12 = M.eps_long
+    vc = complex(v)
+    vb = vc * M.beta
+    mv = M.m * vc
+    return np.array([
+        [mu * p, mu, p * e2, e2, 0.0],
+        [lam, (lam + 2.0 * mu) * p, e1, p * e12, vb],
+        [p * e2, e1, M.d2 * p, M.d3, 0.0],
+        [e2, p * e12, M.d1, M.d * p, mv],
+        [0.0, vb, 0.0, mv, M.k * p],
+    ], dtype=complex)
+
+
+def reference_blocks(M):
+    """The literal operators' blocks (Q1, Q2, V, R0, R1, R2, S0): Q1, Q2, R0
+    and S0 at v = 0, and V, R1, R2 placed by index."""
+    q1, q2, r0 = reference_propagation_blocks(M, 0j)
+    s0 = reference_Sp(M, 0j, 0.0)
+    v_lin, r1 = np.zeros((5, 5)), np.zeros((5, 5))
+    v_lin[1, 4] = v_lin[4, 1] = r1[0, 4] = r1[4, 0] = M.beta
+    v_lin[3, 4] = v_lin[4, 3] = r1[2, 4] = r1[4, 2] = M.m
+    r2 = -np.diag([M.rho, M.rho, M.b, M.b, M.a])
+    return q1, q2, v_lin, r0, r1, r2, s0
+
+
 def full_d_matrices(kernel, v):
     """``SecularKernel.matrices`` as it was before D(p_k) was built only
     where a check needs it: the full (n, 5, 5, 5) stack of D(p_k), its

@@ -19,9 +19,9 @@ from rayleighmt import (
     numeric_nullspace,
     p_from_t,
     polarization_check,
-    propagation_blocks,
     validate_coefficients,
 )
+from rayleighmt.modes import material_blocks
 
 from helpers import nullspace_sine, random_material, random_speed
 
@@ -80,8 +80,9 @@ def test_branch_invariants_property():
 
 def test_propagation_matrix_at_p_zero(reference):
     D = assemble_Dp(reference, V05, 0.0)
-    Q1, Q2, R = propagation_blocks(reference, V05)
-    assert np.array_equal(D, R)
+    Q1, _, _, R0, R1, R2, _ = material_blocks(reference)
+    v = complex(V05)
+    assert np.array_equal(D, R0 + v * R1 + (v * v) * R2)
     assert D[0, 0] == 2.75
     assert D[4, 4] == 0.75
     assert Q1[4, 4] == reference.k

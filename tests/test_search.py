@@ -289,7 +289,7 @@ def _assert_same_root(ours, theirs):
     if theirs.gamma is None:
         assert ours.gamma is None
     else:
-        assert list(ours.gamma.gamma) == list(theirs.gamma.gamma)
+        assert list(ours.gamma) == list(theirs.gamma)
 
 
 def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
