@@ -308,17 +308,24 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
         Propagated from ``kernel_row``.
     NonDecayingError
         Propagated from the branch selection.
+    numpy.linalg.LinAlgError
+        If D(p_k) has a non-finite entry, an overflow at a huge speed; the
+        SVD is not run on it.
     DegenerateKernelError
         If the numeric kernel of D(p_k) does not have dimension one, or the
         closed form degenerates to the zero vector.
     """
     rows = kernel_row(M, r)
     ae = p_from_t(v, r.t, r.index)
+    with np.errstate(all="ignore"):
+        D = assemble_Dp(M, v, ae.p)
+    if not np.isfinite(D).all():
+        raise np.linalg.LinAlgError(f"propagation matrix of mode {r.index} is not finite")
     vc = complex(v)
     u = np.array([x + ae.p * y + vc * z for x, y, z in zip(*rows)])
     if not np.any(u):
         raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
-    if _kernel_dimension(assemble_Dp(M, v, ae.p)) != 1:
+    if _kernel_dimension(D) != 1:
         raise DegenerateKernelError(
             f"propagation matrix kernel at mode {r.index} is not one-dimensional"
         )

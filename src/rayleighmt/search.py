@@ -96,15 +96,23 @@ class ScanGrid:
     failure_causes: dict = field(default_factory=dict)
 
 
+#: Lattice points ``grid_scan`` asks the batched objective for in one call,
+#: rounded down to whole lattice rows (one row at the least).  Fewer calls
+#: spend less on per-call numpy overhead; larger ones raise the peak memory.
+_SCAN_CHUNK = 256
+
+
 def grid_scan(M: MaterialCoefficients, window: ScanWindow, threads=None) -> ScanGrid:
     """Sample the objective on the window lattice.
 
-    Each lattice row (one Re v, every Im v) is one call of the batched
-    objective.  Points outside the admissible quadrant or where the
-    objective is undefined become NaN and are counted as failures.  Each of
-    them is evaluated once more by ``objective_F``, whose typed error is
-    tallied in ``failure_causes``, so the failures are exactly the points
-    where ``objective_F`` raises.  ``threads`` is accepted and ignored.
+    Each call of the batched objective evaluates a block of whole lattice
+    rows (a row is one Re v and every Im v) of about ``_SCAN_CHUNK``
+    points; a point's value does not depend on the block it is in.  Points
+    outside the admissible quadrant or where the objective is undefined
+    become NaN and are counted as failures.  Each of them is evaluated once
+    more by ``objective_F``, whose typed error is tallied in
+    ``failure_causes``, so the failures are exactly the points where
+    ``objective_F`` raises.  ``threads`` is accepted and ignored.
 
     Raises
     ------
@@ -114,8 +122,9 @@ def grid_scan(M: MaterialCoefficients, window: ScanWindow, threads=None) -> Scan
     res = window.re_values()
     ims = window.im_values()
     values = np.empty((window.nx, window.ny))
-    for i, re_v in enumerate(res):
-        values[i] = secular_objective(M, re_v + 1j * ims)
+    step = max(1, _SCAN_CHUNK // window.ny)
+    for i in range(0, window.nx, step):
+        values[i:i + step] = secular_objective(M, res[i:i + step, None] + 1j * ims)
 
     causes = Counter()
     for i, j in zip(*np.nonzero(np.isnan(values))):

@@ -18,7 +18,10 @@ D(p_k) has a one-dimensional kernel, run only where p_k^2 nears another
 p_j^2 (``GAP_SCREEN``; elsewhere the factorization of det D(p) guarantees
 it), and the check that D(p_k) is finite, run only where a bound from the
 material's constant blocks cannot rule out overflow (elsewhere every entry
-is provably finite).
+is provably finite).  The batched calls ask only whether some mode fails at
+each speed (``SecularKernel.defined_matrices``); which mode fails, and how,
+is ranked only for the typed error of a one-point call
+(``SecularKernel.matrices``).
 ``secular_matrix`` assembles A one speed at a time from ``mode_vector``:
 the verification route, which ``field_eval`` and ``boundary_residual`` use
 so that a kernel root is checked by a separate assembly.  Both routes read
@@ -29,7 +32,9 @@ the SVD nullspace of D(p_k).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +128,13 @@ def objective_from_det(det: complex) -> float:
     return math.log(mag)
 
 
-#: Ways one mode can fail at one speed, in the order ``mode_vector`` checks
-#: them: no decaying branch, a vanishing closed form, a kernel of D(p_k)
-#: whose dimension is not one.  The batched kernel runs the dimension
-#: check's SVD only where ``GAP_SCREEN`` lets it through.  A D(p_k) with a
-#: non-finite entry, an overflow at a huge speed, fails before all of them.
+#: Ways one mode can fail at one speed: no decaying branch, a vanishing
+#: closed form, a kernel of D(p_k) whose dimension is not one, and a D(p_k)
+#: with a non-finite entry (an overflow at a huge speed; ``mode_vector``
+#: checks it before the closed form, so it never runs the SVD on one).  The
+#: batched kernel runs the dimension check's SVD only where ``GAP_SCREEN``
+#: lets it through, and ranks a non-finite D(p_k) above every other failure
+#: at its speed.
 NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION, NOT_FINITE = 1, 2, 3, 4
 
 #: Relative gap min_j |p_k^2 - p_j^2| / |p_k|^2 at and above which the
@@ -145,7 +152,7 @@ class SecularKernel:
     The closed-form kernel vector of mode k is u_k = u0_k + p_k u1_k +
     v u2_k, with the rows of ``modes.kernel_row`` for the material's
     coupling regime.  The rows of A need only u_k and S(p_k); D(p_k) is
-    built only for ``matrices``' checks.
+    built only for the failure checks of ``_evaluate``.
     """
 
     roots: tuple  # ModeRoot, indices 1..5
@@ -176,16 +183,15 @@ class SecularKernel:
         return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, delta=inv.min(axis=1),
                    blocks=blocks, d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
 
-    def matrices(self, v: np.ndarray) -> tuple:
-        """Secular matrices at admissible complex speeds v, shape (n,).
+    def _evaluate(self, v: np.ndarray) -> tuple:
+        """``(A, failing)`` at admissible complex speeds v, shape (n,).
 
-        Returns ``(A, mode, kind)``: ``A`` is the (n, 5, 5) stack whose
-        column k is S(p_k) u_k, ``mode`` holds the index of the first mode
-        that fails at each speed (0 where none does) and ``kind`` how it
-        fails (``NON_DECAYING``, ``ZERO_KERNEL``, ``KERNEL_DIMENSION`` or
-        ``NOT_FINITE``).  ``A`` is meaningless where ``mode`` is nonzero.
-        A depth mode's D(p_k) is built only for the two checks that need
-        it: the kernel-dimension SVD, run only where the gap
+        ``A`` is the (n, 5, 5) stack whose column k is S(p_k) u_k, and
+        ``failing`` maps each failure kind to the (n, 5) mask of the modes
+        that fail that way.  The two kinds that need D(p_k) are left out
+        when no D(p_k) is built.  A depth mode's
+        D(p_k) is built only for the two checks that need it: the
+        kernel-dimension SVD, run only where the gap
         |v|^2 delta_k / |p_k|^2 = min_j |p_k^2 - p_j^2| / |p_k|^2 is below
         ``GAP_SCREEN`` or NaN (everywhere else the kernel is
         one-dimensional), and the finiteness check, run only where
@@ -201,41 +207,66 @@ class SecularKernel:
             u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
             sv = s0 + vm * v_lin  # the v-dependent part of S(p)
             rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
+            failing = {NON_DECAYING: root.imag == 0.0, ZERO_KERNEL: ~u.any(axis=-1)}
 
             abs_p, abs_v = np.abs(p), np.abs(vv)
             wide = abs_v ** 2 * self.delta / abs_p ** 2 >= GAP_SCREEN
             build = ~(wide & (1.0 + abs_p + abs_v < self.d_reach))
-            finite = np.ones(p.shape, dtype=bool)
-            degenerate = np.zeros(p.shape, dtype=bool)
             if build.any():
                 at, k = np.nonzero(build)
                 pm, vs = p[at, k, None, None], v[at, None, None]
                 D = pm * (pm * q1 + (q2 + vs * v_lin)) + (r0 + vs * (r1 + vs * r2))
-                finite[at, k] = np.isfinite(D).all(axis=(-2, -1))
-                svd = ~wide[at, k] & finite[at, k]
+                finite = np.isfinite(D).all(axis=(-2, -1))
+                svd = ~wide[at, k] & finite
+                degenerate = np.zeros(p.shape, dtype=bool)
                 if svd.any():
                     s = np.linalg.svd(D[svd], compute_uv=False)
                     degenerate[at[svd], k[svd]] = np.sum(
                         s <= NULLSPACE_RTOL * s[:, :1], axis=-1) != 1
+                overflow = np.zeros(p.shape, dtype=bool)
+                overflow[at, k] = ~finite
+                failing[KERNEL_DIMENSION], failing[NOT_FINITE] = degenerate, overflow
+        return np.swapaxes(rows, 1, 2), failing
 
-        non_decaying, zero_kernel = root.imag == 0.0, ~u.any(axis=-1)
-        failed = non_decaying | zero_kernel | degenerate | ~finite  # (n, 5)
+    def defined_matrices(self, v: np.ndarray) -> tuple:
+        """``(A, defined)`` at admissible complex speeds v, shape (n,): the
+        stack of ``matrices`` and the mask of the speeds where no mode fails
+        (``mode == 0``), without ranking the failures."""
+        A, failing = self._evaluate(v)
+        failed = functools.reduce(operator.or_, failing.values())
+        return A, ~failed.any(axis=1)
+
+    def matrices(self, v: np.ndarray) -> tuple:
+        """Secular matrices at admissible complex speeds v, shape (n,), with
+        their failures ranked.
+
+        Returns ``(A, mode, kind)``: ``A`` is the (n, 5, 5) stack whose
+        column k is S(p_k) u_k, ``mode`` holds the index of the first mode
+        that fails at each speed (0 where none does) and ``kind`` how it
+        fails (``NON_DECAYING``, ``ZERO_KERNEL``, ``KERNEL_DIMENSION`` or
+        ``NOT_FINITE``).  ``A`` is meaningless where ``mode`` is nonzero.
+        Only a typed error needs the ranking: the batched callers take
+        ``defined_matrices``.
+        """
+        A, failing = self._evaluate(v)
         mode = np.zeros(len(v), dtype=int)
         kind = np.zeros(len(v), dtype=int)
-        bad = np.flatnonzero(failed.any(axis=1))
+        bad = np.flatnonzero(functools.reduce(operator.or_, failing.values()).any(axis=1))
         if bad.size:
             # a non-finite D(p_k) outranks every other failure at its speed;
-            # otherwise the first failing mode is reported
-            kinds = np.select(
-                [non_decaying[bad], zero_kernel[bad], degenerate[bad]],
-                [NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION], 0)
-            overflow = ~finite[bad]
-            kinds = np.where(overflow.any(axis=1, keepdims=True),
-                             np.where(overflow, NOT_FINITE, 0), kinds)
+            # otherwise the first failing mode is reported, by its first kind
+            kinds = np.zeros((bad.size, 5), dtype=int)
+            for code in (KERNEL_DIMENSION, ZERO_KERNEL, NON_DECAYING):
+                if code in failing:
+                    kinds = np.where(failing[code][bad], code, kinds)
+            if NOT_FINITE in failing:
+                overflow = failing[NOT_FINITE][bad]
+                kinds = np.where(overflow.any(axis=1, keepdims=True),
+                                 np.where(overflow, NOT_FINITE, 0), kinds)
             first = np.argmax(kinds > 0, axis=1)
             kind[bad] = kinds[np.arange(bad.size), first]
             mode[bad] = first + 1
-        return np.swapaxes(rows, 1, 2), mode, kind
+        return A, mode, kind
 
     def failure(self, v: complex, mode: int, kind: int) -> RayleighError:
         """The typed error ``mode_vector`` raises for this failure."""
@@ -274,7 +305,7 @@ def _admissible(v: np.ndarray) -> np.ndarray:
 
 def _defined_dets(M: MaterialCoefficients, v: np.ndarray) -> tuple:
     """``(defined, A, det A)`` at a 1-D array of complex speeds v, from one
-    call of ``SecularKernel.matrices``.
+    call of ``SecularKernel.defined_matrices``.
 
     A speed is defined where it is admissible and no mode fails there;
     none is for a material whose mode speeds or couplings rule out the
@@ -286,9 +317,9 @@ def _defined_dets(M: MaterialCoefficients, v: np.ndarray) -> tuple:
         A = np.full((len(v), 5, 5), np.nan, dtype=complex)
         return np.zeros(len(v), dtype=bool), A, A[:, 0, 0]
     ok = _admissible(v)
-    A, mode, _ = kernel.matrices(np.where(ok, v, 1.0))
+    A, defined = kernel.defined_matrices(v if ok.all() else np.where(ok, v, 1.0))
     with np.errstate(all="ignore"):
-        return ok & (mode == 0), A, np.linalg.det(A)
+        return ok & defined, A, np.linalg.det(A)
 
 
 def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
@@ -341,7 +372,7 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
 def point_dets(M: MaterialCoefficients, zs) -> list:
     """``point_det`` and ``point_matrix`` at each complex speed of ``zs``
     (v itself, not ``(v_r, v_i)``), from one call of
-    ``SecularKernel.matrices``.
+    ``SecularKernel.defined_matrices``.
 
     Returns one ``(det, A)`` per speed, or None exactly where ``point_det``
     raises: an inadmissible speed, a failing mode, or a material the

@@ -24,6 +24,7 @@ from rayleighmt import (
 )
 from rayleighmt import search
 from rayleighmt.search import DEDUP_TOL, grid_median_det
+from rayleighmt.secular import secular_objective
 
 import helpers
 from conftest import default_window
@@ -104,6 +105,37 @@ def test_grid_scan_matches_pointwise_objective():
         assert grid.failures == sum(causes.values())
         finite = np.isfinite(values)
         assert np.max(np.abs(grid.values[finite] - values[finite])) <= 1e-10
+
+
+def _row_scan(M, w):
+    """``grid_scan`` with one batched objective call per lattice row."""
+    res, ims = w.re_values(), w.im_values()
+    values = np.array([secular_objective(M, re_v + 1j * ims) for re_v in res])
+    causes = Counter()
+    for i, j in zip(*np.nonzero(np.isnan(values))):
+        try:
+            values[i, j] = objective_F(M, res[i], -ims[j])
+        except ModeFailureError as exc:
+            causes[exc.cause_name] += 1
+    return values, dict(causes)
+
+
+def test_grid_scan_blocks_match_row_calls(reference):
+    # blocks of rows give every point the bits of one-row calls: with nx
+    # not a multiple of the rows per block, with rows longer than a block
+    # (one row per call), and on the smallest lattice
+    rows = search._SCAN_CHUNK // 48
+    rng = np.random.default_rng(31)
+    for M in [reference] + [random_material(rng) for _ in range(3)]:
+        c = math.sqrt(max(mode_speeds(M).t_values()))
+        for nx, ny in ((2 * rows + 1, 48), (3, search._SCAN_CHUNK + 1), (2, 2)):
+            w = ScanWindow(re_min=-0.1 * c, re_max=1.3 * c, im_min=-0.4 * c, im_max=0.0,
+                           nx=nx, ny=ny)
+            grid = grid_scan(M, w)
+            values, causes = _row_scan(M, w)
+            assert grid.values.tobytes() == values.tobytes()
+            assert grid.failure_causes == causes
+            assert grid.failures == sum(causes.values()) > 0
 
 
 def test_grid_scan_serial_parallel_identical(reference):

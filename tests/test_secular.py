@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -419,17 +420,23 @@ HUGE_SPEEDS = (
 ).ravel()
 
 
-def test_lean_kernel_matches_full_d_kernel(reference):
-    # D(p_k) built only for the screened SVD and the overflow guard gives
-    # the same matrices and verdicts as building it for every mode
+def _lean_cases(reference):
+    """The near-degenerate speed, then the reference and 24 seeded random
+    materials, each on its 64x32 lattice and on ``HUGE_SPEEDS``."""
     rng = np.random.default_rng(83)
     cases = [(validate_coefficients(NEAR_DEGENERATE), np.array([V_NEAR_DEGENERATE + 0j]))]
     for M in [reference] + [random_material(rng) for _ in range(24)]:
         w = default_window(M, nx=64, ny=32)
         cases.append((M, (w.re_values()[:, None] + 1j * w.im_values()).ravel()))
         cases.append((M, HUGE_SPEEDS))
+    return cases
+
+
+def test_lean_kernel_matches_full_d_kernel(reference):
+    # D(p_k) built only for the screened SVD and the overflow guard gives
+    # the same matrices and verdicts as building it for every mode
     kinds = set()
-    for M, v in cases:
+    for M, v in _lean_cases(reference):
         kernel = secular_kernel(M)
         A, mode, kind = kernel.matrices(v)
         A_ref, mode_ref, kind_ref, _ = full_d_matrices(kernel, v)
@@ -440,6 +447,32 @@ def test_lean_kernel_matches_full_d_kernel(reference):
             assert np.array_equal(np.linalg.det(A), np.linalg.det(A_ref), equal_nan=True)
         kinds.update(kind.tolist())
     assert {NON_DECAYING, KERNEL_DIMENSION, NOT_FINITE} <= kinds
+
+
+def test_defined_mask_matches_ranked_mode(reference):
+    # the batched callers' unranked mask is exactly where the ranking
+    # finds no failing mode, with the same matrices
+    for M, v in _lean_cases(reference):
+        kernel = secular_kernel(M)
+        A, defined = kernel.defined_matrices(v)
+        A_ranked, mode, _ = kernel.matrices(v)
+        assert np.array_equal(defined, mode == 0)
+        assert A.tobytes() == A_ranked.tobytes()
+
+
+def test_huge_speed_fails_alike_on_both_routes(reference, capfd):
+    # D(p_1) overflows here: the verification route must not hand it to
+    # LAPACK's SVD, which prints to stdout, and must name the failure the
+    # batched kernel names
+    v = ComplexSpeed(1e154, 3e153)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="mode 1 is not finite"):
+            secular_matrix(reference, v)
+        with pytest.raises(ModeFailureError) as err:
+            point_det(reference, v.v_r, v.v_i)
+    assert err.value.cause_name == "LinAlgError"
+    assert capfd.readouterr().out == ""
 
 
 def test_overflow_guard_margin(reference):
