@@ -79,6 +79,15 @@ class MaterialCoefficients:
         """Longitudinal elastic-microthermal coupling eps1 + 2 eps2."""
         return self.eps1 + 2.0 * self.eps2
 
+    def memo(self, key: str, build):
+        """``build(self)``, computed on first use and kept on this (frozen)
+        instance under ``key``; ``replace`` starts a copy without it."""
+        value = vars(self).get(key)
+        if value is None:
+            value = build(self)
+            object.__setattr__(self, key, value)
+        return value
+
     def replace(self, **changes) -> "MaterialCoefficients":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

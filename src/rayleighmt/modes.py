@@ -105,22 +105,25 @@ def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExpon
     """
     if not t > 0.0:
         raise DomainError(f"squared mode speed must be positive, got {t!r}")
-    w = complex(v) ** 2 / t - 1.0
-    root = cmath.sqrt(w)
-    if root.imag > 0.0:
-        p = root
-    elif root.imag < 0.0:
-        p = -root
-    else:
+    p = _branch(complex(v), t)
+    if not p.imag > 0.0:
         raise NonDecayingError(t=t, v=complex(v), mode_index=mode_index)
     return AttenuationExponent(p=p, mode_index=mode_index)
+
+
+def _branch(vc: complex, t: float) -> complex:
+    """The square root p of v^2/t - 1 the batched secular kernel picks: the
+    one with Im p > 0 if there is one, else the negated principal root.
+    v is squared by multiplication, as the kernel squares it; ``** 2``
+    raises ``OverflowError`` where the square overflows."""
+    root = cmath.sqrt(vc * vc / t - 1.0)
+    return root if root.imag > 0.0 else -root
 
 
 #: The constant blocks of D(p) = p^2 Q1 + p (Q2 + v V) + R0 + v R1 + v^2 R2
 #: and S(p) = p Q1 + S0 + v V: one block a line, its five rows split by "|",
 #: each entry the name of the coefficient there (``material_blocks``).  It
-#: is read once into ``_SLOTS``, so a table converts twenty values, not 175;
-#: ``secular_matrix`` builds ten tables per speed.
+#: is read once into ``_SLOTS``, so a table converts twenty values, not 175.
 _LAYOUT = """
 Q1: mu 0 e2 0 0 | 0 pw 0 e12 0 | e2 0 d2 0 0 | 0 e12 0 d 0 | 0 0 0 0 k
 Q2: 0 lm 0 ee 0 | lm 0 ee 0 0 | 0 ee 0 dd 0 | ee 0 dd 0 0 | 0 0 0 0 0
@@ -142,15 +145,22 @@ def material_blocks(M: MaterialCoefficients) -> tuple:
     which maps (U1, U2, A1, A2, B) to the fluxes (t21, t22, L21, L22, S2).
     S0 is not symmetric in the couplings (lambda against (lambda+2mu)p, d3
     against d1, eps1 against eps2): its rows follow the constitutive fluxes
-    through the surface x2 = 0.
+    through the surface x2 = 0.  The blocks are built on first use and kept
+    on the (frozen) material as read-only arrays.
     """
+    return M.memo("_material_blocks", _build_blocks)
+
+
+def _build_blocks(M: MaterialCoefficients) -> tuple:
     value = {
         "0": 0.0, "lam": M.lam, "mu": M.mu, "pw": M.p_wave_modulus, "lm": M.lam + M.mu,
         "e1": M.eps1, "e2": M.eps2, "e12": M.eps_long, "ee": M.eps1 + M.eps2,
         "d": M.d, "d1": M.d1, "d2": M.d2, "d3": M.d3, "dd": M.d1 + M.d3, "k": M.k,
         "beta": M.beta, "m": M.m, "-rho": -M.rho, "-b": -M.b, "-a": -M.a,
     }
-    return tuple(np.array([value[name] for name in _NAMES], dtype=complex)[_SLOTS])
+    table = np.array([value[name] for name in _NAMES], dtype=complex)[_SLOTS]
+    table.flags.writeable = False
+    return tuple(table)
 
 
 def assemble_Dp(M: MaterialCoefficients, v: ComplexSpeed, p: complex) -> Matrix5:
@@ -306,22 +316,23 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
     ------
     UnsupportedCouplingError, DomainError
         Propagated from ``kernel_row``.
-    NonDecayingError
-        Propagated from the branch selection.
     numpy.linalg.LinAlgError
         If D(p_k) has a non-finite entry, an overflow at a huge speed; the
-        SVD is not run on it.
+        SVD is not run on it.  As in the batched kernel, this outranks a
+        non-decaying branch: D(p_k) is built at the kernel's branch first.
+    NonDecayingError
+        Propagated from the branch selection.
     DegenerateKernelError
         If the numeric kernel of D(p_k) does not have dimension one, or the
         closed form degenerates to the zero vector.
     """
     rows = kernel_row(M, r)
-    ae = p_from_t(v, r.t, r.index)
+    vc = complex(v)
     with np.errstate(all="ignore"):
-        D = assemble_Dp(M, v, ae.p)
+        D = assemble_Dp(M, v, _branch(vc, r.t))
     if not np.isfinite(D).all():
         raise np.linalg.LinAlgError(f"propagation matrix of mode {r.index} is not finite")
-    vc = complex(v)
+    ae = p_from_t(v, r.t, r.index)
     u = np.array([x + ae.p * y + vc * z for x, y, z in zip(*rows)])
     if not np.any(u):
         raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")

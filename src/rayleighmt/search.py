@@ -5,13 +5,15 @@ strict interior local minima seed the refinement.  Each seed is polished
 by Muller's method on the complex determinant det A, clamped to the
 quadrant; when that fails to land on an accepted root, a clamped
 Nelder-Mead simplex on F takes over.  Both stages work on the complex
-speed v itself, down to ``DIAMETER_TOL``.  Every refinement step asks
-the batched kernel (``point_dets``) for all the speeds it may need in one
-call: the three start points, each Muller iterate, the four candidates of
-a simplex iteration, the two vertices of a shrink.  Refined minima are
-accepted as surface-wave roots when the secular determinant is small
-against the typical determinant magnitude of the scan; the mode weights
-come from the matrix already computed at the refined point.
+speed v itself, down to ``DIAMETER_TOL``.  A refinement step asks for
+all the speeds it may need at once: the three start points, a Muller
+iterate, the four candidates of a simplex iteration, the two vertices of a
+shrink.  All seeds step in lockstep, so each step of every seed together
+is one call of the batched kernel (``point_dets``); a speed's value does
+not depend on the call, so each seed ends where it would alone.  Refined
+minima are accepted as surface-wave roots when the secular determinant is
+small against the typical determinant magnitude of the scan; the mode
+weights come from the matrix already computed at the refined point.
 """
 
 from __future__ import annotations
@@ -209,19 +211,19 @@ def _clamp(z: complex) -> complex:
     return complex(max(z.real, 0.0), min(z.imag, 0.0))
 
 
-def _muller(M: MaterialCoefficients, z: list, start: list, opts: RefineOptions,
-            evals: list):
+def _muller(z: list, start: list, opts: RefineOptions, evals: list):
     """Muller iterates on det A from three complex start speeds.
 
-    ``start`` holds the ``point_dets`` entries of the three start speeds;
-    each later iterate is one ``point_dets`` call of its own.  Each step
-    fits a parabola through the last three points by divided differences,
-    takes the root nearer the newest point (the denominator of larger
-    modulus) and clamps it into the quadrant.  Returns the evaluated speed
-    of smallest |det| with its entry, ``(z, (det, A))``, once a step is at
-    most ``DIAMETER_TOL`` or the determinant vanishes, and None when the
-    simplex must take over: an undefined evaluation, a vanishing
-    denominator, a step out of the disc around the seed, or the cap.
+    A generator: ``start`` holds the ``point_dets`` entries of the three
+    start speeds, and each later iterate is yielded as a one-speed list,
+    to be sent back its entries.  Each step fits a parabola through the
+    last three points by divided differences, takes the root nearer the
+    newest point (the denominator of larger modulus) and clamps it into the
+    quadrant.  Returns the evaluated speed of smallest |det| with its
+    entry, ``(z, (det, A))``, once a step is at most ``DIAMETER_TOL`` or
+    the determinant vanishes, and None when the simplex must take over: an
+    undefined evaluation, a vanishing denominator, a step out of the disc
+    around the seed, or the cap.
     """
     if any(entry is None for entry in start):
         return None
@@ -244,7 +246,7 @@ def _muller(M: MaterialCoefficients, z: list, start: list, opts: RefineOptions,
             return None
         if abs(z_new - z[2]) <= DIAMETER_TOL:
             break
-        (entry,) = point_dets(M, [z_new])
+        (entry,) = yield [z_new]
         evals[0] += 1
         if entry is None:
             return None
@@ -265,17 +267,17 @@ def _objective(entry) -> tuple:
     return (math.inf, None) if entry is None else (objective_from_det(entry[0]), entry[1])
 
 
-def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
-                 evals: list) -> tuple:
+def _nelder_mead(simplex: list, values: list, evals: list):
     """Clamped Nelder-Mead on F from a start simplex of speeds and their
     ``(F, A)`` values.
 
     Reflection, expansion, contraction and shrink coefficients are 1, 2,
     0.5, 0.5; every candidate vertex is clamped into the quadrant.  All four
     candidates of an iteration (reflected, expanded, outside and inside
-    contraction) are known before any is evaluated, so each iteration makes
-    one ``point_dets`` call on all four, and a shrink one more on its two new
-    vertices.  ``evals`` counts only the evaluations the one-at-a-time
+    contraction) are known before any is evaluated.  A generator: each
+    iteration yields all four as one list and is sent back their
+    ``point_dets`` entries, and a shrink yields its two new vertices the
+    same way.  ``evals`` counts only the evaluations the one-at-a-time
     algorithm consumes: 1 for an accepted reflection, 2 for an expansion or
     a contraction, 4 with a shrink.  The loop stops when the simplex
     diameter drops below ``DIAMETER_TOL`` or when the next iteration could
@@ -285,9 +287,6 @@ def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
 
     def diameter() -> float:
         return max(abs(p - q) for idx, p in enumerate(simplex) for q in simplex[idx + 1:])
-
-    def evaluated(zs: list) -> list:
-        return [_objective(entry) for entry in point_dets(M, zs)]
 
     # One iteration spends at most 4 evaluations (reflect, contract, shrink
     # pair), so stopping 4 short keeps the hard budget.
@@ -299,7 +298,8 @@ def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
         expanded = _clamp(3.0 * centroid - 2.0 * xw)
         outside = _clamp(centroid + 0.5 * (reflected - centroid))
         inside = _clamp(centroid + 0.5 * (xw - centroid))
-        at_r, at_e, at_out, at_in = evaluated([reflected, expanded, outside, inside])
+        entries = yield [reflected, expanded, outside, inside]
+        at_r, at_e, at_out, at_in = map(_objective, entries)
         evals[0] += 1
 
         if at_r[0] < values[best][0]:
@@ -323,7 +323,8 @@ def _nelder_mead(M: MaterialCoefficients, simplex: list, values: list,
                 xb = simplex[best]
                 for idx in (mid, worst):
                     simplex[idx] = _clamp(xb + 0.5 * (simplex[idx] - xb))
-                values[mid], values[worst] = evaluated([simplex[mid], simplex[worst]])
+                entries = yield [simplex[mid], simplex[worst]]
+                values[mid], values[worst] = map(_objective, entries)
 
     best = min(range(3), key=lambda idx: values[idx][0])
     return simplex[best], values[best]
@@ -352,6 +353,64 @@ def _classify(z: complex, f: float, A, scale: float, opts: RefineOptions,
     )
 
 
+def _refine(v0: ComplexSpeed, opts: RefineOptions):
+    """The refinement of one seed (``refine_minimum``) as a generator: it
+    yields the list of speeds each step needs, is sent back their
+    ``point_dets`` entries, and returns the ``RayleighRoot``."""
+    z0 = _clamp(complex(v0))
+    hx, hy = opts.initial_step
+    simplex = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
+    start = yield simplex
+    evals = [len(simplex)]
+    values = [_objective(entry) for entry in start]
+    f_values = [f for f, _ in values]
+    if all(math.isinf(f) for f in f_values):
+        raise StartFailureError(
+            f"objective undefined at seed v = {complex(v0)!r} and all perturbations"
+        )
+    f_seed = min(f_values)
+    scale = opts.det_scale
+    if scale is None:
+        scale = math.exp(f_seed) if f_seed < 700.0 else math.inf
+
+    polished = yield from _muller(simplex, start, opts, evals)
+    if polished is not None:
+        z_best, (det, A) = polished
+        root = _classify(z_best, objective_from_det(det), A, scale, opts, evals[0])
+        if root.classification == "converged":
+            return root
+    z_best, (f_best, A) = yield from _nelder_mead(simplex, values, evals)
+    return _classify(z_best, f_best, A, scale, opts, evals[0])
+
+
+def _refine_lockstep(M: MaterialCoefficients, seeds: list, opts: RefineOptions) -> list:
+    """Refine every seed at once: each round makes one ``point_dets`` call
+    on the speeds all unfinished seeds ask for and sends each seed its
+    entries.  A speed's entry does not depend on the call it is in, so every
+    seed takes the steps it takes alone.  Returns one ``RayleighRoot`` per
+    seed, or the ``StartFailureError`` of a seed whose start points are all
+    undefined."""
+    runs = [_refine(seed, opts) for seed in seeds]
+    asks = [next(run) for run in runs]
+    results = [None] * len(runs)
+    live = range(len(runs))
+    while live:
+        entries = point_dets(M, [z for k in live for z in asks[k]])
+        at, still = 0, []
+        for k in live:
+            n = len(asks[k])
+            try:
+                asks[k] = runs[k].send(entries[at:at + n])
+                still.append(k)
+            except StopIteration as done:
+                results[k] = done.value
+            except StartFailureError as exc:
+                results[k] = exc
+            at += n
+        live = still
+    return results
+
+
 def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
                    opts: RefineOptions = RefineOptions()) -> RayleighRoot:
     """Refine a seed speed by Muller's method, with a simplex fallback.
@@ -367,7 +426,8 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     the three start points and their values, with the evaluations Muller
     left of ``MAX_EVALS``; its best vertex never worsens the seed
     value.  ``iterations`` counts the evaluations of both stages, as
-    ``_nelder_mead`` counts them.
+    ``_nelder_mead`` counts them.  Each step is one ``point_dets`` call:
+    this is the lockstep refinement of ``find_rayleigh`` run on one seed.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
@@ -381,31 +441,10 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
         If the objective is undefined at the seed and at both initial
         perturbations.
     """
-
-    z0 = _clamp(complex(v0))
-    hx, hy = opts.initial_step
-    simplex = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
-    start = point_dets(M, simplex)
-    evals = [len(simplex)]
-    values = [_objective(entry) for entry in start]
-    f_values = [f for f, _ in values]
-    if all(math.isinf(f) for f in f_values):
-        raise StartFailureError(
-            f"objective undefined at seed v = {complex(v0)!r} and all perturbations"
-        )
-    f_seed = min(f_values)
-    scale = opts.det_scale
-    if scale is None:
-        scale = math.exp(f_seed) if f_seed < 700.0 else math.inf
-
-    polished = _muller(M, simplex, start, opts, evals)
-    if polished is not None:
-        z_best, (det, A) = polished
-        root = _classify(z_best, objective_from_det(det), A, scale, opts, evals[0])
-        if root.classification == "converged":
-            return root
-    z_best, (f_best, A) = _nelder_mead(M, simplex, values, evals)
-    return _classify(z_best, f_best, A, scale, opts, evals[0])
+    (root,) = _refine_lockstep(M, [v0], opts)
+    if isinstance(root, StartFailureError):
+        raise root
+    return root
 
 
 #: Roots closer than this in the complex plane count as duplicates.
@@ -426,7 +465,10 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
     initial step of a quarter grid cell, removes duplicates closer
     than ``DEDUP_TOL`` (keeping the lower objective value), and returns the
     roots sorted by objective value.  Convergence is judged against the
-    median determinant magnitude of the scan.
+    median determinant magnitude of the scan.  The seeds are refined in
+    lockstep, one ``point_dets`` call per step for all of them; each root
+    is the one ``refine_minimum`` gives its seed, and a seed whose start
+    points are all undefined is dropped.
 
     Raises
     ------
@@ -449,15 +491,9 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
     )
     res = grid.window.re_values()
     ims = grid.window.im_values()
-
-    refined = []
-    for i, j in seeds:
-        seed = ComplexSpeed(res[i], -ims[j])
-        try:
-            refined.append(refine_minimum(M, seed, opts))
-        except StartFailureError:
-            continue
-
+    refined = [root for root in _refine_lockstep(
+        M, [ComplexSpeed(res[i], -ims[j]) for i, j in seeds], opts)
+        if isinstance(root, RayleighRoot)]
     refined.sort(key=lambda root: root.f_value)
     kept = []
     for root in refined:

@@ -8,25 +8,26 @@ surface flux-free, i.e. when the 5x5 secular matrix A is singular.  The
 search objective is F = ln |det A|.
 
 A solve builds A one way only, by one batched kernel over arrays of speeds
-(``secular_objective`` for the scan, ``point_dets`` for the few speeds of
-a refinement step; ``point_matrix``, ``point_det`` and ``objective_F`` are
-its one-point calls) built on material-only data computed once per
-material, the blocks of D(p) and S(p) among them; the mode weights of a
-root (``amplitudes``) come from it too.  It builds the propagation matrix
-D(p_k) of a depth mode only for the two checks that need it: the SVD that
-D(p_k) has a one-dimensional kernel, run only where p_k^2 nears another
-p_j^2 (``GAP_SCREEN``; elsewhere the factorization of det D(p) guarantees
-it), and the check that D(p_k) is finite, run only where a bound from the
-material's constant blocks cannot rule out overflow (elsewhere every entry
-is provably finite).  The batched calls ask only whether some mode fails at
+(``secular_objective`` for the scan, ``point_dets`` for the speeds one
+refinement step of every seed needs; ``point_matrix``, ``point_det`` and
+``objective_F`` are its one-point calls) built on material-only data
+computed once per material, the blocks of D(p) and S(p) among them; the
+mode weights of a root (``amplitudes``) come from it too.  The kernel
+builds the propagation matrix D(p_k) of a depth mode only for the two
+checks that need it: the SVD that D(p_k) has a one-dimensional kernel, run
+only where p_k^2 nears another p_j^2 (``GAP_SCREEN``; elsewhere the
+factorization of det D(p) guarantees it), and the check that D(p_k) is
+finite, run only where a bound from the material's constant blocks cannot
+rule out overflow (elsewhere every entry is provably finite).  The batched calls ask only whether some mode fails at
 each speed (``SecularKernel.defined_matrices``); which mode fails, and how,
 is ranked only for the typed error of a one-point call
 (``SecularKernel.matrices``).
 ``secular_matrix`` assembles A one speed at a time from ``mode_vector``:
 the verification route, which ``field_eval`` and ``boundary_residual`` use
 so that a kernel root is checked by a separate assembly.  Both routes read
-the closed forms of ``modes.kernel_row``; the tests check those against
-the SVD nullspace of D(p_k).
+the closed forms of ``modes.kernel_row`` and the blocks, which are cached
+on the material; the tests check the closed forms against the SVD
+nullspace of D(p_k).
 """
 
 from __future__ import annotations
@@ -152,7 +153,13 @@ class SecularKernel:
     The closed-form kernel vector of mode k is u_k = u0_k + p_k u1_k +
     v u2_k, with the rows of ``modes.kernel_row`` for the material's
     coupling regime.  The rows of A need only u_k and S(p_k); D(p_k) is
-    built only for the failure checks of ``_evaluate``.
+    built only for the failure checks of ``_evaluate``.  The transposes of
+    Q1, S0 and V are stored contiguous, so the constant product u Q1^T over
+    every mode of every speed is one matrix product.  Every component of
+    u_k takes one term of u0, p u1 and v u2 at most (``kernel_row``), so a
+    mode whose u0 holds a component that u1 and u2 leave zero never has
+    u_k = 0; ``can_vanish`` marks the other modes, the only ones checked
+    for a vanishing closed form (none, for a general material).
     """
 
     roots: tuple  # ModeRoot, indices 1..5
@@ -160,8 +167,12 @@ class SecularKernel:
     u0: np.ndarray  # (5 modes, 5 components)
     u1: np.ndarray
     u2: np.ndarray
+    can_vanish: np.ndarray  # (5,) bool
     delta: np.ndarray  # (5,) min over j != k of |1/t_k - 1/t_j|
     blocks: tuple  # modes.material_blocks
+    q1T: np.ndarray  # Q1^T, S0^T and V^T, C-contiguous
+    s0T: np.ndarray
+    vT: np.ndarray
     d_reach: float  # 1 + |p| + |v| below which D(p) cannot overflow
 
     @classmethod
@@ -180,34 +191,40 @@ class SecularKernel:
         # the largest double, which leaves room for rounding, so D(p) is
         # finite there and is not built just to check it.
         b = max(float(np.abs(x).max()) for x in blocks[:6])
-        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, delta=inv.min(axis=1),
-                   blocks=blocks, d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
+        q1, _, v_lin, _, _, _, s0 = blocks
+        lone = (u0 != 0.0) & (u1 == 0.0) & (u2 == 0.0)
+        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
+                   delta=inv.min(axis=1), blocks=blocks, q1T=q1.T.copy(), s0T=s0.T.copy(),
+                   vT=v_lin.T.copy(), d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
 
     def _evaluate(self, v: np.ndarray) -> tuple:
         """``(A, failing)`` at admissible complex speeds v, shape (n,).
 
         ``A`` is the (n, 5, 5) stack whose column k is S(p_k) u_k, and
         ``failing`` maps each failure kind to the (n, 5) mask of the modes
-        that fail that way.  The two kinds that need D(p_k) are left out
-        when no D(p_k) is built.  A depth mode's
-        D(p_k) is built only for the two checks that need it: the
-        kernel-dimension SVD, run only where the gap
+        that fail that way.  ``ZERO_KERNEL`` is left out when no mode
+        ``can_vanish``, and the two kinds that need D(p_k) when no D(p_k) is
+        built.  A depth mode's D(p_k) is built only for the two checks that
+        need it: the kernel-dimension SVD, run only where the gap
         |v|^2 delta_k / |p_k|^2 = min_j |p_k^2 - p_j^2| / |p_k|^2 is below
         ``GAP_SCREEN`` or NaN (everywhere else the kernel is
         one-dimensional), and the finiteness check, run only where
         1 + |p_k| + |v| reaches ``d_reach`` or is NaN (everywhere else no
         entry of D(p_k) can overflow).
         """
-        q1, q2, v_lin, r0, r1, r2, s0 = self.blocks
+        q1, q2, v_lin, r0, r1, r2, _ = self.blocks
         with np.errstate(all="ignore"):
             vv = v[:, None]
             root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
             p = np.where(root.imag > 0.0, root, -root)
             pp, vm = p[..., None], vv[..., None]
             u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
-            sv = s0 + vm * v_lin  # the v-dependent part of S(p)
-            rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)  # row k: S(p_k) u_k
-            failing = {NON_DECAYING: root.imag == 0.0, ZERO_KERNEL: ~u.any(axis=-1)}
+            svT = self.s0T + vm * self.vT  # the v-dependent part of S(p), transposed
+            uq = (u.reshape(-1, 5) @ self.q1T).reshape(u.shape)
+            rows = pp * uq + u @ svT  # row k: S(p_k) u_k
+            failing = {NON_DECAYING: root.imag == 0.0}
+            if self.can_vanish.any():
+                failing[ZERO_KERNEL] = ~u.any(axis=-1) & self.can_vanish
 
             abs_p, abs_v = np.abs(p), np.abs(vv)
             wide = abs_v ** 2 * self.delta / abs_p ** 2 >= GAP_SCREEN
@@ -290,11 +307,7 @@ def secular_kernel(M: MaterialCoefficients) -> SecularKernel:
     ``UnsupportedCouplingError`` for a material no closed-form kernel
     covers (DEGENERATE, or GENERAL with eps2 = 0).
     """
-    kernel = vars(M).get("_secular_kernel")
-    if kernel is None:
-        kernel = SecularKernel.build(M)
-        object.__setattr__(M, "_secular_kernel", kernel)
-    return kernel
+    return M.memo("_secular_kernel", SecularKernel.build)
 
 
 def _admissible(v: np.ndarray) -> np.ndarray:

@@ -88,6 +88,17 @@ def test_propagation_matrix_at_p_zero(reference):
     assert Q1[4, 4] == reference.k
 
 
+def test_material_blocks_are_kept_read_only(reference):
+    # built once per material and shared by every D(p) and S(p) assembly
+    blocks = material_blocks(reference)
+    assert material_blocks(reference) is blocks
+    assert not any(block.flags.writeable for block in blocks)
+    with pytest.raises(ValueError):
+        blocks[0][4, 4] = 0.0
+    changed = material_blocks(reference.replace(k=2.0 * reference.k))
+    assert changed[0][4, 4] == 2.0 * reference.k and blocks[0][4, 4] == reference.k
+
+
 def test_determinant_factorizes():
     rng = np.random.default_rng(7)
     for _ in range(100):

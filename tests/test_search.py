@@ -229,7 +229,12 @@ def test_refine_muller_polish_is_cheap(reference):
 
 def _simplex_only(monkeypatch):
     """Make refine_minimum skip the Muller stage and run the simplex alone."""
-    monkeypatch.setattr(search, "_muller", lambda *args: None)
+
+    def no_muller(*args):
+        return None
+        yield  # a generator, as the Muller stage is
+
+    monkeypatch.setattr(search, "_muller", no_muller)
 
 
 # the reference scan's seed next to the bulk speed sqrt(t4), with the
@@ -350,6 +355,76 @@ def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
     for branch in ("handover", "expansion", "outside_contraction", "inside_contraction",
                    "shrink"):
         assert helpers.BRANCHES[branch] > 0, branch
+
+
+def _find_rayleigh_seed_by_seed(M, w):
+    """``find_rayleigh`` with each seed refined by a ``refine_minimum`` call
+    of its own, on the seeds and options ``find_rayleigh`` gives them."""
+    grid = grid_scan(M, w)
+    dx, dy = w.cell_size()
+    opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0),
+                         det_scale=grid_median_det(grid))
+    roots = []
+    for i, j in search.local_minima(grid):
+        try:
+            roots.append(refine_minimum(M, ComplexSpeed(w.re_values()[i], -w.im_values()[j]),
+                                        opts))
+        except StartFailureError:
+            continue
+    roots.sort(key=lambda root: root.f_value)
+    kept = []
+    for root in roots:
+        if all(abs(complex(root.v) - complex(other.v)) > DEDUP_TOL for other in kept):
+            kept.append(root)
+    return kept
+
+
+def test_lockstep_refinement_matches_seed_by_seed(reference):
+    # find_rayleigh refines all its seeds in one kernel call per step; every
+    # seed must take the steps it takes alone
+    rng = np.random.default_rng(103)
+    cases = [(reference, default_window(reference))]
+    cases += [(M, default_window(M, nx=64, ny=32)) for M in
+              (random_material(rng) for _ in range(8))]
+    seeds, kinds = 0, Counter()
+    for M, w in cases:
+        ours, theirs = find_rayleigh(M, w), _find_rayleigh_seed_by_seed(M, w)
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            _assert_same_root(a, b)
+        seeds += len(local_minima(grid_scan(M, w)))
+        kinds.update(root.classification for root in ours)
+    assert seeds > 2 * len(cases)
+    assert kinds["converged"] > 0 and kinds["stagnated"] > 0
+
+
+def test_lockstep_refinement_drops_a_seed_that_cannot_start(reference, monkeypatch):
+    # a seed whose start points are all undefined is dropped without
+    # changing what the other seeds find
+    w = default_window(reference)
+    expected = find_rayleigh(reference, w)
+    z_bad = complex(w.re_values()[2], w.im_values()[2])  # far from every minimum
+    lattice_minima, kernel_dets = search.local_minima, search.point_dets
+    asked = []
+
+    def local_minima_and_bad(grid):
+        minima = lattice_minima(grid)
+        return minima[:1] + [(2, 2)] + minima[1:]
+
+    def point_dets(M, zs):
+        near = [abs(z - z_bad) < 0.05 for z in zs]
+        asked.extend(z for z, bad in zip(zs, near) if bad)
+        return [None if bad else entry for bad, entry in zip(near, kernel_dets(M, zs))]
+
+    monkeypatch.setattr(search, "local_minima", local_minima_and_bad)
+    monkeypatch.setattr(search, "point_dets", point_dets)
+    got = find_rayleigh(reference, w)
+    assert len(asked) == 3  # the three start points, then the seed is dropped
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        _assert_same_root(a, b)
+    with pytest.raises(StartFailureError):
+        refine_minimum(reference, ComplexSpeed.from_complex(z_bad))
 
 
 def test_find_rayleigh_reference(reference, solved_reference):

@@ -26,13 +26,14 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import secular
-from rayleighmt.modes import NULLSPACE_RTOL
+from rayleighmt.modes import NULLSPACE_RTOL, kernel_row
 from rayleighmt.secular import (
     F_SENTINEL,
     KERNEL_DIMENSION,
     NON_DECAYING,
     NOT_FINITE,
     ZERO_KERNEL,
+    SecularKernel,
     det_elimination,
     nullspace_amplitude,
     objective_from_det,
@@ -432,21 +433,64 @@ def _lean_cases(reference):
     return cases
 
 
-def test_lean_kernel_matches_full_d_kernel(reference):
-    # D(p_k) built only for the screened SVD and the overflow guard gives
-    # the same matrices and verdicts as building it for every mode
+#: Speeds down to |v| = 1e-300, where v^2 underflows and every p_k is i.
+TINY_SPEEDS = (np.logspace(-300, -1, 150)[:, None]
+               * np.exp(-1j * np.array([0.0, 0.4, 1.0, 1.5]))).ravel()
+
+
+def _edge_cases(materials):
+    """Each material on its 64x32 lattice, on ``HUGE_SPEEDS``, on the real
+    axis up to twice its fastest bulk speed (with both signs of zero) and on
+    ``TINY_SPEEDS``."""
+    for M in materials:
+        c = math.sqrt(max(mode_speeds(M).t_values()))
+        w = default_window(M, nx=64, ny=32)
+        yield M, (w.re_values()[:, None] + 1j * w.im_values()).ravel()
+        yield M, HUGE_SPEEDS
+        yield M, np.array([complex(x, zero) for x in np.linspace(0.0, 2.0 * c, 201)[1:]
+                           for zero in (0.0, -0.0)])
+        yield M, TINY_SPEEDS
+
+
+def _assert_matches_full_d_kernel(kernel, v):
+    A, mode, kind = kernel.matrices(v)
+    A_ref, mode_ref, kind_ref, _ = full_d_matrices(kernel, v)
+    assert np.array_equal(A, A_ref, equal_nan=True)
+    assert np.array_equal(mode, mode_ref)
+    assert np.array_equal(kind, kind_ref)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(np.linalg.det(A), np.linalg.det(A_ref), equal_nan=True)
+    return set(kind.tolist())
+
+
+def test_lean_kernel_matches_full_d_kernel(reference, case_i_material, case_ii_material,
+                                           case_iii_material):
+    # D(p_k) built only for the screened SVD and the overflow guard, the
+    # vanishing closed form checked only where it can vanish, and the
+    # constant S-block product as one matrix product give the same matrices
+    # and verdicts as building everything for every mode
     kinds = set()
-    for M, v in _lean_cases(reference):
-        kernel = secular_kernel(M)
-        A, mode, kind = kernel.matrices(v)
-        A_ref, mode_ref, kind_ref, _ = full_d_matrices(kernel, v)
-        assert np.array_equal(A, A_ref, equal_nan=True)
-        assert np.array_equal(mode, mode_ref)
-        assert np.array_equal(kind, kind_ref)
-        with np.errstate(all="ignore"):
-            assert np.array_equal(np.linalg.det(A), np.linalg.det(A_ref), equal_nan=True)
-        kinds.update(kind.tolist())
+    cases = list(_lean_cases(reference)) + list(_edge_cases(
+        [reference, case_i_material, case_ii_material, case_iii_material]))
+    for M, v in cases:
+        kinds |= _assert_matches_full_d_kernel(secular_kernel(M), v)
     assert {NON_DECAYING, KERNEL_DIMENSION, NOT_FINITE} <= kinds
+    # no mode of these materials has a closed form that can vanish
+    assert not any(secular_kernel(M).can_vanish.any() for M, _ in cases)
+
+
+def test_lean_kernel_flags_a_vanishing_closed_form(reference, monkeypatch):
+    # a mode whose closed form is all zeros is the one the kernel must still
+    # check, and it fails as ZERO_KERNEL unless an earlier mode fails
+    rows = {r.index: kernel_row(reference, r) for r in mode_speeds(reference).roots}
+    rows[2] = ((0.0,) * 5,) * 3
+    monkeypatch.setattr(secular, "kernel_row", lambda M, r: rows[r.index])
+    kernel = SecularKernel.build(reference)
+    assert kernel.can_vanish.tolist() == [False, True, False, False, False]
+    kinds = set()
+    for _, v in _edge_cases([reference]):
+        kinds |= _assert_matches_full_d_kernel(kernel, v)
+    assert {ZERO_KERNEL, NON_DECAYING} <= kinds
 
 
 def test_defined_mask_matches_ranked_mode(reference):
@@ -464,14 +508,19 @@ def test_huge_speed_fails_alike_on_both_routes(reference, capfd):
     # D(p_1) overflows here: the verification route must not hand it to
     # LAPACK's SVD, which prints to stdout, and must name the failure the
     # batched kernel names
-    v = ComplexSpeed(1e154, 3e153)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError, match="mode 1 is not finite"):
-            secular_matrix(reference, v)
-        with pytest.raises(ModeFailureError) as err:
-            point_det(reference, v.v_r, v.v_i)
-    assert err.value.cause_name == "LinAlgError"
+    for v in (ComplexSpeed(1e154, 3e153),
+              ComplexSpeed(1e160, 0.0),  # v^2 overflows; complex ** 2 raised OverflowError
+              ComplexSpeed(1e155, 3e154)):  # v^2 overflows off the axis; ** 2 gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="mode 1 is not finite"):
+                secular_matrix(reference, v)
+            with pytest.raises(np.linalg.LinAlgError, match="mode 1 is not finite"):
+                boundary_residual(reference, v, np.ones(5), 1.0)
+            with pytest.raises(ModeFailureError) as err:
+                point_det(reference, v.v_r, v.v_i)
+        assert err.value.cause_name == "LinAlgError"
+        assert "mode 1 is not finite" in str(err.value)
     assert capfd.readouterr().out == ""
 
 
