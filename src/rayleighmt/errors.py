@@ -70,7 +70,9 @@ class UnsupportedCouplingError(RayleighError):
 
 
 class DegenerateKernelError(RayleighError):
-    """The propagation matrix kernel does not have dimension one."""
+    """A mode has no usable kernel vector: the SVD of the verification route
+    (``modes.mode_vector``) finds a kernel of D(p_k) whose dimension is not
+    one, or a closed-form kernel vector vanishes."""
 
 
 class ModeFailureError(RayleighError):

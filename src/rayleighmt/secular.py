@@ -12,16 +12,16 @@ A solve builds A one way only, by one batched kernel over arrays of speeds
 refinement step of every seed needs; ``point_matrix``, ``point_det`` and
 ``objective_F`` are its one-point calls) built on material-only data
 computed once per material, the blocks of D(p) and S(p) among them; the
-mode weights of a root (``amplitudes``) come from it too.  The kernel
-builds the propagation matrix D(p_k) of a depth mode only for the two
-checks that need it: the SVD that D(p_k) has a one-dimensional kernel, run
-only where p_k^2 nears another p_j^2 (``GAP_SCREEN``; elsewhere the
-factorization of det D(p) guarantees it), and the check that D(p_k) is
-finite, run only where a bound from the material's constant blocks cannot
-rule out overflow (elsewhere every entry is provably finite).  The batched calls ask only whether some mode fails at
-each speed (``SecularKernel.defined_matrices``); which mode fails, and how,
-is ranked only for the typed error of a one-point call
-(``SecularKernel.matrices``).
+mode weights of a root (``amplitudes``) come from it too.  The kernel does
+not check that D(p_k) has a one-dimensional kernel: det D(p) is det Q1
+times prod_j (p^2 - p_j^2) and ``mode_speeds`` keeps the t_j distinct, so
+at an admissible speed p_k^2 is a simple root and the kernel is a line.
+It builds the propagation matrix D(p_k) only to check that it is finite,
+and only where a bound from the material's constant blocks cannot rule
+out overflow (elsewhere every entry is provably finite).  The batched
+calls ask only whether some mode fails at each speed
+(``SecularKernel.defined_matrices``); which mode fails, and how, is ranked
+only for the typed error of a one-point call (``SecularKernel.matrices``).
 ``secular_matrix`` assembles A one speed at a time from ``mode_vector``:
 the verification route, which ``field_eval`` and ``boundary_residual`` use
 so that a kernel root is checked by a separate assembly.  Both routes read
@@ -50,7 +50,6 @@ from .errors import (
 )
 from .material import MaterialCoefficients
 from .modes import (
-    NULLSPACE_RTOL,
     ComplexSpeed,
     Matrix5,
     kernel_row,
@@ -130,20 +129,10 @@ def objective_from_det(det: complex) -> float:
 
 
 #: Ways one mode can fail at one speed: no decaying branch, a vanishing
-#: closed form, a kernel of D(p_k) whose dimension is not one, and a D(p_k)
-#: with a non-finite entry (an overflow at a huge speed; ``mode_vector``
-#: checks it before the closed form, so it never runs the SVD on one).  The
-#: batched kernel runs the dimension check's SVD only where ``GAP_SCREEN``
-#: lets it through, and ranks a non-finite D(p_k) above every other failure
-#: at its speed.
-NON_DECAYING, ZERO_KERNEL, KERNEL_DIMENSION, NOT_FINITE = 1, 2, 3, 4
-
-#: Relative gap min_j |p_k^2 - p_j^2| / |p_k|^2 at and above which the
-#: kernel of D(p_k) is taken as one-dimensional without an SVD.  det D(p)
-#: is a constant times prod_j (p^2 - p_j^2), so a second null direction
-#: needs p_k^2 to near another p_j^2; on seeded random materials
-#: sigma_4 / sigma_1 stayed above 1e3 * NULLSPACE_RTOL at this gap and up.
-GAP_SCREEN = 1e-3
+#: closed form, and a D(p_k) with a non-finite entry (an overflow at a huge
+#: speed).  The batched kernel ranks a non-finite D(p_k) above every other
+#: failure at its speed.
+NON_DECAYING, ZERO_KERNEL, NOT_FINITE = 1, 2, 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +142,7 @@ class SecularKernel:
     The closed-form kernel vector of mode k is u_k = u0_k + p_k u1_k +
     v u2_k, with the rows of ``modes.kernel_row`` for the material's
     coupling regime.  The rows of A need only u_k and S(p_k); D(p_k) is
-    built only for the failure checks of ``_evaluate``.  The transposes of
+    built only for the overflow check of ``_evaluate``.  The transposes of
     Q1, S0 and V are stored contiguous, so the constant product u Q1^T over
     every mode of every speed is one matrix product.  Every component of
     u_k takes one term of u0, p u1 and v u2 at most (``kernel_row``), so a
@@ -168,7 +157,6 @@ class SecularKernel:
     u1: np.ndarray
     u2: np.ndarray
     can_vanish: np.ndarray  # (5,) bool
-    delta: np.ndarray  # (5,) min over j != k of |1/t_k - 1/t_j|
     blocks: tuple  # modes.material_blocks
     q1T: np.ndarray  # Q1^T, S0^T and V^T, C-contiguous
     s0T: np.ndarray
@@ -180,8 +168,6 @@ class SecularKernel:
         roots = mode_speeds(M).roots
         u0, u1, u2 = np.array([kernel_row(M, r) for r in roots]).swapaxes(0, 1)
         t = np.array([r.t for r in roots])
-        inv = np.abs(1.0 / t[:, None] - 1.0 / t)
-        np.fill_diagonal(inv, np.inf)
         blocks = material_blocks(M)
         # With b the largest entry modulus of Q1, Q2, V, R0, R1 and R2, every
         # intermediate of D(p) = p (p Q1 + (Q2 + v V)) + (R0 + v (R1 + v R2))
@@ -194,8 +180,8 @@ class SecularKernel:
         q1, _, v_lin, _, _, _, s0 = blocks
         lone = (u0 != 0.0) & (u1 == 0.0) & (u2 == 0.0)
         return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
-                   delta=inv.min(axis=1), blocks=blocks, q1T=q1.T.copy(), s0T=s0.T.copy(),
-                   vT=v_lin.T.copy(), d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
+                   blocks=blocks, q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy(),
+                   d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
 
     def _evaluate(self, v: np.ndarray) -> tuple:
         """``(A, failing)`` at admissible complex speeds v, shape (n,).
@@ -203,14 +189,10 @@ class SecularKernel:
         ``A`` is the (n, 5, 5) stack whose column k is S(p_k) u_k, and
         ``failing`` maps each failure kind to the (n, 5) mask of the modes
         that fail that way.  ``ZERO_KERNEL`` is left out when no mode
-        ``can_vanish``, and the two kinds that need D(p_k) when no D(p_k) is
-        built.  A depth mode's D(p_k) is built only for the two checks that
-        need it: the kernel-dimension SVD, run only where the gap
-        |v|^2 delta_k / |p_k|^2 = min_j |p_k^2 - p_j^2| / |p_k|^2 is below
-        ``GAP_SCREEN`` or NaN (everywhere else the kernel is
-        one-dimensional), and the finiteness check, run only where
-        1 + |p_k| + |v| reaches ``d_reach`` or is NaN (everywhere else no
-        entry of D(p_k) can overflow).
+        ``can_vanish``, and ``NOT_FINITE`` when no D(p_k) is built.  A depth
+        mode's D(p_k) is built only to check that it is finite, and only
+        where 1 + |p_k| + |v| reaches ``d_reach`` or is NaN (everywhere else
+        no entry of D(p_k) can overflow).
         """
         q1, q2, v_lin, r0, r1, r2, _ = self.blocks
         with np.errstate(all="ignore"):
@@ -225,24 +207,13 @@ class SecularKernel:
             failing = {NON_DECAYING: root.imag == 0.0}
             if self.can_vanish.any():
                 failing[ZERO_KERNEL] = ~u.any(axis=-1) & self.can_vanish
-
-            abs_p, abs_v = np.abs(p), np.abs(vv)
-            wide = abs_v ** 2 * self.delta / abs_p ** 2 >= GAP_SCREEN
-            build = ~(wide & (1.0 + abs_p + abs_v < self.d_reach))
+            build = ~(1.0 + np.abs(p) + np.abs(vv) < self.d_reach)
             if build.any():
                 at, k = np.nonzero(build)
                 pm, vs = p[at, k, None, None], v[at, None, None]
                 D = pm * (pm * q1 + (q2 + vs * v_lin)) + (r0 + vs * (r1 + vs * r2))
-                finite = np.isfinite(D).all(axis=(-2, -1))
-                svd = ~wide[at, k] & finite
-                degenerate = np.zeros(p.shape, dtype=bool)
-                if svd.any():
-                    s = np.linalg.svd(D[svd], compute_uv=False)
-                    degenerate[at[svd], k[svd]] = np.sum(
-                        s <= NULLSPACE_RTOL * s[:, :1], axis=-1) != 1
-                overflow = np.zeros(p.shape, dtype=bool)
-                overflow[at, k] = ~finite
-                failing[KERNEL_DIMENSION], failing[NOT_FINITE] = degenerate, overflow
+                failing[NOT_FINITE] = np.zeros(p.shape, dtype=bool)
+                failing[NOT_FINITE][at, k] = ~np.isfinite(D).all(axis=(-2, -1))
         return np.swapaxes(rows, 1, 2), failing
 
     def defined_matrices(self, v: np.ndarray) -> tuple:
@@ -260,10 +231,9 @@ class SecularKernel:
         Returns ``(A, mode, kind)``: ``A`` is the (n, 5, 5) stack whose
         column k is S(p_k) u_k, ``mode`` holds the index of the first mode
         that fails at each speed (0 where none does) and ``kind`` how it
-        fails (``NON_DECAYING``, ``ZERO_KERNEL``, ``KERNEL_DIMENSION`` or
-        ``NOT_FINITE``).  ``A`` is meaningless where ``mode`` is nonzero.
-        Only a typed error needs the ranking: the batched callers take
-        ``defined_matrices``.
+        fails (``NON_DECAYING``, ``ZERO_KERNEL`` or ``NOT_FINITE``).  ``A``
+        is meaningless where ``mode`` is nonzero.  Only a typed error needs
+        the ranking: the batched callers take ``defined_matrices``.
         """
         A, failing = self._evaluate(v)
         mode = np.zeros(len(v), dtype=int)
@@ -273,7 +243,7 @@ class SecularKernel:
             # a non-finite D(p_k) outranks every other failure at its speed;
             # otherwise the first failing mode is reported, by its first kind
             kinds = np.zeros((bad.size, 5), dtype=int)
-            for code in (KERNEL_DIMENSION, ZERO_KERNEL, NON_DECAYING):
+            for code in (ZERO_KERNEL, NON_DECAYING):
                 if code in failing:
                     kinds = np.where(failing[code][bad], code, kinds)
             if NOT_FINITE in failing:
@@ -292,11 +262,7 @@ class SecularKernel:
         if kind == ZERO_KERNEL:
             return DegenerateKernelError(
                 f"closed-form kernel vector vanishes for mode {mode}")
-        if kind == NOT_FINITE:
-            return np.linalg.LinAlgError(
-                f"propagation matrix of mode {mode} is not finite")
-        return DegenerateKernelError(
-            f"propagation matrix kernel at mode {mode} is not one-dimensional")
+        return np.linalg.LinAlgError(f"propagation matrix of mode {mode} is not finite")
 
 
 def secular_kernel(M: MaterialCoefficients) -> SecularKernel:

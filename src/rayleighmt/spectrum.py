@@ -100,7 +100,8 @@ def mode_speeds(M: MaterialCoefficients) -> RootSet:
     """All five squared mode speeds of a strongly elliptic material.
 
     Roots 1-2 come from the transverse factor and roots 3-5 from the cubic
-    factor, each group in descending order.
+    factor, each group in descending order.  They are computed on first use
+    and kept on the (frozen) material instance.
 
     Raises
     ------
@@ -111,6 +112,10 @@ def mode_speeds(M: MaterialCoefficients) -> RootSet:
     CommonRootError
         If the two factors share a root (gap below ``GAP_RTOL * b4``).
     """
+    return M.memo("_mode_speeds", _solve_mode_speeds)
+
+
+def _solve_mode_speeds(M: MaterialCoefficients) -> RootSet:
     C = derived_cubic(M)
     t1, t2 = roots_q2(M)
     t3, t4, t5 = roots_q3(C)

@@ -23,7 +23,6 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import search, secular
-from rayleighmt.modes import NULLSPACE_RTOL
 
 
 def random_material(rng, general=True):
@@ -194,15 +193,8 @@ def full_d_matrices(kernel, v):
         pm = pp[..., None]
         D = pm * (pm * q1 + q2v[:, None]) + rv[:, None]
         finite = np.isfinite(D).all(axis=(-2, -1))
-        gap = np.abs(vv) ** 2 * kernel.delta / np.abs(p) ** 2
-        check = ~(gap >= secular.GAP_SCREEN) & finite
-        dimension = np.ones(p.shape, dtype=int)
-        if check.any():
-            s = np.linalg.svd(D[check], compute_uv=False)
-            dimension[check] = np.sum(s <= NULLSPACE_RTOL * s[:, :1], axis=-1)
 
-        kind = np.where(dimension != 1, secular.KERNEL_DIMENSION, 0)
-        kind = np.where(u.any(axis=-1), kind, secular.ZERO_KERNEL)
+        kind = np.where(u.any(axis=-1), 0, secular.ZERO_KERNEL)
         kind = np.where(root.imag == 0.0, secular.NON_DECAYING, kind)
         kind = np.where(finite.all(axis=1, keepdims=True), kind,
                         np.where(finite, 0, secular.NOT_FINITE))

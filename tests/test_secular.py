@@ -26,10 +26,9 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import secular
-from rayleighmt.modes import NULLSPACE_RTOL, kernel_row
+from rayleighmt.modes import kernel_row
 from rayleighmt.secular import (
     F_SENTINEL,
-    KERNEL_DIMENSION,
     NON_DECAYING,
     NOT_FINITE,
     ZERO_KERNEL,
@@ -52,7 +51,6 @@ from helpers import (
     random_speed,
     reference_blocks,
     reference_Dp,
-    reference_propagation_blocks,
     reference_Sp,
 )
 
@@ -164,8 +162,7 @@ def test_kernel_failure_errors(reference):
     err = kernel.failure(0.9 + 0j, 2, NON_DECAYING)
     assert isinstance(err, NonDecayingError)
     assert (err.t, err.v, err.mode_index) == (mode_speeds(reference).roots[1].t, 0.9, 2)
-    for kind in (ZERO_KERNEL, KERNEL_DIMENSION):
-        assert isinstance(kernel.failure(0.9 + 0j, 3, kind), DegenerateKernelError)
+    assert isinstance(kernel.failure(0.9 + 0j, 3, ZERO_KERNEL), DegenerateKernelError)
 
 
 def test_secular_objective_batch(reference, case_i_material):
@@ -326,47 +323,6 @@ def test_boundary_residual_large_off_root(reference):
     assert res > 1e-3
 
 
-def _screen_lattices():
-    """Twelve seeded random materials with their 64x32 default lattices."""
-    rng = np.random.default_rng(59)
-    cases = []
-    for _ in range(12):
-        M = random_material(rng)
-        w = default_window(M, nx=64, ny=32)
-        cases.append((M, (w.re_values()[:, None] + 1j * w.im_values()).ravel()))
-    return cases
-
-
-def test_gap_screen_keeps_kernel_dimension_verdict(monkeypatch):
-    # an infinite screen sends every mode to the SVD, as before the screen
-    for M, v in _screen_lattices():
-        kernel = secular_kernel(M)
-        screened = kernel.matrices(v)
-        monkeypatch.setattr(secular, "GAP_SCREEN", np.inf)
-        unscreened = kernel.matrices(v)
-        monkeypatch.undo()
-        for got, want in zip(screened, unscreened):
-            assert np.array_equal(got, want, equal_nan=True)
-
-
-def test_gap_screen_margin():
-    # every mode the screen passes over has a clearly one-dimensional kernel
-    for M, v in _screen_lattices():
-        t = secular_kernel(M).t
-        root = np.sqrt(v[:, None] ** 2 / t - 1.0)
-        p = np.where(root.imag > 0.0, root, -root)
-        p2 = p ** 2
-        rel = np.abs(p2[:, :, None] - p2[:, None, :]) / np.abs(p2)[:, :, None]
-        rel[:, np.arange(5), np.arange(5)] = np.inf
-        screened = rel.min(axis=2) >= secular.GAP_SCREEN
-        q1, q2, r = (np.stack(b) for b in zip(*(reference_propagation_blocks(M, x)
-                                                for x in v)))
-        pm = p[..., None, None]
-        D = pm * (pm * q1[:, None] + q2[:, None]) + r[:, None]
-        s = np.linalg.svd(D[screened], compute_uv=False)
-        assert np.all(s[:, 3] >= 1e3 * NULLSPACE_RTOL * s[:, 0])
-
-
 # sweep material with t1 = 1.50994 and t4 = 1.51066: at this real speed
 # p_1 and p_4 nearly coincide and D(p_4) has two near-null directions
 NEAR_DEGENERATE = {
@@ -380,14 +336,50 @@ V_NEAR_DEGENERATE = 0.03979195042821225
 
 
 def test_near_degenerate_kernel_dimension():
+    # the verification route's SVD counts two null directions; the kernel
+    # trusts the factorization of det D(p) and gives a determinant
     M = validate_coefficients(NEAR_DEGENERATE)
-    _, mode, kind = secular_kernel(M).matrices(np.array([V_NEAR_DEGENERATE + 0j]))
-    assert (mode[0], kind[0]) == (4, KERNEL_DIMENSION)
-    with pytest.raises(ModeFailureError) as err:
-        point_det(M, V_NEAR_DEGENERATE, 0.0)
-    assert err.value.cause_name == "DegenerateKernelError"
+    assert math.isfinite(abs(point_det(M, V_NEAR_DEGENERATE, 0.0)))
     with pytest.raises(DegenerateKernelError):
         mode_vector(M, ComplexSpeed(V_NEAR_DEGENERATE), mode_speeds(M).roots[3])
+
+
+#: Speeds from |v| = 1e-4 to 0.1, in units of the slowest bulk speed, where
+#: every p_k nears i and the p_k^2 crowd together.
+SMALL_RING = (np.logspace(-4, -1, 13)[:, None]
+              * np.exp(-1j * np.array([0.0, 0.4, 1.0, 1.5]))).ravel()
+
+
+def test_closed_forms_span_the_kernel_wherever_defined(reference, case_i_material,
+                                                       case_ii_material, case_iii_material):
+    # the kernel trusts det D(p) = det Q1 prod_j (p^2 - p_j^2): wherever it
+    # calls a speed defined, each closed form is a null vector of D(p_k) to
+    # roundoff, near-degenerate gaps and the small ring included.  Measured
+    # maxima: 5e-16 on the rings, 5e-15 on the near-degenerate lattice and
+    # 1.2e-13 on the first lattice below, the closed forms' own roundoff.
+    M_near = validate_coefficients(NEAR_DEGENERATE)
+    rng = np.random.default_rng(59)
+    cases = []  # (material, speeds, whether every speed must be defined)
+    for M in (M_near, random_material(rng), random_material(rng)):
+        w = default_window(M, nx=64, ny=32)
+        cases.append((M, (w.re_values()[:, None] + 1j * w.im_values()).ravel(), False))
+    cases += [(M, math.sqrt(min(mode_speeds(M).t_values())) * SMALL_RING, True)
+              for M in (reference, case_i_material, case_ii_material, case_iii_material)]
+    cases.append((M_near, np.array([V_NEAR_DEGENERATE + 0j]), True))
+    for M, v, everywhere in cases:
+        kernel = secular_kernel(M)
+        _, defined = kernel.defined_matrices(v)
+        assert defined.all() or not everywhere
+        vv = v[defined, None]
+        root = np.sqrt(vv * vv / kernel.t - 1.0)
+        p = np.where(root.imag > 0.0, root, -root)[..., None]
+        u = kernel.u0 + p * kernel.u1 + vv[..., None] * kernel.u2
+        q1, q2, v_lin, r0, r1, r2, _ = kernel.blocks
+        pm, vm = p[..., None], vv[..., None, None]
+        D = pm * (pm * q1 + (q2 + vm * v_lin)) + (r0 + vm * (r1 + vm * r2))
+        residual = np.linalg.norm((D @ u[..., None])[..., 0], axis=-1)
+        scale = np.linalg.norm(D, 2, axis=(-2, -1)) * np.linalg.norm(u, axis=-1)
+        assert np.all(residual <= 1e-12 * scale)
 
 
 def test_point_dets_matches_point_det(reference, case_i_material):
@@ -408,7 +400,7 @@ def test_point_dets_matches_point_det(reference, case_i_material):
             assert repr(entry[0]) == repr(det), z
             assert entry[1].tobytes() == point_matrix(M, ComplexSpeed.from_complex(z)).tobytes()
     assert point_dets(reference, zs)[0] is not None
-    assert point_dets(validate_coefficients(NEAR_DEGENERATE), zs)[8] is None
+    assert point_dets(validate_coefficients(NEAR_DEGENERATE), zs)[8] is not None
     assert point_dets(case_i_material, zs)[0] is not None
     assert point_dets(unsupported, zs) == [None] * len(zs)
 
@@ -465,8 +457,7 @@ def _assert_matches_full_d_kernel(kernel, v):
 
 def test_lean_kernel_matches_full_d_kernel(reference, case_i_material, case_ii_material,
                                            case_iii_material):
-    # D(p_k) built only for the screened SVD and the overflow guard, the
-    # vanishing closed form checked only where it can vanish, and the
+    # D(p_k) built only for the overflow guard, the vanishing closed form checked only where it can vanish, and the
     # constant S-block product as one matrix product give the same matrices
     # and verdicts as building everything for every mode
     kinds = set()
@@ -474,7 +465,7 @@ def test_lean_kernel_matches_full_d_kernel(reference, case_i_material, case_ii_m
         [reference, case_i_material, case_ii_material, case_iii_material]))
     for M, v in cases:
         kinds |= _assert_matches_full_d_kernel(secular_kernel(M), v)
-    assert {NON_DECAYING, KERNEL_DIMENSION, NOT_FINITE} <= kinds
+    assert {NON_DECAYING, NOT_FINITE} <= kinds
     # no mode of these materials has a closed form that can vanish
     assert not any(secular_kernel(M).can_vanish.any() for M, _ in cases)
 
@@ -536,8 +527,7 @@ def test_overflow_guard_margin(reference):
             v = HUGE_SPEEDS[:, None]
             root = np.sqrt(v * v / kernel.t - 1.0)
             abs_p = np.abs(np.where(root.imag > 0.0, root, -root))
-            wide = np.abs(v) ** 2 * kernel.delta / abs_p ** 2 >= secular.GAP_SCREEN
-            skipped = wide & (1.0 + abs_p + np.abs(v) < kernel.d_reach)
+            skipped = 1.0 + abs_p + np.abs(v) < kernel.d_reach
             peak = np.abs(D).max(axis=(-2, -1))
         assert np.all(peak[skipped] < largest / 4)
         # the sample straddles the edge: skipped pairs up to near it, and

@@ -130,13 +130,13 @@ def test_explicit_matches_det_zero_sets(case_i_material, case_ii_material):
 
 
 def test_cross_check_raises_where_det_is_undefined(case_i_material, monkeypatch):
-    # every mode sent to the SVD and every direction counted as null: no
-    # sample has a determinant, and the check raises rather than drop them
-    monkeypatch.setattr(secular, "GAP_SCREEN", np.inf)
-    monkeypatch.setattr(secular, "NULLSPACE_RTOL", 1.0)
+    # every closed form zeroed: no sample has a determinant, and the check
+    # raises rather than drop them.  The copy builds its own kernel.
+    monkeypatch.setattr(secular, "kernel_row", lambda M, r: ((0.0,) * 5,) * 3)
     with pytest.raises(ModeFailureError) as err:
-        cross_check_case(case_i_material, CouplingCase.CASE_I)
+        cross_check_case(case_i_material.replace(), CouplingCase.CASE_I)
     assert err.value.cause_name == "DegenerateKernelError"
+    assert "closed-form kernel vector vanishes" in str(err.value)
 
 
 def test_case_i_explicit_is_a_multiple_of_det(case_i_material):

@@ -134,3 +134,14 @@ def test_pairwise_min_gap_matches_direct_recount():
         direct = min(abs(x - y) for i, x in enumerate(ts) for y in ts[i + 1:])
         assert math.isclose(rs.pairwise_min_gap, direct, rel_tol=1e-15)
         assert rs.pairwise_min_gap > GAP_RTOL * derived_cubic(M).b4
+
+
+def test_mode_speeds_are_kept_on_the_material(reference):
+    # solved once per material; a replaced copy solves its own
+    rs = mode_speeds(reference)
+    assert mode_speeds(reference) is rs
+    same = mode_speeds(reference.replace())
+    assert same is not rs and same == rs
+    changed = mode_speeds(reference.replace(mu=2.0 * reference.mu))
+    assert changed.t_values() != rs.t_values()
+    assert mode_speeds(reference) is rs
