@@ -2,18 +2,17 @@
 
 The objective F = ln |det A| is sampled on a rectangular lattice and its
 strict interior local minima seed the refinement.  Each seed is polished
-by Muller's method on the complex determinant det A, clamped to the
-quadrant; when that fails to land on an accepted root, a clamped
-Nelder-Mead simplex on F takes over.  Both stages work on the complex
-speed v itself, down to ``DIAMETER_TOL``.  A refinement step asks for
-all the speeds it may need at once: the three start points, a Muller
-iterate, the four candidates of a simplex iteration, the two vertices of a
-shrink.  All seeds step in lockstep, so each step of every seed together
-is one call of the batched kernel (``point_dets``); a speed's value does
-not depend on the call, so each seed ends where it would alone.  Refined
-minima are accepted as surface-wave roots when the secular determinant is
-small against the typical determinant magnitude of the scan; the mode
-weights come from the matrix already computed at the refined point.
+by Muller's method on the complex determinant det A: first in the speed v
+itself and, when that run does not converge on an accepted root, in the
+uniformizing variable q = p_k of the bulk speed nearest the seed, where
+det A stays analytic although it is not analytic in v.  Iterates are kept
+in the image of the quadrant, and an undefined one halves its step.  All
+seeds step in lockstep, so each step of every seed together is one call
+of the batched kernel (``point_dets``); a speed's value does not depend on
+the call, so each seed ends where it would alone.  Refined minima are
+accepted as surface-wave roots when the secular determinant is small
+against the typical determinant magnitude of the scan; the mode weights
+come from the matrix already computed at the refined point.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .secular import (
     point_dets,
     secular_objective,
 )
+from .spectrum import mode_speeds
 
 @dataclass(frozen=True)
 class ScanWindow:
@@ -166,10 +166,9 @@ def local_minima(grid: ScanGrid) -> list:
 class RefineOptions:
     """Stopping and acceptance parameters of the refinement.
 
-    ``initial_step`` spaces the three start points of both stages and sets
-    the radius of the Muller stage's disc.  ``MAX_EVALS`` bounds the
-    evaluations of both stages together and ``DIAMETER_TOL`` the last
-    Muller step and the final simplex diameter.
+    ``initial_step`` spaces the three start points, whose offsets set the
+    radius of each run's disc.  ``MAX_EVALS`` bounds the evaluations of both
+    runs together and ``DIAMETER_TOL`` their last step.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
@@ -189,20 +188,16 @@ class RayleighRoot:
     classification: str  # "converged" or "stagnated"
 
 
-#: Bound on the last Muller step and on the final simplex diameter.
+#: Bound on the last Muller step, in the variable the run iterates in.
 DIAMETER_TOL = 1e-10
 
-#: Evaluations both refinement stages may spend together, counted as
-#: evaluating one speed at a time would spend them (a simplex iteration
-#: evaluates four candidates in one kernel call but counts only those it
-#: uses).  Read at call time.
-MAX_EVALS = 500
-
-#: Evaluations the Muller stage may spend, start points included.
-MULLER_MAX_EVALS = 40
+#: Evaluations the refinement of one seed may spend, start points
+#: included.  The run in v stops at half of them, so the run in q always
+#: has at least the other half.  Read at call time.
+MAX_EVALS = 80
 
 #: Radius of the disc around the seed that Muller iterates may not leave,
-#: in units of the larger initial step.
+#: in units of the larger start offset.
 MULLER_RADIUS_STEPS = 8.0
 
 
@@ -211,130 +206,74 @@ def _clamp(z: complex) -> complex:
     return complex(max(z.real, 0.0), min(z.imag, 0.0))
 
 
-def _muller(z: list, start: list, opts: RefineOptions, evals: list):
-    """Muller iterates on det A from three complex start speeds.
+def _clamp_q(q: complex) -> complex:
+    """q moved into Re q <= 0, Im q >= 0, the image of the quadrant under
+    q = p_k."""
+    return complex(min(q.real, 0.0), max(q.imag, 0.0))
 
-    A generator: ``start`` holds the ``point_dets`` entries of the three
-    start speeds, and each later iterate is yielded as a one-speed list,
-    to be sent back its entries.  Each step fits a parabola through the
-    last three points by divided differences, takes the root nearer the
-    newest point (the denominator of larger modulus) and clamps it into the
-    quadrant.  Returns the evaluated speed of smallest |det| with its
-    entry, ``(z, (det, A))``, once a step is at most ``DIAMETER_TOL`` or
-    the determinant vanishes, and None when the simplex must take over: an
-    undefined evaluation, a vanishing denominator, a step out of the disc
-    around the seed, or the cap.
+
+def _muller(w: list, z: list, start: list, speed, clamp, evals: list, limit: int):
+    """Muller iterates on det A in a variable w of the speed v = speed(w).
+
+    A generator: ``w`` holds the three start points in that variable, ``z``
+    their speeds and ``start`` their ``point_dets`` entries; the speed of
+    each later iterate is yielded as a one-speed list, to be sent back its
+    entry.  Each step fits a parabola through the last three points by
+    divided differences, takes the root nearer the newest point (the
+    denominator of larger modulus) and moves it into the image of the
+    quadrant with ``clamp``.  An undefined iterate halves its step toward
+    the newest point.  The run converges once a step is at most
+    ``DIAMETER_TOL`` or the determinant vanishes.  It gives up on an
+    undefined start point, a vanishing denominator, a step out of the disc
+    of ``MULLER_RADIUS_STEPS`` start offsets around ``w[0]``, or ``evals``
+    reaching ``limit``.
+    Returns ``(best, converged)``: the evaluated speed of smallest |det|
+    with its entry, ``(z, (det, A))``, and whether the run converged.
     """
+    best = min(((zk, entry) for zk, entry in zip(z, start) if entry is not None),
+               key=lambda ze: abs(ze[1][0]))
     if any(entry is None for entry in start):
-        return None
+        return best, False
     f = [det for det, _ in start]
-    seed = z[0]
-    radius = MULLER_RADIUS_STEPS * max(opts.initial_step)
-    best = min(zip(z, start), key=lambda ze: abs(ze[1][0]))
-    while evals[0] < min(MULLER_MAX_EVALS, MAX_EVALS):
-        try:
-            h1, h2 = z[1] - z[0], z[2] - z[1]
-            d1, d2 = (f[1] - f[0]) / h1, (f[2] - f[1]) / h2
-            a = (d2 - d1) / (h2 + h1)
-            b = d2 + h2 * a
-            disc = cmath.sqrt(b * b - 4.0 * f[2] * a)
-            den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
-            z_new = _clamp(z[2] - 2.0 * f[2] / den)
-        except (ZeroDivisionError, OverflowError):
-            return None
-        if not abs(z_new - seed) <= radius:  # also catches a NaN step
-            return None
-        if abs(z_new - z[2]) <= DIAMETER_TOL:
-            break
+    seed, w_new = w[0], None
+    radius = MULLER_RADIUS_STEPS * max(abs(w[1] - seed), abs(w[2] - seed))
+    while evals[0] < limit:
+        if w_new is None:
+            try:
+                h1, h2 = w[1] - w[0], w[2] - w[1]
+                d1, d2 = (f[1] - f[0]) / h1, (f[2] - f[1]) / h2
+                a = (d2 - d1) / (h2 + h1)
+                b = d2 + h2 * a
+                disc = cmath.sqrt(b * b - 4.0 * f[2] * a)
+                den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
+                w_new = clamp(w[2] - 2.0 * f[2] / den)
+            except (ZeroDivisionError, OverflowError):
+                break
+            if not abs(w_new - seed) <= radius:  # also catches a NaN step
+                break
+        if abs(w_new - w[2]) <= DIAMETER_TOL:
+            return best, True
+        z_new = speed(w_new)
         (entry,) = yield [z_new]
         evals[0] += 1
         if entry is None:
-            return None
+            w_new = w[2] + 0.5 * (w_new - w[2])
+            continue
         f_new = entry[0]
-        z, f = [z[1], z[2], z_new], [f[1], f[2], f_new]
+        w, f = [w[1], w[2], w_new], [f[1], f[2], f_new]
         if abs(f_new) < abs(best[1][0]):
             best = (z_new, entry)
         if f_new == 0.0:
-            break
-    else:
-        return None
-    return best
+            return best, True
+        w_new = None
+    return best, False
 
 
-def _objective(entry) -> tuple:
-    """``(F, A)`` of a ``point_dets`` entry: F = ln |det A|, or +inf and no
-    matrix where the determinant is undefined."""
-    return (math.inf, None) if entry is None else (objective_from_det(entry[0]), entry[1])
-
-
-def _nelder_mead(simplex: list, values: list, evals: list):
-    """Clamped Nelder-Mead on F from a start simplex of speeds and their
-    ``(F, A)`` values.
-
-    Reflection, expansion, contraction and shrink coefficients are 1, 2,
-    0.5, 0.5; every candidate vertex is clamped into the quadrant.  All four
-    candidates of an iteration (reflected, expanded, outside and inside
-    contraction) are known before any is evaluated.  A generator: each
-    iteration yields all four as one list and is sent back their
-    ``point_dets`` entries, and a shrink yields its two new vertices the
-    same way.  ``evals`` counts only the evaluations the one-at-a-time
-    algorithm consumes: 1 for an accepted reflection, 2 for an expansion or
-    a contraction, 4 with a shrink.  The loop stops when the simplex
-    diameter drops below ``DIAMETER_TOL`` or when the next iteration could
-    take ``evals`` past ``MAX_EVALS``.  Returns the best vertex and its
-    value.
-    """
-
-    def diameter() -> float:
-        return max(abs(p - q) for idx, p in enumerate(simplex) for q in simplex[idx + 1:])
-
-    # One iteration spends at most 4 evaluations (reflect, contract, shrink
-    # pair), so stopping 4 short keeps the hard budget.
-    while evals[0] <= MAX_EVALS - 4 and diameter() > DIAMETER_TOL:
-        best, mid, worst = sorted(range(3), key=lambda idx: values[idx][0])
-        centroid = (simplex[best] + simplex[mid]) / 2.0
-        xw = simplex[worst]
-        reflected = _clamp(2.0 * centroid - xw)
-        expanded = _clamp(3.0 * centroid - 2.0 * xw)
-        outside = _clamp(centroid + 0.5 * (reflected - centroid))
-        inside = _clamp(centroid + 0.5 * (xw - centroid))
-        entries = yield [reflected, expanded, outside, inside]
-        at_r, at_e, at_out, at_in = map(_objective, entries)
-        evals[0] += 1
-
-        if at_r[0] < values[best][0]:
-            evals[0] += 1
-            if at_e[0] < at_r[0]:
-                simplex[worst], values[worst] = expanded, at_e
-            else:
-                simplex[worst], values[worst] = reflected, at_r
-        elif at_r[0] < values[mid][0]:
-            simplex[worst], values[worst] = reflected, at_r
-        else:
-            evals[0] += 1
-            if at_r[0] < values[worst][0]:
-                contracted, at_c, f_better = outside, at_out, at_r[0]
-            else:
-                contracted, at_c, f_better = inside, at_in, values[worst][0]
-            if at_c[0] < f_better:
-                simplex[worst], values[worst] = contracted, at_c
-            else:
-                evals[0] += 2
-                xb = simplex[best]
-                for idx in (mid, worst):
-                    simplex[idx] = _clamp(xb + 0.5 * (simplex[idx] - xb))
-                entries = yield [simplex[mid], simplex[worst]]
-                values[mid], values[worst] = map(_objective, entries)
-
-    best = min(range(3), key=lambda idx: values[idx][0])
-    return simplex[best], values[best]
-
-
-def _classify(z: complex, f: float, A, scale: float, opts: RefineOptions,
-              iterations: int) -> RayleighRoot:
-    """The refined speed z with objective f and secular matrix A, classified
-    against ``scale``."""
-    v = ComplexSpeed.from_complex(z)
+def _classify(best: tuple, scale: float, opts: RefineOptions, iterations: int) -> RayleighRoot:
+    """The speed and ``point_dets`` entry ``best = (z, (det, A))``,
+    classified against ``scale``."""
+    z, (det, A) = best
+    f = objective_from_det(det)
     det_abs = math.exp(f) if f < 700.0 else math.inf
     converged = math.isfinite(det_abs) and det_abs <= opts.det_ratio_tol * scale
     gamma = None
@@ -344,7 +283,7 @@ def _classify(z: complex, f: float, A, scale: float, opts: RefineOptions,
         except NotARootError:
             converged = False
     return RayleighRoot(
-        v=v,
+        v=ComplexSpeed.from_complex(z),
         f_value=f,
         det_abs=det_abs,
         gamma=gamma,
@@ -353,17 +292,15 @@ def _classify(z: complex, f: float, A, scale: float, opts: RefineOptions,
     )
 
 
-def _refine(v0: ComplexSpeed, opts: RefineOptions):
+def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
     """The refinement of one seed (``refine_minimum``) as a generator: it
     yields the list of speeds each step needs, is sent back their
     ``point_dets`` entries, and returns the ``RayleighRoot``."""
     z0 = _clamp(complex(v0))
     hx, hy = opts.initial_step
-    simplex = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
-    start = yield simplex
-    evals = [len(simplex)]
-    values = [_objective(entry) for entry in start]
-    f_values = [f for f, _ in values]
+    z = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
+    start = yield z
+    f_values = [objective_from_det(entry[0]) for entry in start if entry is not None]
     if all(math.isinf(f) for f in f_values):
         raise StartFailureError(
             f"objective undefined at seed v = {complex(v0)!r} and all perturbations"
@@ -372,15 +309,21 @@ def _refine(v0: ComplexSpeed, opts: RefineOptions):
     scale = opts.det_scale
     if scale is None:
         scale = math.exp(f_seed) if f_seed < 700.0 else math.inf
+    evals = [len(z)]
 
-    polished = yield from _muller(simplex, start, opts, evals)
-    if polished is not None:
-        z_best, (det, A) = polished
-        root = _classify(z_best, objective_from_det(det), A, scale, opts, evals[0])
-        if root.classification == "converged":
-            return root
-    z_best, (f_best, A) = yield from _nelder_mead(simplex, values, evals)
-    return _classify(z_best, f_best, A, scale, opts, evals[0])
+    best, converged = yield from _muller(z, z, start, lambda v: v, _clamp, evals,
+                                         MAX_EVALS // 2)
+    root = _classify(best, scale, opts, evals[0])
+    if converged and root.classification == "converged":
+        return root
+    t = min(mode_speeds(M).t_values(), key=lambda t: abs(z0 - math.sqrt(t)))
+    q = [cmath.sqrt(zk * zk / t - 1.0) for zk in z]
+    q = [qk if qk.imag > 0.0 else -qk for qk in q]  # the decaying branch, as the kernel's
+    in_q, _ = yield from _muller(q, z, start, lambda q: cmath.sqrt(t * (1.0 + q * q)),
+                                 _clamp_q, evals, MAX_EVALS)
+    if abs(in_q[1][0]) < abs(best[1][0]):
+        best = in_q
+    return _classify(best, scale, opts, evals[0])
 
 
 def _refine_lockstep(M: MaterialCoefficients, seeds: list, opts: RefineOptions) -> list:
@@ -390,7 +333,7 @@ def _refine_lockstep(M: MaterialCoefficients, seeds: list, opts: RefineOptions) 
     seed takes the steps it takes alone.  Returns one ``RayleighRoot`` per
     seed, or the ``StartFailureError`` of a seed whose start points are all
     undefined."""
-    runs = [_refine(seed, opts) for seed in seeds]
+    runs = [_refine(M, seed, opts) for seed in seeds]
     asks = [next(run) for run in runs]
     results = [None] * len(runs)
     live = range(len(runs))
@@ -413,21 +356,26 @@ def _refine_lockstep(M: MaterialCoefficients, seeds: list, opts: RefineOptions) 
 
 def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
                    opts: RefineOptions = RefineOptions()) -> RayleighRoot:
-    """Refine a seed speed by Muller's method, with a simplex fallback.
+    """Refine a seed speed by Muller's method on det A, in v and then in q.
 
-    Both stages work on the complex speed v itself.  They start from the
-    seed and its two perturbations by ``opts.initial_step``, +hx along
-    Re v and -hy along Im v, clamped into the admissible quadrant, and
-    every later point is clamped too.  det A is holomorphic in the open
-    quadrant, so Muller's method on the complex determinant (Muller 1956)
-    usually lands on a root in a handful of evaluations.  Its point of
-    smallest |det| is returned when it classifies as "converged".
-    Otherwise a clamped Nelder-Mead simplex on F = ln |det A| restarts from
-    the three start points and their values, with the evaluations Muller
-    left of ``MAX_EVALS``; its best vertex never worsens the seed
-    value.  ``iterations`` counts the evaluations of both stages, as
-    ``_nelder_mead`` counts them.  Each step is one ``point_dets`` call:
-    this is the lockstep refinement of ``find_rayleigh`` run on one seed.
+    Both runs start from the seed and its two perturbations by
+    ``opts.initial_step``, +hx along Re v and -hy along Im v, clamped into
+    the admissible quadrant.  det A is holomorphic in the open quadrant, so
+    Muller's method (Muller 1956) in v itself usually lands on a root in a
+    handful of evaluations.  It stops at half of ``MAX_EVALS`` and stays
+    within ``MULLER_RADIUS_STEPS`` initial steps of the seed.  When it
+    converges on a point that classifies as "converged", that point is the
+    root.  Otherwise a second run restarts from the same three start points
+    and their values in q = p_k, the decaying branch of sqrt(v^2 / t_k - 1)
+    for the bulk speed sqrt(t_k) nearest the seed, with v = sqrt(t_k (1 +
+    q^2)).  det A is analytic in q at that bulk speed, where it is not in
+    v.  The second run keeps to Re q <= 0, Im q >= 0, the image of the
+    quadrant, and to a disc of ``MULLER_RADIUS_STEPS`` start offsets
+    measured in q.  The root is the evaluated point of smallest |det| over
+    both runs, so it never worsens the seed value.  ``iterations`` counts
+    every evaluation, start points included.  Each step is one
+    ``point_dets`` call: this is the lockstep refinement of
+    ``find_rayleigh`` run on one seed.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
@@ -461,8 +409,10 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
                   det_ratio_tol: float = 1e-6) -> list:
     """Locate surface-wave roots inside a window.
 
-    Scans the lattice, refines every strict interior local minimum with an
-    initial step of a quarter grid cell, removes duplicates closer
+    Scans the lattice, refines every strict interior local minimum by the
+    two Muller runs of ``refine_minimum`` (in v, then in q = p_k of the
+    nearest bulk speed) with an initial step of a quarter grid cell,
+    removes duplicates closer
     than ``DEDUP_TOL`` (keeping the lower objective value), and returns the
     roots sorted by objective value.  Convergence is judged against the
     median determinant magnitude of the scan.  The seeds are refined in

@@ -206,8 +206,16 @@ def full_d_matrices(kernel, v):
         return np.swapaxes(rows, 1, 2), mode, kind, D
 
 
-#: Branches ``reference_refine_minimum`` took, by name; a test that counts
-#: them monkeypatches in a fresh Counter.
+#: Budgets of the removed Muller-then-simplex refinement, frozen here so
+#: that ``search``'s own budget does not move the reference: evaluations of
+#: the Muller stage, evaluations of both stages, and the Muller disc radius
+#: in initial steps.
+REFERENCE_MULLER_MAX_EVALS = 40
+REFERENCE_MAX_EVALS = 500
+REFERENCE_RADIUS_STEPS = 8.0
+
+#: Muller-to-simplex handovers of ``reference_refine_minimum``; a test that
+#: counts them monkeypatches in a fresh Counter.
 BRANCHES = Counter()
 
 
@@ -216,9 +224,9 @@ def _reference_muller(det_at, z, dets, opts, evals):
         return None
     f = list(dets)
     seed = z[0]
-    radius = search.MULLER_RADIUS_STEPS * max(opts.initial_step)
+    radius = REFERENCE_RADIUS_STEPS * max(opts.initial_step)
     best_z, best_f = min(zip(z, f), key=lambda zf: abs(zf[1]))
-    while evals[0] < min(search.MULLER_MAX_EVALS, search.MAX_EVALS):
+    while evals[0] < min(REFERENCE_MULLER_MAX_EVALS, REFERENCE_MAX_EVALS):
         try:
             h1, h2 = z[1] - z[0], z[2] - z[1]
             d1, d2 = (f[1] - f[0]) / h1, (f[2] - f[1]) / h2
@@ -252,7 +260,7 @@ def _reference_nelder_mead(objective, simplex, f_values, evals):
     def diameter():
         return max(abs(p - q) for idx, p in enumerate(simplex) for q in simplex[idx + 1:])
 
-    while evals[0] <= search.MAX_EVALS - 4 and diameter() > search.DIAMETER_TOL:
+    while evals[0] <= REFERENCE_MAX_EVALS - 4 and diameter() > search.DIAMETER_TOL:
         best, mid, worst = sorted(range(3), key=lambda idx: f_values[idx])
         centroid = (simplex[best] + simplex[mid]) / 2.0
         xw = simplex[worst]
@@ -260,7 +268,6 @@ def _reference_nelder_mead(objective, simplex, f_values, evals):
         f_reflected = objective(reflected)
 
         if f_reflected < f_values[best]:
-            BRANCHES["expansion"] += 1
             expanded = clamp(3.0 * centroid - 2.0 * xw)
             f_expanded = objective(expanded)
             if f_expanded < f_reflected:
@@ -271,18 +278,15 @@ def _reference_nelder_mead(objective, simplex, f_values, evals):
             simplex[worst], f_values[worst] = reflected, f_reflected
         else:
             if f_reflected < f_values[worst]:
-                BRANCHES["outside_contraction"] += 1
                 contracted = clamp(centroid + 0.5 * (reflected - centroid))
                 f_better = f_reflected
             else:
-                BRANCHES["inside_contraction"] += 1
                 contracted = clamp(centroid + 0.5 * (xw - centroid))
                 f_better = f_values[worst]
             f_contracted = objective(contracted)
             if f_contracted < f_better:
                 simplex[worst], f_values[worst] = contracted, f_contracted
             else:
-                BRANCHES["shrink"] += 1
                 xb = simplex[best]
                 for idx in (mid, worst):
                     simplex[idx] = clamp(xb + 0.5 * (simplex[idx] - xb))
@@ -308,11 +312,15 @@ def _reference_classify(M, z, f, scale, opts, iterations):
 
 
 def reference_refine_minimum(M, v0, opts=search.RefineOptions()):
-    """``search.refine_minimum`` as it was before refinement batched its
-    evaluations: one ``point_det`` or ``objective_F`` call per candidate
-    speed and ``amplitudes`` at the end.  Kept as the reference the batched
-    refinement must match bit for bit; it also tallies in ``BRANCHES`` the
-    simplex branches it takes and each Muller-to-simplex handover."""
+    """``search.refine_minimum`` as it was before the simplex fallback was
+    removed and before refinement batched its evaluations: a Muller stage
+    in v, then a clamped Nelder-Mead on F = ln |det A| where that stage
+    does not converge on an accepted root, with one ``point_det`` or
+    ``objective_F`` call per candidate speed and ``amplitudes`` at the end.
+    Kept as a test-only cross-check: wherever its Muller stage converges,
+    ``refine_minimum`` must match it bit for bit, and no decaying root it
+    finds may be lost.  Each Muller-to-simplex handover is tallied in
+    ``BRANCHES["handover"]``."""
     evals = [0]
 
     def det_at(z):

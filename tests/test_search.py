@@ -1,4 +1,4 @@
-"""Grid scan, local minima extraction, Muller and simplex refinement, root search."""
+"""Grid scan, local minima extraction, Muller refinement in v and in q, root search."""
 
 import math
 from collections import Counter
@@ -29,6 +29,7 @@ from rayleighmt.secular import secular_objective
 import helpers
 from conftest import default_window
 from helpers import random_material, reference_refine_minimum
+from test_secular import ROUTE_SPLIT
 
 # frozen after the first verified solve at 128x64; the doubling run agreed
 # to 6.4e-11
@@ -227,45 +228,17 @@ def test_refine_muller_polish_is_cheap(reference):
     assert root.iterations <= 12
 
 
-def _simplex_only(monkeypatch):
-    """Make refine_minimum skip the Muller stage and run the simplex alone."""
-
-    def no_muller(*args):
-        return None
-        yield  # a generator, as the Muller stage is
-
-    monkeypatch.setattr(search, "_muller", no_muller)
-
-
 # the reference scan's seed next to the bulk speed sqrt(t4), with the
 # quarter-cell step and the scan-median scale find_rayleigh gives it
 BRANCH_SEED = ComplexSpeed(1.3627, 0.0170)
 BRANCH_OPTS = RefineOptions(initial_step=(5.8e-3, 4.3e-3), det_scale=1148.9)
 
 
-def test_refine_branch_seed_falls_back_to_simplex(reference, monkeypatch):
+def test_refine_branch_seed_stagnates_within_budget(reference):
     root = refine_minimum(reference, BRANCH_SEED, BRANCH_OPTS)
     assert root.classification == "stagnated"
     assert root.gamma is None
-    _simplex_only(monkeypatch)
-    alone = refine_minimum(reference, BRANCH_SEED, BRANCH_OPTS)
-    assert complex(root.v) == complex(alone.v)
-    assert root.f_value == alone.f_value
-    assert root.iterations >= alone.iterations
-
-
-@pytest.mark.parametrize("opts", [
-    RefineOptions(det_scale=1e-30),  # Muller's root fails the det test
-    RefineOptions(initial_step=(1e-6, 1e-6), det_scale=1.0),  # root outside the disc
-], ids=["tiny_scale", "tiny_step"])
-def test_refine_muller_hands_over_to_simplex(reference, monkeypatch, opts):
-    seed = ComplexSpeed(1.04, 0.028)
-    root = refine_minimum(reference, seed, opts)
-    _simplex_only(monkeypatch)
-    alone = refine_minimum(reference, seed, opts)
-    assert complex(root.v) == complex(alone.v)
-    assert root.classification == alone.classification
-    assert root.iterations >= alone.iterations
+    assert root.iterations <= search.MAX_EVALS
 
 
 def test_refine_budget_covers_both_stages(reference, monkeypatch):
@@ -274,23 +247,37 @@ def test_refine_budget_covers_both_stages(reference, monkeypatch):
         assert refine_minimum(reference, seed, opts).iterations <= 20
 
 
-def _converged_roots(M, w):
-    return sorted((complex(r.v) for r in find_rayleigh(M, w) if r.classification == "converged"),
-                  key=lambda v: (v.real, v.imag))
+def test_refine_halves_an_undefined_step(monkeypatch):
+    # the first Muller step in v lands on the real axis past a bulk speed,
+    # where no mode decays; halving it toward the last point lands the root
+    # in the run in v (the removed simplex fallback spent 136 evaluations),
+    # which never asks for the bulk speeds of the run in q
+    def no_run_in_q(M):
+        raise AssertionError("the run in v did not land the root")
+
+    rng = np.random.default_rng(23)
+    M = [random_material(rng) for _ in range(6)][-1]
+    w = default_window(M, nx=48, ny=24)
+    dx, dy = w.cell_size()
+    opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0),
+                         det_scale=grid_median_det(grid_scan(M, w)))
+    monkeypatch.setattr(search, "mode_speeds", no_run_in_q)
+    root = refine_minimum(M, ComplexSpeed.from_complex(1.4743605018610624 - 0.055770079613616685j),
+                          opts)
+    assert root.classification == "converged"
+    assert abs(complex(root.v) - (1.4853950190584049 - 0.0030446170951926328j)) <= 1e-8
+    assert root.iterations == 10
 
 
-def test_simplex_fallback_loses_no_root(monkeypatch):
-    rng = np.random.default_rng(21)
-    cases = [(M, default_window(M, nx=48, ny=24))
-             for M in (random_material(rng) for _ in range(8))]
-    polished = [_converged_roots(M, w) for M, w in cases]
-    _simplex_only(monkeypatch)
-    alone = [_converged_roots(M, w) for M, w in cases]
-    assert sum(map(len, alone)) > 0
-    for ours, theirs in zip(polished, alone):
-        assert len(ours) == len(theirs)
-        for a, b in zip(ours, theirs):
-            assert abs(a - b) <= 1e-6
+def test_refine_does_not_accept_the_static_limit():
+    # as v -> 0 every p_k -> i and det A -> 0 without a surface wave; the
+    # removed simplex fallback walked there from this seed (204 evaluations,
+    # |det| = 0) and called it converged
+    M = validate_coefficients(ROUTE_SPLIT)
+    root = refine_minimum(M, ComplexSpeed(0.59435, 0.2475),
+                          RefineOptions(initial_step=(1e-3, 1e-3), det_scale=1.0))
+    assert root.classification == "stagnated"
+    assert abs(complex(root.v)) > 0.5
 
 
 def test_refine_never_worsens_seed(reference):
@@ -330,36 +317,42 @@ def _assert_same_root(ours, theirs):
 
 
 def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
-    # each simplex iteration evaluates all four candidates in one kernel
-    # call; the roots, budgets and counts must stay those of evaluating one
-    # candidate at a time
+    # wherever the removed pipeline's Muller stage converges on an accepted
+    # root, the run in v takes the same steps: same root, same bits, same
+    # count, although it now evaluates through the batched kernel
     cases = [(reference, seed, REFERENCE_SEED_OPTS) for seed in REFERENCE_SEEDS]
     rng = np.random.default_rng(47)
     for M in [random_material(rng) for _ in range(2)]:
         w = default_window(M, nx=4, ny=2)
         dx, dy = w.cell_size()
         opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0))
-        # the Im v = 0 row sends the simplex against the clamped axis
         cases += [(M, ComplexSpeed(re, -im), opts)
                   for re in w.re_values()[1:] for im in w.im_values()]
+    for M in [random_material(rng) for _ in range(6)]:
+        w = default_window(M, nx=48, ny=24)
+        grid = grid_scan(M, w)
+        dx, dy = w.cell_size()
+        opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0),
+                             det_scale=grid_median_det(grid))
+        cases += [(M, ComplexSpeed(w.re_values()[i], -w.im_values()[j]), opts)
+                  for i, j in local_minima(grid)]
     monkeypatch.setattr(helpers, "BRANCHES", Counter())
+    compared = 0
     for M, seed, opts in cases:
-        _assert_same_root(refine_minimum(M, seed, opts), reference_refine_minimum(M, seed, opts))
-    monkeypatch.setattr(search, "MAX_EVALS", 20)
-    for seed in REFERENCE_SEEDS:
-        _assert_same_root(refine_minimum(reference, seed, REFERENCE_SEED_OPTS),
-                          reference_refine_minimum(reference, seed, REFERENCE_SEED_OPTS))
+        handovers = helpers.BRANCHES["handover"]
+        theirs = reference_refine_minimum(M, seed, opts)
+        if helpers.BRANCHES["handover"] == handovers:
+            _assert_same_root(refine_minimum(M, seed, opts), theirs)
+            compared += 1
+    assert compared >= 6 and helpers.BRANCHES["handover"] >= 6
     for refine in (refine_minimum, reference_refine_minimum):
         with pytest.raises(StartFailureError):
             refine(INDISTINCT, ComplexSpeed(0.5, 0.1))
-    for branch in ("handover", "expansion", "outside_contraction", "inside_contraction",
-                   "shrink"):
-        assert helpers.BRANCHES[branch] > 0, branch
 
 
-def _find_rayleigh_seed_by_seed(M, w):
-    """``find_rayleigh`` with each seed refined by a ``refine_minimum`` call
-    of its own, on the seeds and options ``find_rayleigh`` gives them."""
+def _find_rayleigh_seed_by_seed(M, w, refine=refine_minimum):
+    """``find_rayleigh`` with each seed refined by a ``refine`` call of its
+    own, on the seeds and options ``find_rayleigh`` gives them."""
     grid = grid_scan(M, w)
     dx, dy = w.cell_size()
     opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0),
@@ -367,8 +360,7 @@ def _find_rayleigh_seed_by_seed(M, w):
     roots = []
     for i, j in search.local_minima(grid):
         try:
-            roots.append(refine_minimum(M, ComplexSpeed(w.re_values()[i], -w.im_values()[j]),
-                                        opts))
+            roots.append(refine(M, ComplexSpeed(w.re_values()[i], -w.im_values()[j]), opts))
         except StartFailureError:
             continue
     roots.sort(key=lambda root: root.f_value)
@@ -396,6 +388,24 @@ def test_lockstep_refinement_matches_seed_by_seed(reference):
         kinds.update(root.classification for root in ours)
     assert seeds > 2 * len(cases)
     assert kinds["converged"] > 0 and kinds["stagnated"] > 0
+
+
+def test_refinement_loses_no_decaying_root():
+    # every decaying root the removed simplex fallback found is found again;
+    # material 0's root 0.5764289583762007 - 0.006599420986731245i needs the
+    # run in q (the simplex spent 136 evaluations on it)
+    rng = np.random.default_rng(21)
+    decaying = 0
+    for M in [random_material(rng) for _ in range(8)]:
+        w = default_window(M, nx=48, ny=24)
+        ours = [complex(root.v) for root in find_rayleigh(M, w)
+                if root.classification == "converged"]
+        for root in _find_rayleigh_seed_by_seed(M, w, reference_refine_minimum):
+            v = complex(root.v)
+            if root.classification == "converged" and v.imag <= -1e-8:
+                decaying += 1
+                assert any(abs(v - z) <= 1e-6 for z in ours), v
+    assert decaying >= 8
 
 
 def test_lockstep_refinement_drops_a_seed_that_cannot_start(reference, monkeypatch):
