@@ -70,9 +70,7 @@ class UnsupportedCouplingError(RayleighError):
 
 
 class DegenerateKernelError(RayleighError):
-    """A mode has no usable kernel vector: the SVD of the verification route
-    (``modes.mode_vector``) finds a kernel of D(p_k) whose dimension is not
-    one, or a closed-form kernel vector vanishes."""
+    """A mode has no usable kernel vector: its closed form vanishes."""
 
 
 class ModeFailureError(RayleighError):

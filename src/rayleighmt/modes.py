@@ -94,30 +94,27 @@ def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExpon
     the open quadrant (v_r > 0, v_i > 0) exactly one candidate has positive
     imaginary part and nonpositive real part; it is returned.  On the real
     axis the candidates are either purely imaginary (decaying) or purely
-    real, in which case no decaying branch exists.
+    real, in which case no decaying branch exists.  v is squared by
+    multiplication, as the batched secular kernel squares it (``** 2``
+    raises ``OverflowError`` where the square overflows), and the branch is
+    the one the kernel picks.
 
     Raises
     ------
     NonDecayingError
-        If both square-root candidates are real.
+        If no candidate has Im p > 0: both are real, or an overflowing
+        v^2 made them NaN.
     DomainError
         If t is not positive.
     """
     if not t > 0.0:
         raise DomainError(f"squared mode speed must be positive, got {t!r}")
-    p = _branch(complex(v), t)
-    if not p.imag > 0.0:
-        raise NonDecayingError(t=t, v=complex(v), mode_index=mode_index)
-    return AttenuationExponent(p=p, mode_index=mode_index)
-
-
-def _branch(vc: complex, t: float) -> complex:
-    """The square root p of v^2/t - 1 the batched secular kernel picks: the
-    one with Im p > 0 if there is one, else the negated principal root.
-    v is squared by multiplication, as the kernel squares it; ``** 2``
-    raises ``OverflowError`` where the square overflows."""
+    vc = complex(v)
     root = cmath.sqrt(vc * vc / t - 1.0)
-    return root if root.imag > 0.0 else -root
+    p = root if root.imag > 0.0 else -root
+    if not p.imag > 0.0:
+        raise NonDecayingError(t=t, v=vc, mode_index=mode_index)
+    return AttenuationExponent(p=p, mode_index=mode_index)
 
 
 #: The constant blocks of D(p) = p^2 Q1 + p (Q2 + v V) + R0 + v R1 + v^2 R2
@@ -301,45 +298,30 @@ class ModeBasis:
     u: np.ndarray
 
 
-def _kernel_dimension(D: Matrix5) -> int:
-    s = np.linalg.svd(D, compute_uv=False)
-    return int(np.sum(s <= NULLSPACE_RTOL * s[0]))
-
-
 def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBasis:
     """Closed-form kernel vector for one mode root, from ``kernel_row``.
 
     The root may come from ``mode_speeds`` or, for a decoupled material,
-    from ``special_cases.roots_case``; both get the same vector.
+    from ``special_cases.roots_case``; both get the same vector.  D(p_k) is
+    not built: with distinct mode speeds p_k^2 is a simple root of det D(p),
+    so its kernel is the line the closed form spans.
 
     Raises
     ------
     UnsupportedCouplingError, DomainError
         Propagated from ``kernel_row``.
-    numpy.linalg.LinAlgError
-        If D(p_k) has a non-finite entry, an overflow at a huge speed; the
-        SVD is not run on it.  As in the batched kernel, this outranks a
-        non-decaying branch: D(p_k) is built at the kernel's branch first.
     NonDecayingError
-        Propagated from the branch selection.
+        Propagated from the branch selection, also where an overflowing
+        v^2 leaves a NaN branch.
     DegenerateKernelError
-        If the numeric kernel of D(p_k) does not have dimension one, or the
-        closed form degenerates to the zero vector.
+        If the closed form degenerates to the zero vector.
     """
     rows = kernel_row(M, r)
     vc = complex(v)
-    with np.errstate(all="ignore"):
-        D = assemble_Dp(M, v, _branch(vc, r.t))
-    if not np.isfinite(D).all():
-        raise np.linalg.LinAlgError(f"propagation matrix of mode {r.index} is not finite")
     ae = p_from_t(v, r.t, r.index)
     u = np.array([x + ae.p * y + vc * z for x, y, z in zip(*rows)])
     if not np.any(u):
         raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
-    if _kernel_dimension(D) != 1:
-        raise DegenerateKernelError(
-            f"propagation matrix kernel at mode {r.index} is not one-dimensional"
-        )
     return ModeBasis(mode=r, p=ae, u=u)
 
 

@@ -11,15 +11,16 @@ A solve builds A one way only, by one batched kernel over arrays of speeds
 (``secular_objective`` for the scan, ``point_dets`` for the speeds one
 refinement step of every seed needs; ``point_matrix``, ``point_det`` and
 ``objective_F`` are its one-point calls) built on material-only data
-computed once per material, the blocks of D(p) and S(p) among them; the
-mode weights of a root (``amplitudes``) come from it too.  The kernel does
-not check that D(p_k) has a one-dimensional kernel: det D(p) is det Q1
-times prod_j (p^2 - p_j^2) and ``mode_speeds`` keeps the t_j distinct, so
-at an admissible speed p_k^2 is a simple root and the kernel is a line.
-It builds the propagation matrix D(p_k) only to check that it is finite,
-and only where a bound from the material's constant blocks cannot rule
-out overflow (elsewhere every entry is provably finite).  The batched
-calls ask only whether some mode fails at each speed
+computed once per material; the mode weights of a root (``amplitudes``)
+come from it too.  Neither route builds D(p_k) or checks that its kernel
+is one-dimensional: det D(p) is det Q1 times prod_j (p^2 - p_j^2) and
+``mode_speeds`` keeps the t_j distinct, so at an admissible speed p_k^2 is
+a simple root and the kernel is a line.  Both routes apply one failure
+rule to what the determinant consumes: the first mode, by index, that
+does not decay (not Im p_k > 0), whose closed form vanishes, or whose
+column S(p_k) u_k has a non-finite entry makes the speed undefined, and
+so does a determinant whose modulus is not finite.  The batched calls ask
+only whether some mode fails at each speed
 (``SecularKernel.defined_matrices``); which mode fails, and how, is ranked
 only for the typed error of a one-point call (``SecularKernel.matrices``).
 ``secular_matrix`` assembles A one speed at a time from ``mode_vector``:
@@ -85,12 +86,21 @@ def secular_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> SecularMatrix:
 
     Column k is S(p_k) u_k with u_k the closed-form kernel vector of mode
     k; the common exponential factor of each mode is dropped, so the
-    columns are constant vectors.
+    columns are constant vectors.  Each column is checked right after its
+    mode's ``mode_vector``, so the modes fail in the batched kernel's
+    order: the first one that fails raises, a column with a non-finite
+    entry as the kernel's ``numpy.linalg.LinAlgError``.
     """
-    roots = mode_speeds(M)
-    modes = tuple(mode_vector(M, v, r) for r in roots)
-    cols = [assemble_Sp(M, v, mb.p.p) @ mb.u for mb in modes]
-    return SecularMatrix(A=np.stack(cols, axis=1), modes=modes)
+    modes, cols = [], []
+    for r in mode_speeds(M):
+        mb = mode_vector(M, v, r)
+        with np.errstate(all="ignore"):
+            col = assemble_Sp(M, v, mb.p.p) @ mb.u
+        if not np.isfinite(col).all():
+            raise secular_kernel(M).failure(complex(v), r.index, NOT_FINITE)
+        modes.append(mb)
+        cols.append(col)
+    return SecularMatrix(A=np.stack(cols, axis=1), modes=tuple(modes))
 
 
 def det_elimination(A: Matrix5) -> complex:
@@ -128,10 +138,10 @@ def objective_from_det(det: complex) -> float:
     return math.log(mag)
 
 
-#: Ways one mode can fail at one speed: no decaying branch, a vanishing
-#: closed form, and a D(p_k) with a non-finite entry (an overflow at a huge
-#: speed).  The batched kernel ranks a non-finite D(p_k) above every other
-#: failure at its speed.
+#: Ways one mode can fail at one speed, in the order a mode is checked: no
+#: decaying branch (a NaN branch from an overflowing v^2 included), a
+#: vanishing closed form, and a column S(p_k) u_k of A with a non-finite
+#: entry (an overflow at a huge speed).  The first failing mode decides.
 NON_DECAYING, ZERO_KERNEL, NOT_FINITE = 1, 2, 3
 
 
@@ -141,14 +151,14 @@ class SecularKernel:
 
     The closed-form kernel vector of mode k is u_k = u0_k + p_k u1_k +
     v u2_k, with the rows of ``modes.kernel_row`` for the material's
-    coupling regime.  The rows of A need only u_k and S(p_k); D(p_k) is
-    built only for the overflow check of ``_evaluate``.  The transposes of
-    Q1, S0 and V are stored contiguous, so the constant product u Q1^T over
-    every mode of every speed is one matrix product.  Every component of
-    u_k takes one term of u0, p u1 and v u2 at most (``kernel_row``), so a
-    mode whose u0 holds a component that u1 and u2 leave zero never has
-    u_k = 0; ``can_vanish`` marks the other modes, the only ones checked
-    for a vanishing closed form (none, for a general material).
+    coupling regime.  The rows of A need only u_k and S(p_k), never
+    D(p_k).  The transposes of Q1, S0 and V are stored contiguous, so the
+    constant product u Q1^T over every mode of every speed is one matrix
+    product.  Every component of u_k takes one term of u0, p u1 and v u2 at
+    most (``kernel_row``), so a mode whose u0 holds a component that u1 and
+    u2 leave zero never has u_k = 0; ``can_vanish`` marks the other modes,
+    the only ones checked for a vanishing closed form (none, for a general
+    material).
     """
 
     roots: tuple  # ModeRoot, indices 1..5
@@ -157,44 +167,29 @@ class SecularKernel:
     u1: np.ndarray
     u2: np.ndarray
     can_vanish: np.ndarray  # (5,) bool
-    blocks: tuple  # modes.material_blocks
     q1T: np.ndarray  # Q1^T, S0^T and V^T, C-contiguous
     s0T: np.ndarray
     vT: np.ndarray
-    d_reach: float  # 1 + |p| + |v| below which D(p) cannot overflow
 
     @classmethod
     def build(cls, M: MaterialCoefficients) -> "SecularKernel":
         roots = mode_speeds(M).roots
         u0, u1, u2 = np.array([kernel_row(M, r) for r in roots]).swapaxes(0, 1)
         t = np.array([r.t for r in roots])
-        blocks = material_blocks(M)
-        # With b the largest entry modulus of Q1, Q2, V, R0, R1 and R2, every
-        # intermediate of D(p) = p (p Q1 + (Q2 + v V)) + (R0 + v (R1 + v R2))
-        # is at most b (1 + |p| + |v|)^2 in modulus: a complex product z w
-        # forms its parts from terms whose moduli sum to at most |z| |w|
-        # (Cauchy-Schwarz).  Below d_reach that bound is under a quarter of
-        # the largest double, which leaves room for rounding, so D(p) is
-        # finite there and is not built just to check it.
-        b = max(float(np.abs(x).max()) for x in blocks[:6])
-        q1, _, v_lin, _, _, _, s0 = blocks
+        q1, _, v_lin, _, _, _, s0 = material_blocks(M)
         lone = (u0 != 0.0) & (u1 == 0.0) & (u2 == 0.0)
         return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
-                   blocks=blocks, q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy(),
-                   d_reach=math.sqrt(np.finfo(float).max / (4.0 * b)))
+                   q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy())
 
     def _evaluate(self, v: np.ndarray) -> tuple:
         """``(A, failing)`` at admissible complex speeds v, shape (n,).
 
         ``A`` is the (n, 5, 5) stack whose column k is S(p_k) u_k, and
         ``failing`` maps each failure kind to the (n, 5) mask of the modes
-        that fail that way.  ``ZERO_KERNEL`` is left out when no mode
-        ``can_vanish``, and ``NOT_FINITE`` when no D(p_k) is built.  A depth
-        mode's D(p_k) is built only to check that it is finite, and only
-        where 1 + |p_k| + |v| reaches ``d_reach`` or is NaN (everywhere else
-        no entry of D(p_k) can overflow).
+        that fail that way: ``NON_DECAYING`` where not Im p_k > 0,
+        ``NOT_FINITE`` where column k has a non-finite entry, and
+        ``ZERO_KERNEL`` where u_k = 0, left out when no mode ``can_vanish``.
         """
-        q1, q2, v_lin, r0, r1, r2, _ = self.blocks
         with np.errstate(all="ignore"):
             vv = v[:, None]
             root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
@@ -204,16 +199,10 @@ class SecularKernel:
             svT = self.s0T + vm * self.vT  # the v-dependent part of S(p), transposed
             uq = (u.reshape(-1, 5) @ self.q1T).reshape(u.shape)
             rows = pp * uq + u @ svT  # row k: S(p_k) u_k
-            failing = {NON_DECAYING: root.imag == 0.0}
+            failing = {NON_DECAYING: ~(p.imag > 0.0),
+                       NOT_FINITE: ~np.isfinite(rows).all(axis=-1)}
             if self.can_vanish.any():
                 failing[ZERO_KERNEL] = ~u.any(axis=-1) & self.can_vanish
-            build = ~(1.0 + np.abs(p) + np.abs(vv) < self.d_reach)
-            if build.any():
-                at, k = np.nonzero(build)
-                pm, vs = p[at, k, None, None], v[at, None, None]
-                D = pm * (pm * q1 + (q2 + vs * v_lin)) + (r0 + vs * (r1 + vs * r2))
-                failing[NOT_FINITE] = np.zeros(p.shape, dtype=bool)
-                failing[NOT_FINITE][at, k] = ~np.isfinite(D).all(axis=(-2, -1))
         return np.swapaxes(rows, 1, 2), failing
 
     def defined_matrices(self, v: np.ndarray) -> tuple:
@@ -230,39 +219,34 @@ class SecularKernel:
 
         Returns ``(A, mode, kind)``: ``A`` is the (n, 5, 5) stack whose
         column k is S(p_k) u_k, ``mode`` holds the index of the first mode
-        that fails at each speed (0 where none does) and ``kind`` how it
-        fails (``NON_DECAYING``, ``ZERO_KERNEL`` or ``NOT_FINITE``).  ``A``
-        is meaningless where ``mode`` is nonzero.  Only a typed error needs
-        the ranking: the batched callers take ``defined_matrices``.
+        that fails at each speed (0 where none does) and ``kind`` the first
+        way it fails, in the order ``NON_DECAYING``, ``ZERO_KERNEL``,
+        ``NOT_FINITE``.  ``A`` is meaningless where ``mode`` is nonzero.
+        Only a typed error needs the ranking: the batched callers take
+        ``defined_matrices``.
         """
         A, failing = self._evaluate(v)
         mode = np.zeros(len(v), dtype=int)
         kind = np.zeros(len(v), dtype=int)
         bad = np.flatnonzero(functools.reduce(operator.or_, failing.values()).any(axis=1))
         if bad.size:
-            # a non-finite D(p_k) outranks every other failure at its speed;
-            # otherwise the first failing mode is reported, by its first kind
             kinds = np.zeros((bad.size, 5), dtype=int)
-            for code in (ZERO_KERNEL, NON_DECAYING):
+            for code in (NOT_FINITE, ZERO_KERNEL, NON_DECAYING):
                 if code in failing:
                     kinds = np.where(failing[code][bad], code, kinds)
-            if NOT_FINITE in failing:
-                overflow = failing[NOT_FINITE][bad]
-                kinds = np.where(overflow.any(axis=1, keepdims=True),
-                                 np.where(overflow, NOT_FINITE, 0), kinds)
             first = np.argmax(kinds > 0, axis=1)
             kind[bad] = kinds[np.arange(bad.size), first]
             mode[bad] = first + 1
         return A, mode, kind
 
     def failure(self, v: complex, mode: int, kind: int) -> RayleighError:
-        """The typed error ``mode_vector`` raises for this failure."""
+        """The typed error ``secular_matrix`` raises for this failure."""
         if kind == NON_DECAYING:
             return NonDecayingError(t=self.roots[mode - 1].t, v=v, mode_index=mode)
         if kind == ZERO_KERNEL:
             return DegenerateKernelError(
                 f"closed-form kernel vector vanishes for mode {mode}")
-        return np.linalg.LinAlgError(f"propagation matrix of mode {mode} is not finite")
+        return np.linalg.LinAlgError(f"secular matrix column of mode {mode} is not finite")
 
 
 def secular_kernel(M: MaterialCoefficients) -> SecularKernel:
@@ -286,9 +270,9 @@ def _defined_dets(M: MaterialCoefficients, v: np.ndarray) -> tuple:
     """``(defined, A, det A)`` at a 1-D array of complex speeds v, from one
     call of ``SecularKernel.defined_matrices``.
 
-    A speed is defined where it is admissible and no mode fails there;
-    none is for a material whose mode speeds or couplings rule out the
-    closed-form kernels (its A and det are NaN).
+    A speed is defined where it is admissible, no mode fails there and
+    |det A| is finite; none is for a material whose mode speeds or
+    couplings rule out the closed-form kernels (its A and det are NaN).
     """
     try:
         kernel = secular_kernel(M)
@@ -298,7 +282,8 @@ def _defined_dets(M: MaterialCoefficients, v: np.ndarray) -> tuple:
     ok = _admissible(v)
     A, defined = kernel.defined_matrices(v if ok.all() else np.where(ok, v, 1.0))
     with np.errstate(all="ignore"):
-        return ok & defined, A, np.linalg.det(A)
+        det = np.linalg.det(A)
+        return ok & defined & np.isfinite(np.abs(det)), A, det
 
 
 def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
@@ -319,7 +304,7 @@ def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
 def point_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> Matrix5:
     """Secular matrix A(v) from a one-point call of ``SecularKernel.matrices``.
 
-    Raises the typed error ``mode_vector`` raises for the first failing
+    Raises the typed error ``secular_matrix`` raises for the first failing
     mode (``SecularKernel.failure``), and the errors of ``secular_kernel``.
     """
     vc = complex(v)
@@ -338,12 +323,16 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
     ModeFailureError
         Wrapping whatever solver error made the determinant undefined at
         this speed sample (inadmissible quadrant, non-decaying branch,
-        repeated or shared mode speeds, degenerate kernel, overflow).
+        repeated or shared mode speeds, vanishing closed form, a non-finite
+        column of A, or a determinant whose modulus overflows).
     """
     try:
         A = point_matrix(M, ComplexSpeed(v_r, v_i))
         with np.errstate(all="ignore"):
-            return complex(np.linalg.det(A))
+            det = np.linalg.det(A)
+            if not np.isfinite(np.abs(det)):
+                raise np.linalg.LinAlgError("secular determinant is not finite")
+        return complex(det)
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
 

@@ -171,39 +171,32 @@ def reference_blocks(M):
     return q1, q2, v_lin, r0, r1, r2, s0
 
 
-def full_d_matrices(kernel, v):
-    """``SecularKernel.matrices`` as it was before D(p_k) was built only
-    where a check needs it: the full (n, 5, 5, 5) stack of D(p_k), its
-    finiteness everywhere, and the failure reduction over every speed.
+def full_matrices(kernel, v):
+    """``SecularKernel.matrices`` written out with every check on every
+    mode: the non-decaying branch, the vanishing closed form and the
+    finiteness of each column S(p_k) u_k, ranked by the first failing mode
+    and, within it, by the first failing check.
 
-    Returns ``(A, mode, kind, D)``; kept as the reference the lean kernel
-    must match bit for bit.
+    Returns ``(A, mode, kind)``; kept as the reference the lean kernel must
+    match bit for bit.
     """
     with np.errstate(all="ignore"):
-        q1, q2, v_lin, r0, r1, r2, s0 = kernel.blocks
+        q1, s0, v_lin = kernel.q1T.T, kernel.s0T.T, kernel.vT.T
         vv = v[:, None]
         root = np.sqrt(vv * vv / kernel.t - 1.0)
         p = np.where(root.imag > 0.0, root, -root)
         pp, vm = p[..., None], vv[..., None]
         u = kernel.u0 + pp * kernel.u1 + vm * kernel.u2
-
-        q2v = q2 + vm * v_lin
-        rv = r0 + vm * (r1 + vm * r2)
         sv = s0 + vm * v_lin
-        pm = pp[..., None]
-        D = pm * (pm * q1 + q2v[:, None]) + rv[:, None]
-        finite = np.isfinite(D).all(axis=(-2, -1))
+        rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)
 
-        kind = np.where(u.any(axis=-1), 0, secular.ZERO_KERNEL)
-        kind = np.where(root.imag == 0.0, secular.NON_DECAYING, kind)
-        kind = np.where(finite.all(axis=1, keepdims=True), kind,
-                        np.where(finite, 0, secular.NOT_FINITE))
+        kind = np.where(np.isfinite(rows).all(axis=-1), 0, secular.NOT_FINITE)
+        kind = np.where(u.any(axis=-1), kind, secular.ZERO_KERNEL)
+        kind = np.where(p.imag > 0.0, kind, secular.NON_DECAYING)
         first = np.argmax(kind > 0, axis=1)
         kind = np.take_along_axis(kind, first[:, None], axis=1)[:, 0]
         mode = np.where(kind > 0, first + 1, 0)
-
-        rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)
-        return np.swapaxes(rows, 1, 2), mode, kind, D
+        return np.swapaxes(rows, 1, 2), mode, kind
 
 
 #: Budgets of the removed Muller-then-simplex refinement, frozen here so

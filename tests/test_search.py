@@ -148,13 +148,14 @@ def test_grid_scan_serial_parallel_identical(reference):
 
 
 def test_grid_scan_overflow_cells_fail(reference):
-    # v^2 overflows on the two far rows: NaN cells tallied under the error
-    # objective_F raises there, not a crash of the whole scan
+    # v^2 overflows on the two far rows and leaves no decaying branch: NaN
+    # cells tallied under the error objective_F raises there, not a crash of
+    # the whole scan
     w = ScanWindow(re_min=0.5, re_max=1e160, im_min=-0.1, im_max=0.0, nx=3, ny=2)
     with np.errstate(over="ignore", invalid="ignore"):
         grid = grid_scan(reference, w)
     assert grid.failures == 4
-    assert grid.failure_causes == {"LinAlgError": 4}
+    assert grid.failure_causes == {"NonDecayingError": 4}
     assert np.isfinite(grid.values[0]).all()
     assert np.isnan(grid.values[1:]).all()
 

@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 
 from rayleighmt import (
+    AllPointsFailedError,
     ComplexSpeed,
     DegenerateKernelError,
     DomainError,
     ModeFailureError,
     NonDecayingError,
     NotARootError,
+    ScanWindow,
     amplitudes,
     assemble_Dp,
     assemble_Sp,
     boundary_residual,
     field_eval,
+    grid_scan,
     mode_speeds,
     mode_vector,
     objective_F,
@@ -26,7 +29,7 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import secular
-from rayleighmt.modes import kernel_row
+from rayleighmt.modes import kernel_row, material_blocks, numeric_nullspace
 from rayleighmt.secular import (
     F_SENTINEL,
     NON_DECAYING,
@@ -46,7 +49,7 @@ from rayleighmt.secular import (
 from conftest import default_window
 from helpers import (
     det_cofactor,
-    full_d_matrices,
+    full_matrices,
     random_material,
     random_speed,
     reference_blocks,
@@ -204,8 +207,8 @@ def test_operators_match_the_literal_reference(reference, case_i_material,
     for M, v, p in samples:
         assert np.array_equal(assemble_Dp(M, v, p), reference_Dp(M, v, p))
         assert np.array_equal(assemble_Sp(M, v, p), reference_Sp(M, v, p))
-    for M in materials[:-12]:
-        for got, want in zip(secular_kernel(M).blocks, reference_blocks(M), strict=True):
+    for M in materials:
+        for got, want in zip(material_blocks(M), reference_blocks(M), strict=True):
             assert np.array_equal(got, want)
 
 
@@ -253,9 +256,10 @@ def test_amplitudes_off_root_raises(reference):
 
 
 # sweep material (seed 1, material 10) on which the simplex once reached
-# v = -0.008i: the kernel evaluates there, while the verification route's
-# SVD of D(p_4) gives sigma_4 / sigma_1 = 9.99999742e-11, just under
-# NULLSPACE_RTOL.  Refinement and classification must agree on such a point.
+# v = -0.008i: the SVD of D(p_4) gives sigma_4 / sigma_1 = 9.99999742e-11,
+# just under NULLSPACE_RTOL, which once made the verification route fail
+# where the kernel evaluates.  Refinement and classification must agree on
+# such a point.
 ROUTE_SPLIT = {
     "rho": 1.1452292188138318, "a": 1.8570892338829705, "b": 2.923562934173338,
     "k": 2.3915931642940764, "mu": 2.4360616600665743, "lambda": -0.8928889492816328,
@@ -267,10 +271,11 @@ V_ROUTE_SPLIT = ComplexSpeed(0.0, 0.008006207323123089)
 
 
 def test_amplitudes_follow_the_kernel_where_routes_split():
+    # neither route checks the kernel dimension, so both build the same A
     M = validate_coefficients(ROUTE_SPLIT)
     assert math.isfinite(abs(point_det(M, V_ROUTE_SPLIT.v_r, V_ROUTE_SPLIT.v_i)))
-    with pytest.raises(DegenerateKernelError):
-        mode_vector(M, V_ROUTE_SPLIT, mode_speeds(M).roots[3])
+    A = point_matrix(M, V_ROUTE_SPLIT)
+    assert np.linalg.norm(secular_matrix(M, V_ROUTE_SPLIT).A - A) <= 1e-12 * np.linalg.norm(A)
     try:
         amplitudes(M, V_ROUTE_SPLIT)
     except NotARootError:
@@ -336,12 +341,16 @@ V_NEAR_DEGENERATE = 0.03979195042821225
 
 
 def test_near_degenerate_kernel_dimension():
-    # the verification route's SVD counts two null directions; the kernel
-    # trusts the factorization of det D(p) and gives a determinant
+    # an SVD of D(p_4) counts two null directions; both routes trust the
+    # factorization of det D(p), give a determinant, and the closed form is
+    # a null vector of D(p_4) to roundoff
     M = validate_coefficients(NEAR_DEGENERATE)
-    assert math.isfinite(abs(point_det(M, V_NEAR_DEGENERATE, 0.0)))
-    with pytest.raises(DegenerateKernelError):
-        mode_vector(M, ComplexSpeed(V_NEAR_DEGENERATE), mode_speeds(M).roots[3])
+    v = ComplexSpeed(V_NEAR_DEGENERATE)
+    assert math.isfinite(abs(point_det(M, v.v_r, v.v_i)))
+    mb = mode_vector(M, v, mode_speeds(M).roots[3])
+    D = assemble_Dp(M, v, mb.p.p)
+    assert len(numeric_nullspace(D)) == 2
+    assert np.linalg.norm(D @ mb.u) <= 1e-12 * np.linalg.norm(D, 2) * np.linalg.norm(mb.u)
 
 
 #: Speeds from |v| = 1e-4 to 0.1, in units of the slowest bulk speed, where
@@ -374,7 +383,7 @@ def test_closed_forms_span_the_kernel_wherever_defined(reference, case_i_materia
         root = np.sqrt(vv * vv / kernel.t - 1.0)
         p = np.where(root.imag > 0.0, root, -root)[..., None]
         u = kernel.u0 + p * kernel.u1 + vv[..., None] * kernel.u2
-        q1, q2, v_lin, r0, r1, r2, _ = kernel.blocks
+        q1, q2, v_lin, r0, r1, r2, _ = material_blocks(M)
         pm, vm = p[..., None], vv[..., None, None]
         D = pm * (pm * q1 + (q2 + vm * v_lin)) + (r0 + vm * (r1 + vm * r2))
         residual = np.linalg.norm((D @ u[..., None])[..., 0], axis=-1)
@@ -405,8 +414,9 @@ def test_point_dets_matches_point_det(reference, case_i_material):
     assert point_dets(unsupported, zs) == [None] * len(zs)
 
 
-#: Speeds in the quadrant from |v| = 1e100 to 1e170, dense where D(p_k)
-#: starts to overflow (|v| near 1e153) and v^2 itself does (1.3e154).
+#: Speeds in the quadrant from |v| = 1e100 to 1e170, dense where the
+#: columns of A start to overflow (|v| near 1e153) and v^2 itself does
+#: (1.3e154).
 HUGE_SPEEDS = (
     np.concatenate([np.logspace(100, 170, 141), np.logspace(151, 155, 161)])[:, None]
     * np.exp(-1j * np.array([0.0, 0.4, 1.0, 1.5]))
@@ -430,23 +440,28 @@ TINY_SPEEDS = (np.logspace(-300, -1, 150)[:, None]
                * np.exp(-1j * np.array([0.0, 0.4, 1.0, 1.5]))).ravel()
 
 
+def _real_axis(M):
+    """The real axis up to twice the fastest bulk speed, with both signs of
+    zero."""
+    c = math.sqrt(max(mode_speeds(M).t_values()))
+    return np.array([complex(x, zero) for x in np.linspace(0.0, 2.0 * c, 201)[1:]
+                     for zero in (0.0, -0.0)])
+
+
 def _edge_cases(materials):
-    """Each material on its 64x32 lattice, on ``HUGE_SPEEDS``, on the real
-    axis up to twice its fastest bulk speed (with both signs of zero) and on
-    ``TINY_SPEEDS``."""
+    """Each material on its 64x32 lattice, on ``HUGE_SPEEDS``, on
+    ``_real_axis`` and on ``TINY_SPEEDS``."""
     for M in materials:
-        c = math.sqrt(max(mode_speeds(M).t_values()))
         w = default_window(M, nx=64, ny=32)
         yield M, (w.re_values()[:, None] + 1j * w.im_values()).ravel()
         yield M, HUGE_SPEEDS
-        yield M, np.array([complex(x, zero) for x in np.linspace(0.0, 2.0 * c, 201)[1:]
-                           for zero in (0.0, -0.0)])
+        yield M, _real_axis(M)
         yield M, TINY_SPEEDS
 
 
 def _assert_matches_full_d_kernel(kernel, v):
     A, mode, kind = kernel.matrices(v)
-    A_ref, mode_ref, kind_ref, _ = full_d_matrices(kernel, v)
+    A_ref, mode_ref, kind_ref = full_matrices(kernel, v)
     assert np.array_equal(A, A_ref, equal_nan=True)
     assert np.array_equal(mode, mode_ref)
     assert np.array_equal(kind, kind_ref)
@@ -457,9 +472,9 @@ def _assert_matches_full_d_kernel(kernel, v):
 
 def test_lean_kernel_matches_full_d_kernel(reference, case_i_material, case_ii_material,
                                            case_iii_material):
-    # D(p_k) built only for the overflow guard, the vanishing closed form checked only where it can vanish, and the
+    # the vanishing closed form checked only where it can vanish and the
     # constant S-block product as one matrix product give the same matrices
-    # and verdicts as building everything for every mode
+    # and verdicts as checking everything for every mode
     kinds = set()
     cases = list(_lean_cases(reference)) + list(_edge_cases(
         [reference, case_i_material, case_ii_material, case_iii_material]))
@@ -496,44 +511,76 @@ def test_defined_mask_matches_ranked_mode(reference):
 
 
 def test_huge_speed_fails_alike_on_both_routes(reference, capfd):
-    # D(p_1) overflows here: the verification route must not hand it to
-    # LAPACK's SVD, which prints to stdout, and must name the failure the
-    # batched kernel names
-    for v in (ComplexSpeed(1e154, 3e153),
-              ComplexSpeed(1e160, 0.0),  # v^2 overflows; complex ** 2 raised OverflowError
-              ComplexSpeed(1e155, 3e154)):  # v^2 overflows off the axis; ** 2 gave NaN
+    # v^2 / t_k overflows for some mode here: both routes name the same
+    # non-decaying mode, and nothing reaches LAPACK to print to stdout
+    for v, mode in ((ComplexSpeed(1e154, 3e153), 2),
+                    (ComplexSpeed(1e160, 0.0), 1),  # complex ** 2 raised OverflowError
+                    (ComplexSpeed(1e155, 3e154), 1)):  # v^2 overflows off the axis
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError, match="mode 1 is not finite"):
+            with pytest.raises(NonDecayingError) as ref:
                 secular_matrix(reference, v)
-            with pytest.raises(np.linalg.LinAlgError, match="mode 1 is not finite"):
+            with pytest.raises(NonDecayingError) as res:
                 boundary_residual(reference, v, np.ones(5), 1.0)
             with pytest.raises(ModeFailureError) as err:
                 point_det(reference, v.v_r, v.v_i)
-        assert err.value.cause_name == "LinAlgError"
-        assert "mode 1 is not finite" in str(err.value)
+        cause = err.value.__cause__
+        assert type(cause) is NonDecayingError
+        assert ref.value.mode_index == res.value.mode_index == cause.mode_index == mode
+        assert str(ref.value) == str(cause)
     assert capfd.readouterr().out == ""
 
 
-def test_overflow_guard_margin(reference):
-    # wherever the kernel skips building D(p_k) because no entry can
-    # overflow, D(p_k) is finite with a factor of 4 to spare
-    rng = np.random.default_rng(89)
-    largest = np.finfo(float).max
-    for M in [reference] + [random_material(rng) for _ in range(8)]:
-        kernel = secular_kernel(M)
-        _, _, _, D = full_d_matrices(kernel, HUGE_SPEEDS)
-        with np.errstate(all="ignore"):
-            v = HUGE_SPEEDS[:, None]
-            root = np.sqrt(v * v / kernel.t - 1.0)
-            abs_p = np.abs(np.where(root.imag > 0.0, root, -root))
-            skipped = 1.0 + abs_p + np.abs(v) < kernel.d_reach
-            peak = np.abs(D).max(axis=(-2, -1))
-        assert np.all(peak[skipped] < largest / 4)
-        # the sample straddles the edge: skipped pairs up to near it, and
-        # pairs whose D(p_k) really overflows
-        assert peak[skipped].max() > largest / 1e4
-        assert not np.isfinite(peak).all()
+def test_undefined_speeds_fail_typed(reference, case_i_material, case_ii_material,
+                                     case_iii_material):
+    # at extreme speeds objective_F either gives a finite value or names the
+    # cause, and point_dets is None exactly where it raises; at |v| >~ 1e100
+    # |det A| can overflow although every entry of A is finite
+    rng = np.random.default_rng(83)
+    materials = [reference, case_i_material, case_ii_material, case_iii_material,
+                 random_material(rng), random_material(rng), random_material(rng)]
+    causes = set()
+    for M in materials:
+        for v in (HUGE_SPEEDS, _real_axis(M), TINY_SPEEDS):
+            for z, entry in zip(v, point_dets(M, v)):
+                try:
+                    F = objective_F(M, z.real, -z.imag)
+                except ModeFailureError as exc:
+                    assert entry is None, z
+                    causes.add(exc.cause_name)
+                    continue
+                assert entry is not None and F == objective_from_det(entry[0]), z
+                assert not math.isnan(F), z
+    assert causes == {"NonDecayingError", "LinAlgError"}
+
+
+def test_huge_window_scans_fail_typed():
+    # the scan's second pass names every undefined cell; where no cell is
+    # defined the scan raises the typed AllPointsFailedError
+    w = ScanWindow(1e152, 1e155, -3e154, 0.0, 24, 12)
+    for seed in (3, 7, 11):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            try:
+                grid = grid_scan(random_material(rng), w)
+            except AllPointsFailedError:
+                continue
+            assert grid.failures == sum(grid.failure_causes.values())
+
+
+@pytest.mark.parametrize("name", ["reference", "case_i_material", "case_ii_material",
+                                  "case_iii_material"])
+def test_routes_agree_near_the_origin(name, request):
+    # every p_k nears i and the p_k^2 crowd together, but the mode speeds
+    # stay distinct: both routes build the same A and the residual is finite
+    M = request.getfixturevalue(name)
+    c = math.sqrt(min(mode_speeds(M).t_values()))
+    for scale in (1e-4, 1e-3, 1e-2):
+        for phase in (0.0, 0.4, 1.0):
+            v = ComplexSpeed.from_complex(scale * c * cmath.exp(-1j * phase))
+            A = point_matrix(M, v)
+            assert np.linalg.norm(secular_matrix(M, v).A - A) <= 1e-12 * np.linalg.norm(A)
+            assert math.isfinite(boundary_residual(M, v, np.ones(5), 1.0))
 
 
 def test_point_det_matches_row_evaluate():
