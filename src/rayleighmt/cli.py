@@ -81,11 +81,13 @@ def _emit_text(payload, indent: int = 0) -> None:
 
 
 def _scalar_text(val) -> str:
+    # a numpy scalar is a float or complex, but its repr names its type
     if isinstance(val, complex):
+        val = complex(val)
         sign = "-" if val.imag < 0 else "+"
         return f"{val.real!r} {sign} {abs(val.imag)!r}i"
     if isinstance(val, float):
-        return repr(val)
+        return repr(float(val))
     return str(val)
 
 
@@ -139,27 +141,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_roots(args: argparse.Namespace) -> int:
     M = load_material(args.material)
     C = derived_cubic(M)
-    rows = []
     if args.case:
         case = classify_coupling(M)
         rs = roots_case(M, case)
-        for root, label in zip(rs.roots, rs.labels):
-            q2_res, q3_res = polynomial_residual(C, root.t)
-            rows.append({
-                "index": root.index, "t": root.t, "source": root.source,
-                "label": label,
-                "residual": q2_res if root.source == "q2" else q3_res,
-            })
-        payload = {"case": case.value, "roots": rows}
+        labels = [{"label": label} for label in rs.labels]
     else:
         rs = mode_speeds(M)
-        for root in rs.roots:
-            q2_res, q3_res = polynomial_residual(C, root.t)
-            rows.append({
-                "index": root.index, "t": root.t, "source": root.source,
-                "residual": q2_res if root.source == "q2" else q3_res,
-            })
-        payload = {"roots": rows, "pairwise_min_gap": rs.pairwise_min_gap}
+        labels = [{}] * len(rs.roots)
+    rows = []
+    for root, label in zip(rs.roots, labels):
+        q2_res, q3_res = polynomial_residual(C, root.t)
+        rows.append({"index": root.index, "t": root.t, "source": root.source, **label,
+                     "residual": q2_res if root.source == "q2" else q3_res})
+    payload = ({"case": case.value, "roots": rows} if args.case
+               else {"roots": rows, "pairwise_min_gap": rs.pairwise_min_gap})
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -247,14 +242,13 @@ def cmd_case(args: argparse.Namespace) -> int:
 
     c = math.sqrt(min(rs.t_values()))
     v_probe = ComplexSpeed(0.5 * c, 0.1 * c)
-    bases = [mode_vector(M, v_probe, root) for root in rs.roots]
-    payload["kernel_max_residual"] = max(
-        float(
-            np.linalg.norm(assemble_Dp(M, v_probe, mb.p.p) @ mb.u)
-            / (np.linalg.norm(assemble_Dp(M, v_probe, mb.p.p)) * np.linalg.norm(mb.u))
-        )
-        for mb in bases
-    )
+    residuals = []
+    for root in rs.roots:
+        mb = mode_vector(M, v_probe, root)
+        D = assemble_Dp(M, v_probe, mb.p.p)
+        residuals.append(float(np.linalg.norm(D @ mb.u)
+                               / (np.linalg.norm(D) * np.linalg.norm(mb.u))))
+    payload["kernel_max_residual"] = max(residuals)
 
     if case in (CouplingCase.CASE_I, CouplingCase.CASE_II):
         check = cross_check_case(M, case)

@@ -7,36 +7,34 @@ surface wave exists when some combination of the five modes leaves the
 surface flux-free, i.e. when the 5x5 secular matrix A is singular.  The
 search objective is F = ln |det A|.
 
-A solve builds A one way only, by one batched kernel over arrays of speeds
-(``secular_objective`` for the scan, ``point_dets`` for the speeds one
-refinement step of every seed needs; ``point_matrix``, ``point_det`` and
-``objective_F`` are its one-point calls) built on material-only data
-computed once per material; the mode weights of a root (``amplitudes``)
-come from it too.  Neither route builds D(p_k) or checks that its kernel
-is one-dimensional: det D(p) is det Q1 times prod_j (p^2 - p_j^2) and
-``mode_speeds`` keeps the t_j distinct, so at an admissible speed p_k^2 is
-a simple root and the kernel is a line.  Both routes apply one failure
-rule to what the determinant consumes: the first mode, by index, that
-does not decay (not Im p_k > 0), whose closed form vanishes, or whose
-column S(p_k) u_k has a non-finite entry makes the speed undefined, and
-so does a determinant whose modulus is not finite.  The batched calls ask
-only whether some mode fails at each speed
-(``SecularKernel.defined_matrices``); which mode fails, and how, is ranked
-only for the typed error of a one-point call (``SecularKernel.matrices``).
-``secular_matrix`` assembles A one speed at a time from ``mode_vector``:
-the verification route, which ``field_eval`` and ``boundary_residual`` use
-so that a kernel root is checked by a separate assembly.  Both routes read
-the closed forms of ``modes.kernel_row`` and the blocks, which are cached
-on the material; the tests check the closed forms against the SVD
-nullspace of D(p_k).
+A solve builds A one way only: ``SecularKernel.evaluate``, one batched
+kernel over arrays of speeds built on material-only data computed once per
+material.  ``secular_objective`` calls it for the scan, ``point_dets`` for
+the speeds one refinement step of every seed needs, and ``point_matrix``,
+``point_det`` and ``objective_F`` are its one-point calls; the mode weights
+of a root (``amplitudes``) come from it too.  It never builds D(p_k) or
+checks that its kernel is one-dimensional: det D(p) is det Q1 times prod_j
+(p^2 - p_j^2) and ``mode_speeds`` keeps the t_j distinct, so at an
+admissible speed p_k^2 is a simple root and the kernel is a line.  One rule
+decides where A is defined, and ``evaluate`` applies it for every caller:
+the speed lies in the quadrant, every mode decays (Im p_k > 0), no closed
+form vanishes, every column S(p_k) u_k is finite, and |det A| is finite.
+Where the rule fails, ``evaluate`` names the first failure (the speed, the
+first failing mode by index, or the determinant) and
+``SecularKernel.failure`` turns it into the typed error a one-point call
+raises.  ``secular_matrix`` assembles A one speed at a time from
+``mode_vector``: the verification route, which ``field_eval`` and
+``boundary_residual`` use so that a kernel root is checked by a separate
+assembly; it checks the modes in the kernel's order.  Both routes read the
+closed forms of ``modes.kernel_row`` and the blocks, which are cached on
+the material; the tests check the closed forms against the SVD nullspace
+of D(p_k).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +65,7 @@ ROOT_RATIO_TOL = 1e-6
 
 
 def assemble_Sp(M: MaterialCoefficients, v: ComplexSpeed, p: complex) -> Matrix5:
-    """Boundary flux operator S(p) = p Q1 + S0 + v V mapping (U1, U2, A1, A2,
+    """Boundary flux matrix S(p) = p Q1 + S0 + v V mapping (U1, U2, A1, A2,
     B) to (t21, t22, L21, L22, S2) amplitudes (``modes.material_blocks``)."""
     q1, _, v_lin, _, _, _, s0 = material_blocks(M)
     return p * q1 + s0 + complex(v) * v_lin
@@ -138,11 +136,12 @@ def objective_from_det(det: complex) -> float:
     return math.log(mag)
 
 
-#: Ways one mode can fail at one speed, in the order a mode is checked: no
-#: decaying branch (a NaN branch from an overflowing v^2 included), a
-#: vanishing closed form, and a column S(p_k) u_k of A with a non-finite
-#: entry (an overflow at a huge speed).  The first failing mode decides.
-NON_DECAYING, ZERO_KERNEL, NOT_FINITE = 1, 2, 3
+#: Ways a speed can fail, in the order ``SecularKernel.evaluate`` checks
+#: them: outside the quadrant; then, in the first failing mode by index, no
+#: decaying branch (an overflowing v^2's NaN branch included), a vanishing
+#: closed form, or a non-finite entry of its column S(p_k) u_k (an overflow
+#: at a huge speed); last an overflowing |det A| with every entry finite.
+NON_DECAYING, ZERO_KERNEL, NOT_FINITE, INADMISSIBLE, DET_NOT_FINITE = 1, 2, 3, 4, 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,15 +180,19 @@ class SecularKernel:
         return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
                    q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy())
 
-    def _evaluate(self, v: np.ndarray) -> tuple:
-        """``(A, failing)`` at admissible complex speeds v, shape (n,).
+    def evaluate(self, v: np.ndarray) -> tuple:
+        """``(A, det, mode, kind)`` at any complex speeds v, shape (n,).
 
-        ``A`` is the (n, 5, 5) stack whose column k is S(p_k) u_k, and
-        ``failing`` maps each failure kind to the (n, 5) mask of the modes
-        that fail that way: ``NON_DECAYING`` where not Im p_k > 0,
-        ``NOT_FINITE`` where column k has a non-finite entry, and
-        ``ZERO_KERNEL`` where u_k = 0, left out when no mode ``can_vanish``.
+        ``A`` is the (n, 5, 5) stack whose column k is S(p_k) u_k and ``det``
+        its determinants, meaningless where ``kind`` is nonzero.  ``kind`` is
+        0 where the speed is defined and otherwise its first failure, in the
+        order above; ``mode`` is the failing mode of a per-mode kind, else 0.
+        Only failing speeds are ranked; ``det`` is computed only if some
+        speed has no failing mode.
         """
+        n = len(v)
+        # the speeds ComplexSpeed accepts: finite, nonzero, Re v >= 0, Im v <= 0
+        admissible = np.isfinite(v) & (v.real >= 0.0) & (v.imag <= 0.0) & (v != 0.0)
         with np.errstate(all="ignore"):
             vv = v[:, None]
             root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
@@ -199,53 +202,56 @@ class SecularKernel:
             svT = self.s0T + vm * self.vT  # the v-dependent part of S(p), transposed
             uq = (u.reshape(-1, 5) @ self.q1T).reshape(u.shape)
             rows = pp * uq + u @ svT  # row k: S(p_k) u_k
-            failing = {NON_DECAYING: ~(p.imag > 0.0),
-                       NOT_FINITE: ~np.isfinite(rows).all(axis=-1)}
-            if self.can_vanish.any():
-                failing[ZERO_KERNEL] = ~u.any(axis=-1) & self.can_vanish
-        return np.swapaxes(rows, 1, 2), failing
+            A = np.swapaxes(rows, 1, 2)
+            # (kind, mask of the modes that pass), in the order a mode is checked
+            decays, finite = p.imag > 0.0, np.isfinite(rows).all(axis=-1)
+            checks = [(NON_DECAYING, decays), (NOT_FINITE, finite)]
+            passed = decays & finite
+            if np.count_nonzero(self.can_vanish):
+                nonzero = u.any(axis=-1) | ~self.can_vanish
+                checks.insert(1, (ZERO_KERNEL, nonzero))
+                passed &= nonzero
+            defined = admissible & passed.all(axis=1)
+            n_defined = np.count_nonzero(defined)
+            if n_defined:
+                det = np.linalg.det(A)
+                defined &= np.isfinite(np.abs(det))
+                n_defined = np.count_nonzero(defined)
+            else:
+                det = np.full(n, np.nan, dtype=complex)
+        mode, kind = np.zeros((2, n), dtype=int)
+        if n_defined < n:
+            # rank each failing speed: the speed itself, then its first
+            # failing mode by index and that mode's first failing check,
+            # then the determinant
+            for i in np.flatnonzero(~defined).tolist():
+                modes = passed[i].tolist()
+                if not admissible[i]:
+                    kind[i] = INADMISSIBLE
+                elif all(modes):
+                    kind[i] = DET_NOT_FINITE
+                else:
+                    m = modes.index(False)
+                    mode[i], kind[i] = m + 1, next(c for c, ok in checks if not ok[i, m])
+        return A, det, mode, kind
 
-    def defined_matrices(self, v: np.ndarray) -> tuple:
-        """``(A, defined)`` at admissible complex speeds v, shape (n,): the
-        stack of ``matrices`` and the mask of the speeds where no mode fails
-        (``mode == 0``), without ranking the failures."""
-        A, failing = self._evaluate(v)
-        failed = functools.reduce(operator.or_, failing.values())
-        return A, ~failed.any(axis=1)
-
-    def matrices(self, v: np.ndarray) -> tuple:
-        """Secular matrices at admissible complex speeds v, shape (n,), with
-        their failures ranked.
-
-        Returns ``(A, mode, kind)``: ``A`` is the (n, 5, 5) stack whose
-        column k is S(p_k) u_k, ``mode`` holds the index of the first mode
-        that fails at each speed (0 where none does) and ``kind`` the first
-        way it fails, in the order ``NON_DECAYING``, ``ZERO_KERNEL``,
-        ``NOT_FINITE``.  ``A`` is meaningless where ``mode`` is nonzero.
-        Only a typed error needs the ranking: the batched callers take
-        ``defined_matrices``.
-        """
-        A, failing = self._evaluate(v)
-        mode = np.zeros(len(v), dtype=int)
-        kind = np.zeros(len(v), dtype=int)
-        bad = np.flatnonzero(functools.reduce(operator.or_, failing.values()).any(axis=1))
-        if bad.size:
-            kinds = np.zeros((bad.size, 5), dtype=int)
-            for code in (NOT_FINITE, ZERO_KERNEL, NON_DECAYING):
-                if code in failing:
-                    kinds = np.where(failing[code][bad], code, kinds)
-            first = np.argmax(kinds > 0, axis=1)
-            kind[bad] = kinds[np.arange(bad.size), first]
-            mode[bad] = first + 1
-        return A, mode, kind
-
-    def failure(self, v: complex, mode: int, kind: int) -> RayleighError:
-        """The typed error ``secular_matrix`` raises for this failure."""
+    def failure(self, v: complex, mode: int, kind: int) -> Exception:
+        """The typed error of the failure ``evaluate`` ranked at speed v: the
+        ``ValueError`` of ``ComplexSpeed`` for an inadmissible speed, the
+        error ``secular_matrix`` raises for a failing mode, and a
+        ``LinAlgError`` for a determinant whose modulus is not finite."""
+        if kind == INADMISSIBLE:
+            try:
+                ComplexSpeed.from_complex(v)
+            except ValueError as exc:
+                return exc
         if kind == NON_DECAYING:
             return NonDecayingError(t=self.roots[mode - 1].t, v=v, mode_index=mode)
         if kind == ZERO_KERNEL:
             return DegenerateKernelError(
                 f"closed-form kernel vector vanishes for mode {mode}")
+        if kind == DET_NOT_FINITE:
+            return np.linalg.LinAlgError("secular determinant is not finite")
         return np.linalg.LinAlgError(f"secular matrix column of mode {mode} is not finite")
 
 
@@ -260,63 +266,44 @@ def secular_kernel(M: MaterialCoefficients) -> SecularKernel:
     return M.memo("_secular_kernel", SecularKernel.build)
 
 
-def _admissible(v: np.ndarray) -> np.ndarray:
-    """Mask of the speeds ``ComplexSpeed`` accepts: finite, nonzero, in the
-    quadrant Re v >= 0, Im v <= 0."""
-    return np.isfinite(v) & (v.real >= 0.0) & (v.imag <= 0.0) & (v != 0.0)
-
-
-def _defined_dets(M: MaterialCoefficients, v: np.ndarray) -> tuple:
-    """``(defined, A, det A)`` at a 1-D array of complex speeds v, from one
-    call of ``SecularKernel.defined_matrices``.
-
-    A speed is defined where it is admissible, no mode fails there and
-    |det A| is finite; none is for a material whose mode speeds or
-    couplings rule out the closed-form kernels (its A and det are NaN).
-    """
+def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
+    """F = ln |det A| over an array of complex speeds v, from one call of
+    ``SecularKernel.evaluate``; NaN where the speed is undefined, and
+    everywhere for a material whose mode speeds or couplings rule out the
+    closed-form kernels.  ``objective_F`` names the cause at one speed."""
+    v = np.asarray(v, dtype=complex)
     try:
         kernel = secular_kernel(M)
     except RayleighError:
-        A = np.full((len(v), 5, 5), np.nan, dtype=complex)
-        return np.zeros(len(v), dtype=bool), A, A[:, 0, 0]
-    ok = _admissible(v)
-    A, defined = kernel.defined_matrices(v if ok.all() else np.where(ok, v, 1.0))
-    with np.errstate(all="ignore"):
-        det = np.linalg.det(A)
-        return ok & defined & np.isfinite(np.abs(det)), A, det
-
-
-def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
-    """F = ln |det A| over an array of complex speeds v, NaN where undefined.
-
-    The objective is undefined at inadmissible speeds, where a mode fails,
-    and everywhere for a material whose mode speeds or couplings rule out
-    the closed-form kernels; ``objective_F`` names the cause at one speed.
-    """
-    v = np.asarray(v, dtype=complex)
-    defined, _, det = _defined_dets(M, v.ravel())
+        return np.full(v.shape, np.nan)
+    _, det, _, kind = kernel.evaluate(v.ravel())
     mag = np.abs(det).reshape(v.shape)
     with np.errstate(divide="ignore"):
         F = np.where(mag == 0.0, F_SENTINEL, np.log(mag))
-    return np.where(defined.reshape(v.shape), F, np.nan)
+    return np.where(kind.reshape(v.shape) == 0, F, np.nan)
+
+
+def _point(M: MaterialCoefficients, v: complex) -> tuple:
+    """``(A, det A)`` at one speed from ``SecularKernel.evaluate``; raises
+    the typed error of its failure (``SecularKernel.failure``) and the
+    errors of ``secular_kernel``."""
+    kernel = secular_kernel(M)
+    A, det, mode, kind = kernel.evaluate(np.array([v]))
+    if kind[0]:
+        raise kernel.failure(v, int(mode[0]), int(kind[0]))
+    return A[0], complex(det[0])
 
 
 def point_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> Matrix5:
-    """Secular matrix A(v) from a one-point call of ``SecularKernel.matrices``.
-
-    Raises the typed error ``secular_matrix`` raises for the first failing
-    mode (``SecularKernel.failure``), and the errors of ``secular_kernel``.
-    """
-    vc = complex(v)
-    kernel = secular_kernel(M)
-    A, mode, kind = kernel.matrices(np.array([vc]))
-    if mode[0]:
-        raise kernel.failure(vc, int(mode[0]), int(kind[0]))
-    return A[0]
+    """Secular matrix A(v) from a one-point call of ``SecularKernel.evaluate``;
+    raises what ``point_det`` wraps: the typed error of the speed's failure
+    (``SecularKernel.failure``) and the errors of ``secular_kernel``."""
+    return _point(M, complex(v))[0]
 
 
 def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
-    """Secular determinant det A(v) at v = v_r - i v_i, from ``point_matrix``.
+    """Secular determinant det A(v) at v = v_r - i v_i, from a one-point call
+    of ``SecularKernel.evaluate``.
 
     Raises
     ------
@@ -327,27 +314,22 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
         column of A, or a determinant whose modulus overflows).
     """
     try:
-        A = point_matrix(M, ComplexSpeed(v_r, v_i))
-        with np.errstate(all="ignore"):
-            det = np.linalg.det(A)
-            if not np.isfinite(np.abs(det)):
-                raise np.linalg.LinAlgError("secular determinant is not finite")
-        return complex(det)
+        return _point(M, complex(v_r, -v_i))[1]
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
 
 
 def point_dets(M: MaterialCoefficients, zs) -> list:
-    """``point_det`` and ``point_matrix`` at each complex speed of ``zs``
-    (v itself, not ``(v_r, v_i)``), from one call of
-    ``SecularKernel.defined_matrices``.
-
-    Returns one ``(det, A)`` per speed, or None exactly where ``point_det``
-    raises: an inadmissible speed, a failing mode, or a material the
-    closed-form kernels cannot handle.
-    """
-    defined, A, det = _defined_dets(M, np.array(zs, dtype=complex))
-    return [(complex(d), a) if good else None for d, a, good in zip(det, A, defined)]
+    """``point_det`` and ``point_matrix`` at each complex speed of ``zs`` (v
+    itself, not ``(v_r, v_i)``) from one ``SecularKernel.evaluate`` call:
+    one ``(det, A)`` per speed, or None exactly where ``point_det`` raises
+    (an undefined speed, or a material no closed-form kernel covers)."""
+    try:
+        kernel = secular_kernel(M)
+    except RayleighError:
+        return [None] * len(zs)
+    A, det, _, kind = kernel.evaluate(np.array(zs, dtype=complex))
+    return [(complex(d), a) if not k else None for d, a, k in zip(det, A, kind)]
 
 
 def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:

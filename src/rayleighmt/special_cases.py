@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRootsError, NotStronglyEllipticError, WrongCaseError
+from .errors import (
+    DegenerateRootsError,
+    ModeFailureError,
+    NotStronglyEllipticError,
+    WrongCaseError,
+)
 from .material import (
     CouplingCase,
     MaterialCoefficients,
@@ -31,7 +36,7 @@ from .material import (
     classify_coupling,
 )
 from .modes import DECOUPLED_CASES, ComplexSpeed, case_speeds, p_from_t
-from .secular import point_det, point_dets
+from .secular import secular_kernel
 from .spectrum import GAP_RTOL, ModeRoot, mode_speeds
 
 #: Formula labels of ``modes.case_speeds``, in its order.
@@ -205,18 +210,19 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     """Compare the explicit secular expression against the determinant.
 
     Both functions are evaluated at ``CROSS_CHECK_SAMPLES`` random
-    admissible speeds, the determinant in one ``point_dets`` call; a sample
-    counts as a root of either function when its magnitude falls below
-    ``CROSS_CHECK_ROOT_RTOL`` times that function's median magnitude over
-    the sample set.  Agreement means both functions give the same root
-    flag.  Only the first two regimes have explicit expressions.
+    admissible speeds, the determinant in one ``SecularKernel.evaluate``
+    call; a sample counts as a root of either function when its magnitude
+    falls below ``CROSS_CHECK_ROOT_RTOL`` times that function's median
+    magnitude over the sample set.  Agreement means both functions give the
+    same root flag.  Only the first two regimes have explicit expressions.
 
     Raises
     ------
     WrongCaseError
         Propagated when the material or the case does not fit.
     ModeFailureError
-        If the determinant is undefined at a sample (``point_det``'s error).
+        If the determinant is undefined at a sample: the error ``point_det``
+        raises at the first such sample, named from the batch.
     """
     rs = roots_case(M, case)
     c = math.sqrt(min(rs.t_values()))
@@ -227,11 +233,15 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     explicit_mags = np.array([abs(secular_case_explicit(M, ComplexSpeed(x, y), case))
                               for x, y in zip(v_res, v_ims)])
     # the kernel orders the modes as mode_speeds does, not by label; that
-    # permutation can flip the sign of det A but not its magnitude.  Where
-    # the batch has no determinant, point_det raises the typed error.
-    entries = point_dets(M, v_res - 1j * v_ims)
-    det_mags = np.array([abs(point_det(M, x, y) if entry is None else entry[0])
-                         for x, y, entry in zip(v_res, v_ims, entries)])
+    # permutation can flip the sign of det A but not its magnitude
+    v = v_res - 1j * v_ims
+    kernel = secular_kernel(M)
+    _, det, mode, kind = kernel.evaluate(v)
+    if kind.any():
+        i = np.flatnonzero(kind)[0]
+        raise ModeFailureError(v_res[i], v_ims[i],
+                               kernel.failure(complex(v[i]), int(mode[i]), int(kind[i])))
+    det_mags = np.abs(det)
 
     explicit_flags = explicit_mags <= CROSS_CHECK_ROOT_RTOL * np.median(explicit_mags)
     det_flags = det_mags <= CROSS_CHECK_ROOT_RTOL * np.median(det_mags)

@@ -171,15 +171,28 @@ def reference_blocks(M):
     return q1, q2, v_lin, r0, r1, r2, s0
 
 
-def full_matrices(kernel, v):
-    """``SecularKernel.matrices`` written out with every check on every
-    mode: the non-decaying branch, the vanishing closed form and the
-    finiteness of each column S(p_k) u_k, ranked by the first failing mode
-    and, within it, by the first failing check.
+def _in_quadrant(z):
+    """Whether ``ComplexSpeed`` accepts the speed z."""
+    try:
+        ComplexSpeed.from_complex(z)
+    except ValueError:
+        return False
+    return True
 
-    Returns ``(A, mode, kind)``; kept as the reference the lean kernel must
-    match bit for bit.
+
+def full_matrices(kernel, v):
+    """``SecularKernel.evaluate`` written out with every check at every
+    speed: the quadrant (by ``ComplexSpeed`` itself), then for every mode
+    the non-decaying branch, the vanishing closed form and the finiteness
+    of each column S(p_k) u_k, then the finiteness of |det A|, taken at
+    every speed.  A failure is ranked by the speed, then by the first
+    failing mode and, within it, by the first failing check, then by the
+    determinant.
+
+    Returns ``(A, det, mode, kind)``; kept as the reference the lean kernel
+    must match bit for bit (``det`` where ``kind`` is 0).
     """
+    admissible = np.array([_in_quadrant(z) for z in v.tolist()], dtype=bool)
     with np.errstate(all="ignore"):
         q1, s0, v_lin = kernel.q1T.T, kernel.s0T.T, kernel.vT.T
         vv = v[:, None]
@@ -189,6 +202,8 @@ def full_matrices(kernel, v):
         u = kernel.u0 + pp * kernel.u1 + vm * kernel.u2
         sv = s0 + vm * v_lin
         rows = pp * (u @ q1.T) + u @ np.swapaxes(sv, 1, 2)
+        A = np.swapaxes(rows, 1, 2)
+        det = np.linalg.det(A)
 
         kind = np.where(np.isfinite(rows).all(axis=-1), 0, secular.NOT_FINITE)
         kind = np.where(u.any(axis=-1), kind, secular.ZERO_KERNEL)
@@ -196,7 +211,11 @@ def full_matrices(kernel, v):
         first = np.argmax(kind > 0, axis=1)
         kind = np.take_along_axis(kind, first[:, None], axis=1)[:, 0]
         mode = np.where(kind > 0, first + 1, 0)
-        return np.swapaxes(rows, 1, 2), mode, kind
+        kind = np.where(kind > 0, kind,
+                        np.where(np.isfinite(np.abs(det)), 0, secular.DET_NOT_FINITE))
+        mode = np.where(admissible, mode, 0)
+        kind = np.where(admissible, kind, secular.INADMISSIBLE)
+        return A, det, mode, kind
 
 
 #: Budgets of the removed Muller-then-simplex refinement, frozen here so

@@ -187,6 +187,14 @@ def test_text_format(capsys):
     assert not out.lstrip().startswith("{")
 
 
+def test_solve_text_format_prints_plain_numbers(capsys):
+    # numpy scalars in the payload print as plain numbers, not reprs
+    code, out, _ = run(capsys, "solve", "--material", REF, "--format", "text")
+    assert code == 0
+    assert "- 1.0 + 0.0i" in out
+    assert "np." not in out
+
+
 def test_module_entry_point():
     proc = _module_run("check", "--material", REF)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from rayleighmt import (
 from rayleighmt import secular
 from rayleighmt.modes import kernel_row, material_blocks, numeric_nullspace
 from rayleighmt.secular import (
+    DET_NOT_FINITE,
     F_SENTINEL,
+    INADMISSIBLE,
     NON_DECAYING,
     NOT_FINITE,
     ZERO_KERNEL,
@@ -377,7 +380,7 @@ def test_closed_forms_span_the_kernel_wherever_defined(reference, case_i_materia
     cases.append((M_near, np.array([V_NEAR_DEGENERATE + 0j]), True))
     for M, v, everywhere in cases:
         kernel = secular_kernel(M)
-        _, defined = kernel.defined_matrices(v)
+        defined = kernel.evaluate(v)[3] == 0
         assert defined.all() or not everywhere
         vv = v[defined, None]
         root = np.sqrt(vv * vv / kernel.t - 1.0)
@@ -448,25 +451,32 @@ def _real_axis(M):
                      for zero in (0.0, -0.0)])
 
 
+#: Speeds ``ComplexSpeed`` rejects (zero, outside the quadrant, not
+#: finite), each batched between two it accepts.
+OUTSIDE_SPEEDS = np.array([0.5 - 0.1j, 0j, 0.9 + 0j, -0.5 - 0.1j, 0.5 + 0.1j, 1e160 + 0j,
+                           -1e-300 - 1j, 1.0 + 1e-300j, complex(math.nan, 0.0),
+                           complex(math.inf, -1.0), complex(0.3, math.nan), 0.5 - 0.1j])
+
+
 def _edge_cases(materials):
     """Each material on its 64x32 lattice, on ``HUGE_SPEEDS``, on
-    ``_real_axis`` and on ``TINY_SPEEDS``."""
+    ``_real_axis``, on ``TINY_SPEEDS`` and on ``OUTSIDE_SPEEDS``."""
     for M in materials:
         w = default_window(M, nx=64, ny=32)
         yield M, (w.re_values()[:, None] + 1j * w.im_values()).ravel()
         yield M, HUGE_SPEEDS
         yield M, _real_axis(M)
         yield M, TINY_SPEEDS
+        yield M, OUTSIDE_SPEEDS
 
 
 def _assert_matches_full_d_kernel(kernel, v):
-    A, mode, kind = kernel.matrices(v)
-    A_ref, mode_ref, kind_ref = full_matrices(kernel, v)
+    A, det, mode, kind = kernel.evaluate(v)
+    A_ref, det_ref, mode_ref, kind_ref = full_matrices(kernel, v)
     assert np.array_equal(A, A_ref, equal_nan=True)
     assert np.array_equal(mode, mode_ref)
     assert np.array_equal(kind, kind_ref)
-    with np.errstate(all="ignore"):
-        assert np.array_equal(np.linalg.det(A), np.linalg.det(A_ref), equal_nan=True)
+    assert np.array_equal(det[kind == 0], det_ref[kind == 0])
     return set(kind.tolist())
 
 
@@ -480,7 +490,7 @@ def test_lean_kernel_matches_full_d_kernel(reference, case_i_material, case_ii_m
         [reference, case_i_material, case_ii_material, case_iii_material]))
     for M, v in cases:
         kinds |= _assert_matches_full_d_kernel(secular_kernel(M), v)
-    assert {NON_DECAYING, NOT_FINITE} <= kinds
+    assert {NON_DECAYING, NOT_FINITE, INADMISSIBLE, DET_NOT_FINITE} <= kinds
     # no mode of these materials has a closed form that can vanish
     assert not any(secular_kernel(M).can_vanish.any() for M, _ in cases)
 
@@ -497,17 +507,6 @@ def test_lean_kernel_flags_a_vanishing_closed_form(reference, monkeypatch):
     for _, v in _edge_cases([reference]):
         kinds |= _assert_matches_full_d_kernel(kernel, v)
     assert {ZERO_KERNEL, NON_DECAYING} <= kinds
-
-
-def test_defined_mask_matches_ranked_mode(reference):
-    # the batched callers' unranked mask is exactly where the ranking
-    # finds no failing mode, with the same matrices
-    for M, v in _lean_cases(reference):
-        kernel = secular_kernel(M)
-        A, defined = kernel.defined_matrices(v)
-        A_ranked, mode, _ = kernel.matrices(v)
-        assert np.array_equal(defined, mode == 0)
-        assert A.tobytes() == A_ranked.tobytes()
 
 
 def test_huge_speed_fails_alike_on_both_routes(reference, capfd):
@@ -554,6 +553,46 @@ def test_undefined_speeds_fail_typed(reference, case_i_material, case_ii_materia
     assert causes == {"NonDecayingError", "LinAlgError"}
 
 
+def _named_failures(M, v):
+    """Tally of ``(cause class, mode index)`` over the undefined speeds of v
+    as one ``SecularKernel.evaluate`` call names them, after checking that
+    ``objective_F`` raises that error, with that message, at each of them."""
+    kernel = secular_kernel(M)
+    _, _, mode, kind = kernel.evaluate(v)
+    named, bad = Counter(), kind != 0
+    for z, m, k in zip(v[bad].tolist(), mode[bad].tolist(), kind[bad].tolist()):
+        err = kernel.failure(z, m, k)
+        with pytest.raises(ModeFailureError) as raised:
+            objective_F(M, z.real, -z.imag)
+        cause = raised.value.__cause__
+        assert type(cause) is type(err), z
+        assert getattr(cause, "mode_index", m) == getattr(err, "mode_index", m) == m, z
+        assert str(cause) == str(err), z
+        named[type(err).__name__, m] += 1
+    return named
+
+
+def test_batch_names_what_objective_raises(reference, case_i_material, case_ii_material,
+                                           case_iii_material):
+    # every undefined speed of a batch is named as objective_F names it one
+    # point at a time: the error class and, for a failing mode, its index
+    w = default_window(reference)
+    named = _named_failures(reference, (w.re_values()[:, None] + 1j * w.im_values()).ravel())
+    assert named == {("NonDecayingError", 1): 76, ("NonDecayingError", 2): 23}
+    rng = np.random.default_rng(107)
+    names = set()
+    for M, v in _edge_cases([reference, case_i_material, case_ii_material, case_iii_material,
+                             random_material(rng), random_material(rng)]):
+        names |= {name for name, _ in _named_failures(M, v)}
+    assert names == {"NonDecayingError", "LinAlgError", "ValueError"}
+    # a window across Re v = 0 and Im v = 0: every cell outside the quadrant
+    # fails as ComplexSpeed's ValueError, and no mode is named for it
+    w = ScanWindow(-0.3, 1.5, -0.6, 0.3, 18, 10)
+    named = _named_failures(reference, (w.re_values()[:, None] + 1j * w.im_values()).ravel())
+    outside = sum(x < 0.0 or y > 0.0 for x in w.re_values() for y in w.im_values())
+    assert named["ValueError", 0] == outside > 0
+
+
 def test_huge_window_scans_fail_typed():
     # the scan's second pass names every undefined cell; where no cell is
     # defined the scan raises the typed AllPointsFailedError
@@ -592,11 +631,9 @@ def test_point_det_matches_row_evaluate():
         kernel = secular_kernel(M)
         w = default_window(M, nx=24, ny=16)
         for re_v in w.re_values():
-            A, mode, _ = kernel.matrices(re_v + 1j * w.im_values())
-            with np.errstate(all="ignore"):
-                det = np.linalg.det(A)
-            for im_v, d, m in zip(w.im_values(), det, mode):
-                if m:
+            _, det, _, kind = kernel.evaluate(re_v + 1j * w.im_values())
+            for im_v, d, k in zip(w.im_values(), det, kind):
+                if k:
                     with pytest.raises(ModeFailureError):
                         point_det(M, re_v, -im_v)
                 else:
