@@ -71,7 +71,6 @@ from .secular import (
     FieldState,
     SecularMatrix,
     amplitudes,
-    assemble_Sp,
     boundary_residual,
     field_eval,
     objective_F,

@@ -7,12 +7,12 @@ the field equations gives a 5x5 propagation matrix D(p) acting on the
 amplitude vector (U1, U2, A1, A2, B); its kernel at p = p_k carries the
 mode shape.  ``material_blocks`` is the one table of where each
 constitutive coefficient enters D(p) and the surface flux operator S(p);
-``assemble_Dp``, ``secular.assemble_Sp`` and the batched secular kernel
-all evaluate it.  ``kernel_row`` holds the closed forms of those kernel
+``assemble_Dp`` and the batched secular kernel (``secular.SecularKernel``)
+evaluate it.  ``kernel_row`` holds the closed forms of those kernel
 vectors for every coupling regime the solver handles, the general one and
 the paper's three decoupled cases, written once as u = u0 + p u1 + v u2;
 ``mode_vector`` and the batched secular kernel both read it, and the tests
-check it against an SVD nullspace.
+check it against an SVD nullspace and a 40-digit one.
 """
 
 from __future__ import annotations

@@ -22,18 +22,17 @@ form vanishes, every column S(p_k) u_k is finite, and |det A| is finite.
 Where the rule fails, ``evaluate`` names the first failure (the speed, the
 first failing mode by index, or the determinant) and
 ``SecularKernel.failure`` turns it into the typed error a one-point call
-raises.  ``secular_matrix`` assembles A one speed at a time from
-``mode_vector``: the verification route, which ``field_eval`` and
-``boundary_residual`` use so that a kernel root is checked by a separate
-assembly; it checks the modes in the kernel's order.  Both routes read the
-closed forms of ``modes.kernel_row`` and the blocks, which are cached on
-the material; the tests check the closed forms against the SVD nullspace
-of D(p_k).
+raises.  ``secular_matrix`` is one more one-point call, for the fields
+(``field_eval``) and the boundary residual: it returns A with the p_k and
+u_k of its columns (``SecularKernel.mode_shapes``), so a root is checked on
+the matrix that found it.  The closed forms of ``modes.kernel_row`` and
+the blocks are cached on the material; the tests check them against the
+SVD nullspace of D(p_k) and against a 40-digit route that shares only the
+blocks.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,7 +52,7 @@ from .modes import (
     Matrix5,
     kernel_row,
     material_blocks,
-    mode_vector,
+    mode_vector,  # not called here; bench/tracing.py wraps secular.mode_vector
 )
 from .spectrum import mode_speeds
 
@@ -64,41 +63,27 @@ F_SENTINEL = -1.0e308
 ROOT_RATIO_TOL = 1e-6
 
 
-def assemble_Sp(M: MaterialCoefficients, v: ComplexSpeed, p: complex) -> Matrix5:
-    """Boundary flux matrix S(p) = p Q1 + S0 + v V mapping (U1, U2, A1, A2,
-    B) to (t21, t22, L21, L22, S2) amplitudes (``modes.material_blocks``)."""
-    q1, _, v_lin, _, _, _, s0 = material_blocks(M)
-    return p * q1 + s0 + complex(v) * v_lin
-
-
 @dataclass(frozen=True, eq=False)
 class SecularMatrix:
-    """Secular matrix with the mode bases that generated its columns."""
+    """Secular matrix A with the attenuation exponents ``p`` (5,) and the
+    closed-form kernel vectors ``u`` (5 modes, 5 components) of its columns."""
 
     A: Matrix5
-    modes: tuple
+    p: np.ndarray
+    u: np.ndarray
 
 
 def secular_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> SecularMatrix:
-    """Assemble the secular matrix at speed v.
-
-    Column k is S(p_k) u_k with u_k the closed-form kernel vector of mode
-    k; the common exponential factor of each mode is dropped, so the
-    columns are constant vectors.  Each column is checked right after its
-    mode's ``mode_vector``, so the modes fail in the batched kernel's
-    order: the first one that fails raises, a column with a non-finite
-    entry as the kernel's ``numpy.linalg.LinAlgError``.
-    """
-    modes, cols = [], []
-    for r in mode_speeds(M):
-        mb = mode_vector(M, v, r)
-        with np.errstate(all="ignore"):
-            col = assemble_Sp(M, v, mb.p.p) @ mb.u
-        if not np.isfinite(col).all():
-            raise secular_kernel(M).failure(complex(v), r.index, NOT_FINITE)
-        modes.append(mb)
-        cols.append(col)
-    return SecularMatrix(A=np.stack(cols, axis=1), modes=tuple(modes))
+    """Secular matrix at speed v with the p_k and u_k of its columns, from a
+    one-point call of ``SecularKernel.evaluate``: column k is S(p_k) u_k.
+    Raises the typed error of a failing mode (``SecularKernel.failure``) and
+    those of ``secular_kernel``; an overflowing |det A| is no failure here."""
+    kernel, vc = secular_kernel(M), complex(v)
+    A, _, mode, kind = kernel.evaluate(np.array([vc]))
+    if kind[0] and kind[0] != DET_NOT_FINITE:
+        raise kernel.failure(vc, int(mode[0]), int(kind[0]))
+    p, u = kernel.mode_shapes(np.array([vc]))
+    return SecularMatrix(A=A[0], p=p[0], u=u[0])
 
 
 def det_elimination(A: Matrix5) -> complex:
@@ -180,6 +165,16 @@ class SecularKernel:
         return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
                    q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy())
 
+    def mode_shapes(self, v: np.ndarray) -> tuple:
+        """``(p, u)`` at complex speeds v, shape (n,): the branch of p_k with
+        Im p_k > 0 where one exists (n, 5), and the closed forms u_k (n, 5
+        modes, 5 components).  An overflow leaves a NaN or infinite entry
+        that ``evaluate`` rejects."""
+        vv = v[:, None]
+        root = np.sqrt(vv * vv / self.t - 1.0)
+        p = np.where(root.imag > 0.0, root, -root)
+        return p, self.u0 + p[..., None] * self.u1 + vv[..., None] * self.u2
+
     def evaluate(self, v: np.ndarray) -> tuple:
         """``(A, det, mode, kind)`` at any complex speeds v, shape (n,).
 
@@ -194,11 +189,8 @@ class SecularKernel:
         # the speeds ComplexSpeed accepts: finite, nonzero, Re v >= 0, Im v <= 0
         admissible = np.isfinite(v) & (v.real >= 0.0) & (v.imag <= 0.0) & (v != 0.0)
         with np.errstate(all="ignore"):
-            vv = v[:, None]
-            root = np.sqrt(vv * vv / self.t - 1.0)  # (n, 5)
-            p = np.where(root.imag > 0.0, root, -root)
-            pp, vm = p[..., None], vv[..., None]
-            u = self.u0 + pp * self.u1 + vm * self.u2  # (n, 5 modes, 5 components)
+            p, u = self.mode_shapes(v)
+            pp, vm = p[..., None], v[:, None, None]
             svT = self.s0T + vm * self.vT  # the v-dependent part of S(p), transposed
             uq = (u.reshape(-1, 5) @ self.q1T).reshape(u.shape)
             rows = pp * uq + u @ svT  # row k: S(p_k) u_k
@@ -238,8 +230,10 @@ class SecularKernel:
     def failure(self, v: complex, mode: int, kind: int) -> Exception:
         """The typed error of the failure ``evaluate`` ranked at speed v: the
         ``ValueError`` of ``ComplexSpeed`` for an inadmissible speed, the
-        error ``secular_matrix`` raises for a failing mode, and a
-        ``LinAlgError`` for a determinant whose modulus is not finite."""
+        ``NonDecayingError`` or ``DegenerateKernelError`` that ``mode_vector``
+        raises for a mode without a decaying branch or with a vanishing
+        closed form, and a ``LinAlgError`` for a non-finite column of A or a
+        determinant whose modulus is not finite."""
         if kind == INADMISSIBLE:
             try:
                 ComplexSpeed.from_complex(v)
@@ -368,8 +362,7 @@ def nullspace_amplitude(A: Matrix5) -> np.ndarray:
 
 def amplitudes(M: MaterialCoefficients, v: ComplexSpeed) -> np.ndarray:
     """Mode weights of the surface wave at a converged secular root, from
-    the batched kernel's matrix (``point_matrix``) that refinement uses; the
-    fields and the residual stay on the verification route on purpose."""
+    the batched kernel's matrix (``point_matrix``) that refinement uses."""
     return nullspace_amplitude(point_matrix(M, v))
 
 
@@ -385,27 +378,7 @@ class FieldState:
     traction: np.ndarray  # (t21, t22, L21, L22, S2)
 
 
-def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
-               kappa: float, x1: float, x2: float, time: float) -> FieldState:
-    """Evaluate the surface-wave fields at one point.
-
-    The wave is the superposition of the five depth modes with weights
-    ``gamma``, each carried by exp(i kappa (x1 - v t + p_k x2)).  The
-    returned traction holds the five boundary flux amplitudes; at a
-    converged root and x2 = 0 they cancel for every wavenumber kappa.
-
-    Raises
-    ------
-    DomainError
-        If kappa is not positive and finite, x2 is not nonnegative and
-        finite (the half-space is x2 >= 0), or x1 or time is not finite.
-    """
-    return _fields(M, v, gamma, kappa, x1, x2, time)[0]
-
-
-def _fields(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
-            kappa: float, x1: float, x2: float, time: float) -> tuple:
-    """``field_eval``'s state together with the secular matrix it used."""
+def _check_point(kappa: float, x1: float, x2: float, time: float) -> None:
     if not 0.0 < kappa < math.inf:
         raise DomainError(f"wavenumber must be positive and finite, got {kappa!r}")
     if not 0.0 <= x2 < math.inf:
@@ -413,19 +386,32 @@ def _fields(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
     if not (math.isfinite(x1) and math.isfinite(time)):
         raise DomainError(f"x1 and time must be finite, got {x1!r} and {time!r}")
 
+
+def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
+               kappa: float, x1: float, x2: float, time: float) -> FieldState:
+    """Evaluate the surface-wave fields at one point.
+
+    The wave is the superposition of the five depth modes with weights
+    ``gamma``, each carried by exp(i kappa (x1 - v t + p_k x2)); the p_k,
+    the mode vectors u_k and the columns of A come from ``secular_matrix``.
+    The returned traction holds the five boundary flux amplitudes; at a
+    converged root and x2 = 0 they cancel for every wavenumber kappa.
+
+    Raises
+    ------
+    DomainError
+        If kappa is not positive and finite, x2 is not nonnegative and
+        finite (the half-space is x2 >= 0), or x1 or time is not finite.
+    RayleighError, numpy.linalg.LinAlgError
+        Those of ``secular_matrix`` where a mode fails at v.
+    FloatingPointError
+        Where a mode's phase overflows (a damped wave far back in time).
+    """
+    _check_point(kappa, x1, x2, time)
     sm = secular_matrix(M, v)
-    vc = complex(v)
-    fields = np.zeros(5, dtype=complex)
-    traction = np.zeros(5, dtype=complex)
-    for weight, mb, col in zip(gamma, sm.modes, sm.A.T):
-        phase = cmath.exp(1j * kappa * (x1 - vc * time + mb.p.p * x2))
-        fields += weight * phase * mb.u
-        traction += weight * phase * col
-    traction *= 1j * kappa
-    return FieldState(
-        u1=fields[0], u2=fields[1], tau1=fields[2], tau2=fields[3], chi=fields[4],
-        traction=traction,
-    ), sm
+    with np.errstate(over="raise"):
+        w = gamma * np.exp(1j * kappa * (x1 - complex(v) * time + sm.p * x2))
+    return FieldState(*(w @ sm.u), traction=1j * kappa * (sm.A @ w))
 
 
 def boundary_residual(M: MaterialCoefficients, v: ComplexSpeed,
@@ -433,15 +419,15 @@ def boundary_residual(M: MaterialCoefficients, v: ComplexSpeed,
                       x1: float = 0.0, time: float = 0.0) -> float:
     """Relative size of the surface traction left by a candidate wave.
 
-    Evaluates the five boundary fluxes at x2 = 0 and divides by the scale
-    the individual modes contribute, so the result is wavenumber- and
-    phase-independent; at a converged secular root it sits at roundoff
-    level for every kappa.  Raises ``field_eval``'s ``DomainError``.
+    At x2 = 0 every mode carries the same phase exp(i kappa (x1 - v t)), so
+    the traction of ``field_eval`` over the scale the modes contribute is
+    ||A gamma|| / sum_k |gamma_k| ||A_k||: kappa, x1 and t cancel exactly.
+    A is first divided by its largest real or imaginary part, so the norms
+    stay finite wherever A is; at a converged root the result is at
+    roundoff level.  Raises ``field_eval``'s ``DomainError`` and the errors
+    of ``secular_matrix``.
     """
-    state, sm = _fields(M, v, gamma, kappa, x1, 0.0, time)
-    phase_mag = abs(cmath.exp(1j * kappa * (x1 - complex(v) * time)))
-    scale = kappa * phase_mag * sum(
-        abs(weight) * float(np.linalg.norm(col))
-        for weight, col in zip(gamma, sm.A.T)
-    )
-    return float(np.linalg.norm(state.traction)) / scale
+    _check_point(kappa, x1, 0.0, time)
+    A = secular_matrix(M, v).A
+    A = A / np.maximum(np.abs(A.real), np.abs(A.imag)).max()  # |a| can overflow
+    return float(np.linalg.norm(A @ gamma)) / float(np.abs(gamma) @ np.linalg.norm(A, axis=0))

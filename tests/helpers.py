@@ -20,6 +20,7 @@ from rayleighmt import (
     RayleighError,
     StartFailureError,
     mode_speeds,
+    mode_vector,
     validate_coefficients,
 )
 from rayleighmt import search, secular
@@ -157,6 +158,15 @@ def reference_Sp(M, v, p):
         [e2, p * e12, M.d1, M.d * p, mv],
         [0.0, vb, 0.0, mv, M.k * p],
     ], dtype=complex)
+
+
+def mode_vector_matrix(M, v):
+    """The secular matrix built one mode at a time, apart from the batched
+    kernel: column k is the literal S(p_k) (``reference_Sp``) times
+    ``mode_vector``'s closed form, in ``mode_speeds`` order.  Raises the
+    error of the first mode whose ``mode_vector`` raises."""
+    modes = [mode_vector(M, v, r) for r in mode_speeds(M).roots]
+    return np.stack([reference_Sp(M, v, mb.p.p) @ mb.u for mb in modes], axis=1)
 
 
 def reference_blocks(M):
