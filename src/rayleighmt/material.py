@@ -251,18 +251,22 @@ _CASE_DESCRIPTIONS = {
 }
 
 
-def classify_coupling(M: MaterialCoefficients) -> CouplingCase:
-    """Classify the coupling pattern of a material; only exact zeros count
-    as vanishing couplings."""
-    m_zero, beta_zero = M.m == 0.0, M.beta == 0.0
-    e1_zero, e2_zero = M.eps1 == 0.0, M.eps2 == 0.0
+#: The couplings each decoupled case sets to zero; the rest of beta, m,
+#: eps1 and eps2 stay nonzero.
+CASE_ZEROED_COUPLINGS = {
+    CouplingCase.CASE_I: ("beta", "eps1", "eps2"),
+    CouplingCase.CASE_II: ("m", "eps1", "eps2"),
+    CouplingCase.CASE_III: ("beta", "m"),
+}
 
-    if not m_zero and not beta_zero and not (e1_zero and e2_zero):
+
+def classify_coupling(M: MaterialCoefficients) -> CouplingCase:
+    """Classify the coupling pattern of a material by the exact set of its
+    zero couplings; only exact zeros count as vanishing couplings."""
+    zero = {name for name in ("beta", "m", "eps1", "eps2") if getattr(M, name) == 0.0}
+    if zero < {"eps1", "eps2"}:  # beta, m and eps1 or eps2 nonzero
         return CouplingCase.GENERAL
-    if beta_zero and not m_zero and e1_zero and e2_zero:
-        return CouplingCase.CASE_I
-    if m_zero and not beta_zero and e1_zero and e2_zero:
-        return CouplingCase.CASE_II
-    if beta_zero and m_zero and not e1_zero and not e2_zero:
-        return CouplingCase.CASE_III
+    for case, fields in CASE_ZEROED_COUPLINGS.items():
+        if zero == set(fields):
+            return case
     return CouplingCase.DEGENERATE

@@ -29,8 +29,13 @@ from .errors import (
     NonDecayingError,
     UnsupportedCouplingError,
 )
-from .material import CouplingCase, MaterialCoefficients, classify_coupling
-from .spectrum import ModeRoot
+from .material import (
+    CASE_ZEROED_COUPLINGS,
+    CouplingCase,
+    MaterialCoefficients,
+    classify_coupling,
+)
+from .spectrum import ModeRoot, roots_q2
 
 #: 5x5 complex matrix (plain ndarray; the alias only documents intent).
 Matrix5 = np.ndarray
@@ -39,7 +44,7 @@ Matrix5 = np.ndarray
 NULLSPACE_RTOL = 1e-10
 
 #: The coupling regimes with their own closed-form speeds and kernel rows.
-DECOUPLED_CASES = (CouplingCase.CASE_I, CouplingCase.CASE_II, CouplingCase.CASE_III)
+DECOUPLED_CASES = tuple(CASE_ZEROED_COUPLINGS)
 
 #: Relative tolerance for the bilinear polarization tests.
 POLARIZATION_RTOL = 1e-10
@@ -201,13 +206,9 @@ def case_speeds(M: MaterialCoefficients, case: CouplingCase) -> tuple:
         return (M.mu / rho, M.d2 / B, d / B,
                 (A * pw + M.beta ** 2 + k * rho + s) / (2.0 * A * rho),
                 (A * pw + M.beta ** 2 + k * rho - s) / (2.0 * A * rho))
-    disc2 = (M.mu * B - rho * M.d2) ** 2 + 4.0 * rho * B * M.eps2 ** 2
-    s2 = math.sqrt(disc2)
     disc = (B * pw - rho * d) ** 2 + 4.0 * rho * B * M.eps_long ** 2
     s = math.sqrt(disc)
-    return ((M.mu * B + rho * M.d2 + s2) / (2.0 * rho * B),
-            (M.mu * B + rho * M.d2 - s2) / (2.0 * rho * B),
-            k / A,
+    return (*roots_q2(M), k / A,
             (B * pw + d * rho + s) / (2.0 * rho * B),
             (B * pw + d * rho - s) / (2.0 * rho * B))
 

@@ -10,9 +10,8 @@ search objective is F = ln |det A|.
 A solve builds A one way only: ``SecularKernel.evaluate``, one batched
 kernel over arrays of speeds built on material-only data computed once per
 material.  ``secular_objective`` calls it for the scan, ``point_dets`` for
-the speeds one refinement step of every seed needs, and ``point_matrix``,
-``point_det`` and ``objective_F`` are its one-point calls; the mode weights
-of a root (``amplitudes``) come from it too.  It never builds D(p_k) or
+the speeds one refinement step of every seed needs, and ``point_det`` and
+``objective_F`` are its one-point calls.  It never builds D(p_k) or
 checks that its kernel is one-dimensional: det D(p) is det Q1 times prod_j
 (p^2 - p_j^2) and ``mode_speeds`` keeps the t_j distinct, so at an
 admissible speed p_k^2 is a simple root and the kernel is a line.  One rule
@@ -22,13 +21,13 @@ form vanishes, every column S(p_k) u_k is finite, and |det A| is finite.
 Where the rule fails, ``evaluate`` names the first failure (the speed, the
 first failing mode by index, or the determinant) and
 ``SecularKernel.failure`` turns it into the typed error a one-point call
-raises.  ``secular_matrix`` is one more one-point call, for the fields
-(``field_eval``) and the boundary residual: it returns A with the p_k and
-u_k of its columns (``SecularKernel.mode_shapes``), so a root is checked on
-the matrix that found it.  The closed forms of ``modes.kernel_row`` and
-the blocks are cached on the material; the tests check them against the
-SVD nullspace of D(p_k) and against a 40-digit route that shares only the
-blocks.
+raises.  ``secular_matrix`` is one more one-point call, for the mode
+weights of a root (``amplitudes``), the fields (``field_eval``) and the
+boundary residual: it returns A with the p_k and u_k of its columns
+(``SecularKernel.mode_shapes``), so a root is checked on the matrix that
+found it.  The closed forms of ``modes.kernel_row`` and the blocks are
+cached on the material; the tests check them against the SVD nullspace of
+D(p_k) and against a 40-digit route that shares only the blocks.
 """
 
 from __future__ import annotations
@@ -277,24 +276,6 @@ def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
     return np.where(kind.reshape(v.shape) == 0, F, np.nan)
 
 
-def _point(M: MaterialCoefficients, v: complex) -> tuple:
-    """``(A, det A)`` at one speed from ``SecularKernel.evaluate``; raises
-    the typed error of its failure (``SecularKernel.failure``) and the
-    errors of ``secular_kernel``."""
-    kernel = secular_kernel(M)
-    A, det, mode, kind = kernel.evaluate(np.array([v]))
-    if kind[0]:
-        raise kernel.failure(v, int(mode[0]), int(kind[0]))
-    return A[0], complex(det[0])
-
-
-def point_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> Matrix5:
-    """Secular matrix A(v) from a one-point call of ``SecularKernel.evaluate``;
-    raises what ``point_det`` wraps: the typed error of the speed's failure
-    (``SecularKernel.failure``) and the errors of ``secular_kernel``."""
-    return _point(M, complex(v))[0]
-
-
 def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
     """Secular determinant det A(v) at v = v_r - i v_i, from a one-point call
     of ``SecularKernel.evaluate``.
@@ -307,17 +288,22 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
         repeated or shared mode speeds, vanishing closed form, a non-finite
         column of A, or a determinant whose modulus overflows).
     """
+    v = complex(v_r, -v_i)
     try:
-        return _point(M, complex(v_r, -v_i))[1]
+        kernel = secular_kernel(M)
+        _, det, mode, kind = kernel.evaluate(np.array([v]))
+        if kind[0]:
+            raise kernel.failure(v, int(mode[0]), int(kind[0]))
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
+    return complex(det[0])
 
 
 def point_dets(M: MaterialCoefficients, zs) -> list:
-    """``point_det`` and ``point_matrix`` at each complex speed of ``zs`` (v
-    itself, not ``(v_r, v_i)``) from one ``SecularKernel.evaluate`` call:
-    one ``(det, A)`` per speed, or None exactly where ``point_det`` raises
-    (an undefined speed, or a material no closed-form kernel covers)."""
+    """``point_det`` and the secular matrix A at each complex speed of
+    ``zs`` (v itself, not ``(v_r, v_i)``) from one ``SecularKernel.evaluate``
+    call: one ``(det, A)`` per speed, or None exactly where ``point_det``
+    raises (an undefined speed, or a material no closed-form kernel covers)."""
     try:
         kernel = secular_kernel(M)
     except RayleighError:
@@ -361,9 +347,13 @@ def nullspace_amplitude(A: Matrix5) -> np.ndarray:
 
 
 def amplitudes(M: MaterialCoefficients, v: ComplexSpeed) -> np.ndarray:
-    """Mode weights of the surface wave at a converged secular root, from
-    the batched kernel's matrix (``point_matrix``) that refinement uses."""
-    return nullspace_amplitude(point_matrix(M, v))
+    """Mode weights of the surface wave at a converged secular root: the
+    nullspace of ``secular_matrix``'s A, the matrix refinement uses.
+
+    Raises ``nullspace_amplitude``'s ``NotARootError`` where A is not
+    numerically singular, an overflowing |det A| included, and the errors
+    of ``secular_matrix``."""
+    return nullspace_amplitude(secular_matrix(M, v).A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,16 +391,20 @@ def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
     ------
     DomainError
         If kappa is not positive and finite, x2 is not nonnegative and
-        finite (the half-space is x2 >= 0), or x1 or time is not finite.
+        finite (the half-space is x2 >= 0), or x1 or time is not finite;
+        also where a weighted mode phase overflows (a damped wave far back
+        in time).
     RayleighError, numpy.linalg.LinAlgError
         Those of ``secular_matrix`` where a mode fails at v.
-    FloatingPointError
-        Where a mode's phase overflows (a damped wave far back in time).
     """
     _check_point(kappa, x1, x2, time)
     sm = secular_matrix(M, v)
-    with np.errstate(over="raise"):
-        w = gamma * np.exp(1j * kappa * (x1 - complex(v) * time + sm.p * x2))
+    try:
+        with np.errstate(over="raise"):
+            w = gamma * np.exp(1j * kappa * (x1 - complex(v) * time + sm.p * x2))
+    except FloatingPointError:
+        raise DomainError(f"mode phase overflows at x1 = {x1!r}, x2 = {x2!r}, "
+                          f"time = {time!r}") from None
     return FieldState(*(w @ sm.u), traction=1j * kappa * (sm.A @ w))
 
 

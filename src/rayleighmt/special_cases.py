@@ -30,6 +30,7 @@ from .errors import (
     WrongCaseError,
 )
 from .material import (
+    CASE_ZEROED_COUPLINGS,
     CouplingCase,
     MaterialCoefficients,
     check_strong_ellipticity,
@@ -282,13 +283,6 @@ class LimitReport:
         return self.gaps[-1] <= 1e-4
 
 
-_CASE_ZEROED_FIELDS = {
-    CouplingCase.CASE_I: ("beta", "eps1", "eps2"),
-    CouplingCase.CASE_II: ("m", "eps1", "eps2"),
-    CouplingCase.CASE_III: ("beta", "m"),
-}
-
-
 #: Factors by which ``limit_consistency`` scales a case's couplings.
 LIMIT_SCALES = (1e-2, 1e-4, 1e-6)
 
@@ -305,9 +299,9 @@ def limit_consistency(M_general: MaterialCoefficients, case: CouplingCase) -> Li
     WrongCaseError
         If zeroing the couplings does not produce a material of the case.
     """
-    if case not in _CASE_ZEROED_FIELDS:
+    if case not in CASE_ZEROED_COUPLINGS:
         raise WrongCaseError(expected="one of the decoupled cases", actual=case.value)
-    fields = _CASE_ZEROED_FIELDS[case]
+    fields = CASE_ZEROED_COUPLINGS[case]
     M_limit = M_general.replace(**{name: 0.0 for name in fields})
     target = sorted(roots_case(M_limit, case).t_values())
 

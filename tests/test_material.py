@@ -19,7 +19,7 @@ from rayleighmt import (
     load_material,
     validate_coefficients,
 )
-from rayleighmt.material import SE_CONDITION_NAMES
+from rayleighmt.material import CASE_ZEROED_COUPLINGS, SE_CONDITION_NAMES
 
 from helpers import random_material
 
@@ -143,6 +143,32 @@ def test_classify_coupling_all_cases(reference, case_i_material,
     bare = validate_coefficients(dict(RAW_REF, beta=0.0, m=0.0,
                                       eps1=0.0, eps2=0.0))
     assert classify_coupling(bare) is CouplingCase.DEGENERATE
+
+
+GENERAL, CASE_I, CASE_II, CASE_III, DEGENERATE = CouplingCase
+
+#: The case of every zero pattern of (beta, m, eps1, eps2), 1 marking a zero.
+COUPLING_TRUTH_TABLE = {
+    (0, 0, 0, 0): GENERAL, (0, 0, 0, 1): GENERAL, (0, 0, 1, 0): GENERAL,
+    (0, 0, 1, 1): DEGENERATE, (0, 1, 0, 0): DEGENERATE, (0, 1, 0, 1): DEGENERATE,
+    (0, 1, 1, 0): DEGENERATE, (0, 1, 1, 1): CASE_II, (1, 0, 0, 0): DEGENERATE,
+    (1, 0, 0, 1): DEGENERATE, (1, 0, 1, 0): DEGENERATE, (1, 0, 1, 1): CASE_I,
+    (1, 1, 0, 0): CASE_III, (1, 1, 0, 1): DEGENERATE, (1, 1, 1, 0): DEGENERATE,
+    (1, 1, 1, 1): DEGENERATE,
+}
+
+
+def test_classify_coupling_every_zero_pattern():
+    M = random_material(np.random.default_rng(29))
+    assert len(COUPLING_TRUTH_TABLE) == 16
+    for pattern, case in COUPLING_TRUTH_TABLE.items():
+        zeroed = {name: 0.0 for name, zero in zip(("beta", "m", "eps1", "eps2"), pattern)
+                  if zero}
+        assert classify_coupling(M.replace(**zeroed)) is case, pattern
+    # zeroing a decoupled case's couplings gives that case
+    assert set(CASE_ZEROED_COUPLINGS) == {CASE_I, CASE_II, CASE_III}
+    for case, fields in CASE_ZEROED_COUPLINGS.items():
+        assert classify_coupling(M.replace(**{name: 0.0 for name in fields})) is case
 
 
 def test_classify_coupling_exact_zeros():

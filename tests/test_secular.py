@@ -43,7 +43,6 @@ from rayleighmt.secular import (
     objective_from_det,
     point_det,
     point_dets,
-    point_matrix,
     secular_kernel,
     secular_objective,
 )
@@ -274,7 +273,7 @@ def test_amplitudes_follow_the_kernel_where_routes_split():
     # both build the same A
     M = validate_coefficients(ROUTE_SPLIT)
     assert math.isfinite(abs(point_det(M, V_ROUTE_SPLIT.v_r, V_ROUTE_SPLIT.v_i)))
-    A = point_matrix(M, V_ROUTE_SPLIT)
+    A = secular_matrix(M, V_ROUTE_SPLIT).A
     assert np.linalg.norm(mode_vector_matrix(M, V_ROUTE_SPLIT) - A) <= 1e-12 * np.linalg.norm(A)
     try:
         amplitudes(M, V_ROUTE_SPLIT)
@@ -299,6 +298,15 @@ def test_field_eval_domain_checks(reference, solved_reference):
     for kappa, x1, time in ((math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, math.inf)):
         with pytest.raises(DomainError):
             boundary_residual(reference, v, gamma, kappa, x1=x1, time=time)
+
+
+def test_field_eval_typed_where_the_phase_overflows(reference, solved_reference):
+    # a damped wave far back in time: kappa v_i |t| > 709 overflows exp
+    gamma = amplitudes(reference, solved_reference.v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            field_eval(reference, solved_reference.v, gamma, 1.0, 0.0, 0.0, -3e4)
 
 
 def test_field_decays_with_depth(reference, solved_reference):
@@ -408,7 +416,8 @@ def test_point_dets_matches_point_det(reference, case_i_material):
                 assert entry is None, z
                 continue
             assert repr(entry[0]) == repr(det), z
-            assert entry[1].tobytes() == point_matrix(M, ComplexSpeed.from_complex(z)).tobytes()
+            A = secular_matrix(M, ComplexSpeed.from_complex(z)).A
+            assert entry[1].tobytes() == A.tobytes()
     assert point_dets(reference, zs)[0] is not None
     assert point_dets(validate_coefficients(NEAR_DEGENERATE), zs)[8] is not None
     assert point_dets(case_i_material, zs)[0] is not None
@@ -555,6 +564,16 @@ def test_boundary_residual_finite_or_typed_at_huge_speeds(reference):
     assert outcomes.keys() == {"finite", "NonDecayingError", "LinAlgError"}
 
 
+def test_amplitudes_not_a_root_at_huge_speeds(reference):
+    # |det A| overflows here but every column of A is finite: amplitudes
+    # reads the matrix, which is far from singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e40, 1e80, 1e120):
+            with pytest.raises(NotARootError):
+                amplitudes(reference, ComplexSpeed(scale, 0.1 * scale))
+
+
 def test_undefined_speeds_fail_typed(reference, case_i_material, case_ii_material,
                                      case_iii_material):
     # at extreme speeds objective_F either gives a finite value or names the
@@ -643,7 +662,7 @@ def test_routes_agree_near_the_origin(name, request):
     for scale in (1e-4, 1e-3, 1e-2):
         for phase in (0.0, 0.4, 1.0):
             v = ComplexSpeed.from_complex(scale * c * cmath.exp(-1j * phase))
-            A = point_matrix(M, v)
+            A = secular_matrix(M, v).A
             assert np.linalg.norm(mode_vector_matrix(M, v) - A) <= 1e-12 * np.linalg.norm(A)
             assert math.isfinite(boundary_residual(M, v, np.ones(5), 1.0))
 
