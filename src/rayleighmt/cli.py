@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InputError, RayleighError
 from .material import (
+    CASE_ZEROED_COUPLINGS,
     CouplingCase,
     MaterialCoefficients,
     check_distinct_cubic_roots,
@@ -26,7 +27,7 @@ from .material import (
     derived_cubic,
     load_material,
 )
-from .modes import DECOUPLED_CASES, ComplexSpeed, assemble_Dp, mode_vector
+from .modes import ComplexSpeed, assemble_Dp, mode_vector
 from .search import ScanWindow, find_rayleigh, grid_scan
 from .secular import boundary_residual
 from .special_cases import cross_check_case, reduced_cubic_coefficients, roots_case
@@ -219,7 +220,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_case(args: argparse.Namespace) -> int:
     M = load_material(args.material)
     case = classify_coupling(M)
-    if case not in DECOUPLED_CASES:
+    if case not in CASE_ZEROED_COUPLINGS:
         raise RayleighError(
             f"material classifies as {case.value}; no decoupled route applies"
         )

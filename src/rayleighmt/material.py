@@ -239,20 +239,21 @@ class CouplingCase(enum.Enum):
 
     @property
     def description(self) -> str:
-        return _CASE_DESCRIPTIONS[self]
+        """The coupling pattern in words, from ``CASE_ZEROED_COUPLINGS`` in a decoupled case."""
+        if self is CouplingCase.GENERAL:
+            return "all couplings active (m != 0, beta != 0, eps1 or eps2 != 0)"
+        if self is CouplingCase.DEGENERATE:
+            return "coupling pattern outside the handled regimes"
+        zeroed = CASE_ZEROED_COUPLINGS[self]
+        active = " and ".join(f"{name} != 0" for name in _COUPLINGS if name not in zeroed)
+        return f"{' = '.join(zeroed)} = 0, {active}"
 
 
-_CASE_DESCRIPTIONS = {
-    CouplingCase.GENERAL: "all couplings active (m != 0, beta != 0, eps1 or eps2 != 0)",
-    CouplingCase.CASE_I: "beta = eps1 = eps2 = 0, m != 0",
-    CouplingCase.CASE_II: "m = eps1 = eps2 = 0, beta != 0",
-    CouplingCase.CASE_III: "beta = m = 0, eps1 != 0 and eps2 != 0",
-    CouplingCase.DEGENERATE: "coupling pattern outside the handled regimes",
-}
+#: The coupling coefficients whose zeros select a ``CouplingCase``.
+_COUPLINGS = ("beta", "m", "eps1", "eps2")
 
-
-#: The couplings each decoupled case sets to zero; the rest of beta, m,
-#: eps1 and eps2 stay nonzero.
+#: The couplings each decoupled case sets to zero; the rest of
+#: ``_COUPLINGS`` stay nonzero.
 CASE_ZEROED_COUPLINGS = {
     CouplingCase.CASE_I: ("beta", "eps1", "eps2"),
     CouplingCase.CASE_II: ("m", "eps1", "eps2"),
@@ -263,7 +264,7 @@ CASE_ZEROED_COUPLINGS = {
 def classify_coupling(M: MaterialCoefficients) -> CouplingCase:
     """Classify the coupling pattern of a material by the exact set of its
     zero couplings; only exact zeros count as vanishing couplings."""
-    zero = {name for name in ("beta", "m", "eps1", "eps2") if getattr(M, name) == 0.0}
+    zero = {name for name in _COUPLINGS if getattr(M, name) == 0.0}
     if zero < {"eps1", "eps2"}:  # beta, m and eps1 or eps2 nonzero
         return CouplingCase.GENERAL
     for case, fields in CASE_ZEROED_COUPLINGS.items():

@@ -43,9 +43,6 @@ Matrix5 = np.ndarray
 #: Relative singular-value threshold below which a direction counts as null.
 NULLSPACE_RTOL = 1e-10
 
-#: The coupling regimes with their own closed-form speeds and kernel rows.
-DECOUPLED_CASES = tuple(CASE_ZEROED_COUPLINGS)
-
 #: Relative tolerance for the bilinear polarization tests.
 POLARIZATION_RTOL = 1e-10
 
@@ -184,33 +181,33 @@ def numeric_nullspace(D: Matrix5) -> list:
 
 
 def case_speeds(M: MaterialCoefficients, case: CouplingCase) -> tuple:
-    """Closed-form squared mode speeds of a decoupled regime.
+    """Closed-form squared mode speeds of a decoupled regime, as
+    ``(t, label, factor)`` triples.
 
-    In each regime the transverse factor and the cubic factor split: the
-    five speeds are the transverse pair, the root of the cubic's linear
+    In each regime the transverse factor q2 and the cubic factor q3 split:
+    the five speeds are the transverse pair, the root of the cubic's linear
     factor, then the two roots of its quadratic factor, in that order.
     """
     pw = M.p_wave_modulus
-    rho, A, B, k = M.rho, M.a, M.b, M.k
-    d = M.d
+    rho, A, B, k, d = M.rho, M.a, M.b, M.k, M.d
+    pair = ((M.mu / rho, "mu/rho"), (M.d2 / B, "d2/b"))
     if case is CouplingCase.CASE_I:
+        linear = (pw / rho, "(lambda+2mu)/rho")
         disc = M.m ** 4 + (A * d - B * k) ** 2 + 2.0 * M.m ** 2 * (A * d + B * k)
-        s = math.sqrt(disc)
-        return (M.mu / rho, M.d2 / B, pw / rho,
-                (M.m ** 2 + A * d + B * k + s) / (2.0 * A * B),
-                (M.m ** 2 + A * d + B * k - s) / (2.0 * A * B))
-    if case is CouplingCase.CASE_II:
+        num, den = M.m ** 2 + A * d + B * k, 2.0 * A * B
+    elif case is CouplingCase.CASE_II:
+        linear = (d / B, "d/b")
         disc = (M.beta ** 4 + (A * pw - rho * k) ** 2
                 + 2.0 * M.beta ** 2 * (A * pw + rho * k))
-        s = math.sqrt(disc)
-        return (M.mu / rho, M.d2 / B, d / B,
-                (A * pw + M.beta ** 2 + k * rho + s) / (2.0 * A * rho),
-                (A * pw + M.beta ** 2 + k * rho - s) / (2.0 * A * rho))
-    disc = (B * pw - rho * d) ** 2 + 4.0 * rho * B * M.eps_long ** 2
+        num, den = A * pw + M.beta ** 2 + k * rho, 2.0 * A * rho
+    else:
+        pair = tuple(zip(roots_q2(M), ("transverse+", "transverse-")))
+        linear = (k / A, "k/a")
+        disc = (B * pw - rho * d) ** 2 + 4.0 * rho * B * M.eps_long ** 2
+        num, den = B * pw + d * rho, 2.0 * rho * B
     s = math.sqrt(disc)
-    return (*roots_q2(M), k / A,
-            (B * pw + d * rho + s) / (2.0 * rho * B),
-            (B * pw + d * rho - s) / (2.0 * rho * B))
+    return (*((t, label, "q2") for t, label in pair), (*linear, "q3"),
+            ((num + s) / den, "radical+", "q3"), ((num - s) / den, "radical-", "q3"))
 
 
 _ZERO = (0.0,) * 5
@@ -247,7 +244,7 @@ def kernel_row(M: MaterialCoefficients, r: ModeRoot) -> tuple:
     """
     general = M.eps2 != 0.0 and M.m != 0.0 and M.beta != 0.0
     case = None if general else classify_coupling(M)
-    if case is not None and case not in DECOUPLED_CASES:
+    if case is not None and case not in CASE_ZEROED_COUPLINGS:
         raise UnsupportedCouplingError(
             f"no closed-form kernels for a {case.value} material with eps2 = {M.eps2!r}"
         )
@@ -264,7 +261,7 @@ def kernel_row(M: MaterialCoefficients, r: ModeRoot) -> tuple:
         lam_k = M.rho * M.m * (t - M.p_wave_modulus / M.rho) + M.beta * e12
         return _longitudinal(gamma, lam_k, (gamma * lam_k - e12 * (
             M.beta * gamma + M.m * lam_k)) / (M.m * M.beta * t))
-    ts = case_speeds(M, case)
+    ts = [speed for speed, _, _ in case_speeds(M, case)]
     slot = min(range(5), key=lambda j: abs(ts[j] - t))
     if case is CouplingCase.CASE_III:
         if slot < 2:

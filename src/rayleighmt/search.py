@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -66,6 +67,8 @@ class ScanWindow:
             raise ValueError(f"window bounds must be finite, got {', '.join(nonfinite)}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("window bounds must satisfy re_min < re_max and im_min < im_max")
+        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny)):
+            raise ValueError(f"lattice sizes must be integers, got {self.nx!r} and {self.ny!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("lattice needs at least 2 points per axis")
         if self.re_max < 0.0 or self.im_min > 0.0:

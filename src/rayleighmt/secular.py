@@ -377,6 +377,13 @@ def _check_point(kappa: float, x1: float, x2: float, time: float) -> None:
         raise DomainError(f"x1 and time must be finite, got {x1!r} and {time!r}")
 
 
+def _check_weights(gamma) -> np.ndarray:
+    gamma = np.asarray(gamma)
+    if gamma.shape != (5,) or gamma.dtype.kind not in "biufc" or not np.isfinite(gamma).all():
+        raise DomainError(f"mode weights must be five finite numbers, got {gamma!r}")
+    return gamma
+
+
 def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
                kappa: float, x1: float, x2: float, time: float) -> FieldState:
     """Evaluate the surface-wave fields at one point.
@@ -391,13 +398,14 @@ def field_eval(M: MaterialCoefficients, v: ComplexSpeed, gamma: np.ndarray,
     ------
     DomainError
         If kappa is not positive and finite, x2 is not nonnegative and
-        finite (the half-space is x2 >= 0), or x1 or time is not finite;
-        also where a weighted mode phase overflows (a damped wave far back
-        in time).
+        finite (the half-space is x2 >= 0), x1 or time is not finite, or
+        gamma is not five finite numbers; also where a weighted mode phase
+        overflows (a damped wave far back in time).
     RayleighError, numpy.linalg.LinAlgError
         Those of ``secular_matrix`` where a mode fails at v.
     """
     _check_point(kappa, x1, x2, time)
+    gamma = _check_weights(gamma)
     sm = secular_matrix(M, v)
     try:
         with np.errstate(over="raise"):
@@ -418,10 +426,13 @@ def boundary_residual(M: MaterialCoefficients, v: ComplexSpeed,
     ||A gamma|| / sum_k |gamma_k| ||A_k||: kappa, x1 and t cancel exactly.
     A is first divided by its largest real or imaginary part, so the norms
     stay finite wherever A is; at a converged root the result is at
-    roundoff level.  Raises ``field_eval``'s ``DomainError`` and the errors
-    of ``secular_matrix``.
+    roundoff level.  Raises ``field_eval``'s ``DomainError``, also for an
+    all-zero gamma, and the errors of ``secular_matrix``.
     """
     _check_point(kappa, x1, 0.0, time)
+    gamma = _check_weights(gamma)
+    if not gamma.any():
+        raise DomainError("mode weights must not all be zero")
     A = secular_matrix(M, v).A
     A = A / np.maximum(np.abs(A.real), np.abs(A.imag)).max()  # |a| can overflow
     return float(np.linalg.norm(A @ gamma)) / float(np.abs(gamma) @ np.linalg.norm(A, axis=0))

@@ -10,16 +10,17 @@ a case is ``point_det``'s.  This module adds the paper's labelled speeds,
 its explicit secular expansions and the checks that tie them to the
 determinant and to the general route.
 
-Roots are numbered in label order (transverse pair, the cubic's linear
-factor, its quadratic factor), which need not be the order of
-``mode_speeds``; a root's kernel row follows its t, not its index, so
-``mode_vector`` takes a labelled root as it is.
+Roots are numbered in the label order of ``modes.case_speeds`` (transverse
+pair, the cubic's linear factor, its quadratic factor), which need not be
+the order of ``mode_speeds``; a root's kernel row follows its t, not its
+index, so ``mode_vector`` takes a labelled root as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -36,16 +37,9 @@ from .material import (
     check_strong_ellipticity,
     classify_coupling,
 )
-from .modes import DECOUPLED_CASES, ComplexSpeed, case_speeds, p_from_t
+from .modes import ComplexSpeed, case_speeds, p_from_t
 from .secular import secular_kernel
-from .spectrum import GAP_RTOL, ModeRoot, mode_speeds
-
-#: Formula labels of ``modes.case_speeds``, in its order.
-CASE_LABELS = {
-    CouplingCase.CASE_I: ("mu/rho", "d2/b", "(lambda+2mu)/rho", "radical+", "radical-"),
-    CouplingCase.CASE_II: ("mu/rho", "d2/b", "d/b", "radical+", "radical-"),
-    CouplingCase.CASE_III: ("transverse+", "transverse-", "k/a", "radical+", "radical-"),
-}
+from .spectrum import GAP_RTOL, ModeRoot, min_gap, mode_speeds
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class CaseRootSet:
 
 
 def _require_case(M: MaterialCoefficients, case: CouplingCase) -> None:
-    if case not in DECOUPLED_CASES:
+    if case not in CASE_ZEROED_COUPLINGS:
         raise WrongCaseError(expected="one of the decoupled cases", actual=case.value)
     actual = classify_coupling(M)
     if actual is not case:
@@ -81,24 +75,16 @@ def roots_case(M: MaterialCoefficients, case: CouplingCase) -> CaseRootSet:
     NotStronglyEllipticError
         If the material is inadmissible.
     DegenerateRootsError
-        If any two of the five speeds coincide; the kernel pairing then
-        breaks down and the material needs a different treatment.
+        If two of the five speeds coincide (``spectrum.min_gap`` within
+        ``GAP_RTOL`` times the largest, pairs in index order); the kernel
+        pairing then breaks down and the material needs another treatment.
     """
     _require_case(M, case)
-    ts = case_speeds(M, case)
-    labels = CASE_LABELS[case]
-    tol = GAP_RTOL * max(abs(t) for t in ts)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if abs(ts[i] - ts[j]) <= tol:
-                raise DegenerateRootsError(
-                    f"{case.value} speeds {labels[i]} and {labels[j]} coincide at t = {ts[i]!r}"
-                )
-    sources = ("q2", "q2", "q3", "q3", "q3")
-    roots = tuple(
-        ModeRoot(index, t, source)
-        for index, (t, source) in enumerate(zip(ts, sources), start=1)
-    )
+    ts, labels, factors = zip(*case_speeds(M, case))
+    min_gap(ts, GAP_RTOL * max(abs(t) for t in ts), combinations(range(5), 2),
+            lambda i, j: DegenerateRootsError(
+                f"{case.value} speeds {labels[i]} and {labels[j]} coincide at t = {ts[i]!r}"))
+    roots = tuple(ModeRoot(i, t, f) for i, (t, f) in enumerate(zip(ts, factors), start=1))
     return CaseRootSet(case=case, roots=roots, labels=labels)
 
 
@@ -165,22 +151,20 @@ def secular_case_explicit(M: MaterialCoefficients, v: ComplexSpeed,
 def reduced_cubic_coefficients(M: MaterialCoefficients, case: CouplingCase) -> tuple:
     """(b4, b2, b0) of the cubic factor from the case factorization.
 
-    Expands the product of the linear root and the quadratic factor into
-    monic form; must match the general coefficients once the case's
-    couplings vanish.
+    Expands the product of the linear factor's root (``case_speeds``) and
+    the quadratic factor into monic form; must match the general
+    coefficients once the case's couplings vanish.
     """
     _require_case(M, case)
     pw = M.p_wave_modulus
+    u = case_speeds(M, case)[2][0]
     if case is CouplingCase.CASE_I:
-        u = pw / M.rho
         c1 = (M.m ** 2 + M.a * M.d + M.b * M.k) / (M.a * M.b)
         c0 = M.k * M.d / (M.a * M.b)
     elif case is CouplingCase.CASE_II:
-        u = M.d / M.b
         c1 = (M.a * pw + M.beta ** 2 + M.k * M.rho) / (M.a * M.rho)
         c0 = pw * M.k / (M.a * M.rho)
     else:
-        u = M.k / M.a
         c1 = (M.b * pw + M.d * M.rho) / (M.rho * M.b)
         c0 = (pw * M.d - M.eps_long ** 2) / (M.rho * M.b)
     return (u + c1, u * c1 + c0, u * c0)
@@ -299,9 +283,7 @@ def limit_consistency(M_general: MaterialCoefficients, case: CouplingCase) -> Li
     WrongCaseError
         If zeroing the couplings does not produce a material of the case.
     """
-    if case not in CASE_ZEROED_COUPLINGS:
-        raise WrongCaseError(expected="one of the decoupled cases", actual=case.value)
-    fields = CASE_ZEROED_COUPLINGS[case]
+    fields = CASE_ZEROED_COUPLINGS.get(case, ())
     M_limit = M_general.replace(**{name: 0.0 for name in fields})
     target = sorted(roots_case(M_limit, case).t_values())
 

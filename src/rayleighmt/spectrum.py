@@ -4,6 +4,8 @@ The plane-wave analysis factors the propagation condition into a quadratic
 ``q2`` (transverse modes) and a cubic ``q3`` (longitudinal and thermal
 modes).  Both are solved in closed form: the quadratic by its radical, the
 cubic by the trigonometric formula for three distinct real roots.
+``min_gap`` keeps five speeds distinct, for ``mode_speeds`` and for the
+closed forms of ``special_cases.roots_case``.
 """
 
 from __future__ import annotations
@@ -110,42 +112,42 @@ def mode_speeds(M: MaterialCoefficients) -> RootSet:
     IndistinctRootsError
         If either factor has a repeated root.
     CommonRootError
-        If the two factors share a root (gap below ``GAP_RTOL * b4``).
+        If the two factors share a root.  Speeds within ``GAP_RTOL * b4``
+        count as equal, and the first such pair in ``FACTOR_PAIRS`` is named.
     """
     return M.memo("_mode_speeds", _solve_mode_speeds)
 
 
+#: Index pairs of the mode speeds in the order ``mode_speeds`` checks them:
+#: the transverse pair, the cubic pairs, then the cross pairs.
+FACTOR_PAIRS = ((0, 1), (2, 3), (2, 4), (3, 4), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))
+
+
+def min_gap(ts, tol: float, pairs, error) -> float:
+    """Smallest |t_i - t_j| over the index ``pairs``; raises ``error(i, j)``
+    for the first pair, in their order, whose gap is at most ``tol``."""
+    gaps = []
+    for i, j in pairs:
+        gaps.append(abs(ts[i] - ts[j]))
+        if gaps[-1] <= tol:
+            raise error(i, j)
+    return min(gaps)
+
+
+def _coincidence(ri: ModeRoot, rj: ModeRoot) -> Exception:
+    """The error for two mode speeds that coincide, named by their factors."""
+    if ri.source != rj.source:
+        return CommonRootError(f"transverse and cubic factors share the root t = {ri.t!r}")
+    if ri.source == "q2":
+        return IndistinctRootsError(f"transverse factor has a repeated root t = {ri.t!r}")
+    return IndistinctRootsError(f"cubic factor roots {ri.t!r} and {rj.t!r} coincide")
+
+
 def _solve_mode_speeds(M: MaterialCoefficients) -> RootSet:
     C = derived_cubic(M)
-    t1, t2 = roots_q2(M)
-    t3, t4, t5 = roots_q3(C)
-
-    tol = GAP_RTOL * C.b4
-    if abs(t1 - t2) <= tol:
-        raise IndistinctRootsError(f"transverse factor has a repeated root t = {t1!r}")
-    q3_ts = (t3, t4, t5)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(q3_ts[i] - q3_ts[j]) <= tol:
-                raise IndistinctRootsError(
-                    f"cubic factor roots {q3_ts[i]!r} and {q3_ts[j]!r} coincide"
-                )
-    for tq in (t1, t2):
-        for tc in q3_ts:
-            if abs(tq - tc) <= tol:
-                raise CommonRootError(
-                    f"transverse and cubic factors share the root t = {tq!r}"
-                )
-
-    roots = (
-        ModeRoot(1, t1, "q2"),
-        ModeRoot(2, t2, "q2"),
-        ModeRoot(3, t3, "q3"),
-        ModeRoot(4, t4, "q3"),
-        ModeRoot(5, t5, "q3"),
-    )
-    ts = [r.t for r in roots]
-    gap = min(abs(ts[i] - ts[j]) for i in range(5) for j in range(i + 1, 5))
+    ts = (*roots_q2(M), *roots_q3(C))
+    roots = tuple(ModeRoot(i, t, "q2" if i < 3 else "q3") for i, t in enumerate(ts, start=1))
+    gap = min_gap(ts, GAP_RTOL * C.b4, FACTOR_PAIRS, lambda i, j: _coincidence(roots[i], roots[j]))
     return RootSet(roots=roots, pairwise_min_gap=gap)
 
 

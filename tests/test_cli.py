@@ -44,6 +44,20 @@ def test_check_reference(capsys):
     assert payload["distinct_cubic_roots"] is True
 
 
+@pytest.mark.parametrize("path,case,description", [
+    (REF, "general", "all couplings active (m != 0, beta != 0, eps1 or eps2 != 0)"),
+    (CASE_I, "case_i", "beta = eps1 = eps2 = 0, m != 0"),
+    (CASE_II, "case_ii", "m = eps1 = eps2 = 0, beta != 0"),
+    (CASE_III, "case_iii", "beta = m = 0, eps1 != 0 and eps2 != 0"),
+])
+def test_check_prints_the_coupling_description(capsys, path, case, description):
+    code, out, _ = run(capsys, "check", "--material", path)
+    assert code == 0
+    assert json.loads(out)["coupling"] == {"case": case, "description": description}
+    code, out, _ = run(capsys, "check", "--material", path, "--format", "text")
+    assert f"  description: {description}\n" in out
+
+
 def test_check_rejects_inadmissible(capsys, tmp_path):
     raw = json.loads((MATERIALS / "reference.json").read_text())
     raw["mu"] = -1.0

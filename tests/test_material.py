@@ -171,6 +171,16 @@ def test_classify_coupling_every_zero_pattern():
         assert classify_coupling(M.replace(**{name: 0.0 for name in fields})) is case
 
 
+def test_coupling_case_descriptions():
+    assert {case: case.description for case in CouplingCase} == {
+        GENERAL: "all couplings active (m != 0, beta != 0, eps1 or eps2 != 0)",
+        CASE_I: "beta = eps1 = eps2 = 0, m != 0",
+        CASE_II: "m = eps1 = eps2 = 0, beta != 0",
+        CASE_III: "beta = m = 0, eps1 != 0 and eps2 != 0",
+        DEGENERATE: "coupling pattern outside the handled regimes",
+    }
+
+
 def test_classify_coupling_exact_zeros():
     # only exact zeros decouple; tiny couplings keep the material GENERAL
     M = validate_coefficients(dict(RAW_REF, beta=1e-12, eps1=1e-12, eps2=1e-12))

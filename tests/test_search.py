@@ -58,6 +58,16 @@ def test_window_validation():
     assert list(w.re_values()) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+def test_window_lattice_sizes_are_integers(reference):
+    # a float size used to pass here and fail later inside np.linspace
+    for nx, ny in ((2.5, 4), (4.0, 4), (4, "4")):
+        with pytest.raises(ValueError, match="lattice sizes must be integers"):
+            ScanWindow(re_min=0.1, re_max=1.0, im_min=-0.5, im_max=0.0, nx=nx, ny=ny)
+    w = ScanWindow(re_min=0.1, re_max=1.0, im_min=-0.5, im_max=0.0,
+                   nx=np.int64(5), ny=np.int32(3))
+    assert grid_scan(reference, w).values.shape == (5, 3)
+
+
 def test_grid_scan_marks_failures(reference):
     # the im = 0 row beyond the slowest transition speed has no decaying
     # branch and must come back NaN, not raise

@@ -300,6 +300,24 @@ def test_field_eval_domain_checks(reference, solved_reference):
             boundary_residual(reference, v, gamma, kappa, x1=x1, time=time)
 
 
+def test_mode_weights_are_validated(reference, solved_reference):
+    v, gamma = solved_reference.v, solved_reference.gamma
+    bad = (np.zeros(3), gamma[None, :], np.where(np.arange(5) == 2, np.nan, gamma),
+           np.full(5, np.inf), np.array(["1"] * 5))
+    for g in bad:
+        with pytest.raises(DomainError, match="five finite numbers"):
+            field_eval(reference, v, g, 1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="five finite numbers"):
+            boundary_residual(reference, v, g, 1.0)
+    # zero weights are a zero wave, but leave no scale to compare a traction to
+    assert not np.any(field_eval(reference, v, np.zeros(5), 1.0, 0.0, 0.0, 0.0).traction)
+    with pytest.raises(DomainError, match="not all be zero"):
+        boundary_residual(reference, v, np.zeros(5), 1.0)
+    # a list of weights is taken as its array
+    assert (boundary_residual(reference, v, list(gamma), 1.0)
+            == boundary_residual(reference, v, gamma, 1.0))
+
+
 def test_field_eval_typed_where_the_phase_overflows(reference, solved_reference):
     # a damped wave far back in time: kappa v_i |t| > 709 overflows exp
     gamma = amplitudes(reference, solved_reference.v)

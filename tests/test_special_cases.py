@@ -68,8 +68,15 @@ def test_roots_case_rejects_coincident_speeds():
         "beta": 0.0, "m": 0.5,
     }
     # mu/rho == d2/b
-    with pytest.raises(DegenerateRootsError):
+    with pytest.raises(DegenerateRootsError) as info:
         roots_case(validate_coefficients(raw), CouplingCase.CASE_I)
+    assert str(info.value) == "case_i speeds mu/rho and d2/b coincide at t = 1.0"
+    # mu/rho = (lambda+2mu)/rho = 1 and d2/b = radical- = 2: the pairs are
+    # checked in index order, so the first is named
+    several = dict(raw, k=3.0, d2=2.0, d3=1.0, m=1.0, **{"lambda": -1.0})
+    with pytest.raises(DegenerateRootsError) as info:
+        roots_case(validate_coefficients(several), CouplingCase.CASE_I)
+    assert str(info.value) == "case_i speeds mu/rho and (lambda+2mu)/rho coincide at t = 1.0"
 
 
 @pytest.mark.parametrize("fixture,case", [

@@ -108,9 +108,12 @@ def test_transverse_double_root_refused():
         "d1": 1.0, "d2": 1.0, "d3": 2.0, "eps1": 0.0, "eps2": 0.0,
         "beta": 0.0, "m": 0.0,
     }
-    # mu/rho == d2/b makes both transverse speeds collapse to 1
-    with pytest.raises(IndistinctRootsError):
-        mode_speeds(validate_coefficients(raw))
+    # mu/rho == d2/b makes both transverse speeds collapse to 1; with k/a = 1
+    # a cubic root joins them, and the transverse pair, checked first, is named
+    for k in (2.0, 1.0):
+        with pytest.raises(IndistinctRootsError) as info:
+            mode_speeds(validate_coefficients(dict(raw, k=k)))
+        assert str(info.value) == "transverse factor has a repeated root t = 1.0"
 
 
 def test_shared_factor_root_refused():
@@ -121,8 +124,15 @@ def test_shared_factor_root_refused():
     }
     # decoupled: q2 roots {2, 1}, q3 roots {3, 5, 1}; the shared 1 is the
     # q2/q3 collision path, not the within-factor one
-    with pytest.raises(CommonRootError):
+    with pytest.raises(CommonRootError) as info:
         mode_speeds(validate_coefficients(raw))
+    assert str(info.value) == "transverse and cubic factors share the root t = 1.0"
+    # q2 roots {2, 1} and q3 roots {6, 2, 1} share both: the cross pairs are
+    # checked t1 first, so 2 is named
+    several = dict(raw, k=3.0, d3=1.0, m=1.0, **{"lambda": -1.0})
+    with pytest.raises(CommonRootError) as info:
+        mode_speeds(validate_coefficients(several))
+    assert str(info.value) == "transverse and cubic factors share the root t = 2.0"
 
 
 def test_pairwise_min_gap_matches_direct_recount():
