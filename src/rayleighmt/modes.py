@@ -12,7 +12,9 @@ evaluate it.  ``kernel_row`` holds the closed forms of those kernel
 vectors for every coupling regime the solver handles, the general one and
 the paper's three decoupled cases, written once as u = u0 + p u1 + v u2;
 ``mode_vector`` and the batched secular kernel both read it, and the tests
-check it against an SVD nullspace and a 40-digit one.
+check it against an SVD nullspace and a 40-digit one.  ``mode_shapes``
+gives the decaying branch p_k and u with the same bits on every route: the
+batched kernel, ``p_from_t``, ``mode_vector``, the run in q, the case check.
 """
 
 from __future__ import annotations
@@ -89,17 +91,23 @@ class AttenuationExponent:
     mode_index: int
 
 
-def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExponent:
-    """Select the decaying branch of p from t (p^2 + 1) = v^2.
+def mode_shapes(v: np.ndarray, t: np.ndarray, u0, u1, u2) -> tuple:
+    """``(p, u)`` at complex speeds v (n,) for squared mode speeds t (m,) and
+    closed forms u0, u1, u2 (m, 5) of ``kernel_row`` (zeros where only p is
+    wanted).  p (n, m) is the square root of v^2 / t - 1 with Im p > 0 where
+    one has it: one does in the open quadrant, and on the real axis both
+    are imaginary or neither is.  u (n, m, 5) is u0 + p u1 + v u2.  An
+    overflow leaves a NaN or infinite entry, and Im p > 0 fails on NaN."""
+    vv = v[:, None]
+    with np.errstate(all="ignore"):
+        root = np.sqrt(vv * vv / t - 1.0)
+        p = np.where(root.imag > 0.0, root, -root)
+        return p, u0 + p[..., None] * u1 + vv[..., None] * u2
 
-    The two candidates are the square roots of v^2/t - 1.  For a speed in
-    the open quadrant (v_r > 0, v_i > 0) exactly one candidate has positive
-    imaginary part and nonpositive real part; it is returned.  On the real
-    axis the candidates are either purely imaginary (decaying) or purely
-    real, in which case no decaying branch exists.  v is squared by
-    multiplication, as the batched secular kernel squares it (``** 2``
-    raises ``OverflowError`` where the square overflows), and the branch is
-    the one the kernel picks.
+
+def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExponent:
+    """The decaying branch of p from t (p^2 + 1) = v^2: ``mode_shapes`` at
+    one speed and one squared mode speed.
 
     Raises
     ------
@@ -112,8 +120,7 @@ def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExpon
     if not t > 0.0:
         raise DomainError(f"squared mode speed must be positive, got {t!r}")
     vc = complex(v)
-    root = cmath.sqrt(vc * vc / t - 1.0)
-    p = root if root.imag > 0.0 else -root
+    p = complex(mode_shapes(np.array([vc]), np.array([t]), 0.0, 0.0, 0.0)[0][0, 0])
     if not p.imag > 0.0:
         raise NonDecayingError(t=t, v=vc, mode_index=mode_index)
     return AttenuationExponent(p=p, mode_index=mode_index)
@@ -186,8 +193,18 @@ def case_speeds(M: MaterialCoefficients, case: CouplingCase) -> tuple:
 
     In each regime the transverse factor q2 and the cubic factor q3 split:
     the five speeds are the transverse pair, the root of the cubic's linear
-    factor, then the two roots of its quadratic factor, in that order.
+    factor, then the two roots (num +- sqrt(disc)) / den of its quadratic
+    factor, in that order (``_case_factors``).
     """
+    pair, linear, num, disc, den = _case_factors(M, case)
+    s = math.sqrt(disc)
+    return (*((t, label, "q2") for t, label in pair), (*linear, "q3"),
+            ((num + s) / den, "radical+", "q3"), ((num - s) / den, "radical-", "q3"))
+
+
+def _case_factors(M: MaterialCoefficients, case: CouplingCase) -> tuple:
+    """``(pair, linear, num, disc, den)`` of a decoupled regime, for
+    ``case_speeds`` and ``special_cases.reduced_cubic_coefficients``."""
     pw = M.p_wave_modulus
     rho, A, B, k, d = M.rho, M.a, M.b, M.k, M.d
     pair = ((M.mu / rho, "mu/rho"), (M.d2 / B, "d2/b"))
@@ -205,9 +222,7 @@ def case_speeds(M: MaterialCoefficients, case: CouplingCase) -> tuple:
         linear = (k / A, "k/a")
         disc = (B * pw - rho * d) ** 2 + 4.0 * rho * B * M.eps_long ** 2
         num, den = B * pw + d * rho, 2.0 * rho * B
-    s = math.sqrt(disc)
-    return (*((t, label, "q2") for t, label in pair), (*linear, "q3"),
-            ((num + s) / den, "radical+", "q3"), ((num - s) / den, "radical-", "q3"))
+    return pair, linear, num, disc, den
 
 
 _ZERO = (0.0,) * 5
@@ -309,18 +324,19 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
     UnsupportedCouplingError, DomainError
         Propagated from ``kernel_row``.
     NonDecayingError
-        Propagated from the branch selection, also where an overflowing
-        v^2 leaves a NaN branch.
+        Where ``p_from_t`` raises it: no decaying branch, or a NaN one.
     DegenerateKernelError
         If the closed form degenerates to the zero vector.
     """
     rows = kernel_row(M, r)
     vc = complex(v)
-    ae = p_from_t(v, r.t, r.index)
-    u = np.array([x + ae.p * y + vc * z for x, y, z in zip(*rows)])
+    p, u = mode_shapes(np.array([vc]), np.array([r.t]), *np.array(rows)[:, None])
+    p, u = complex(p[0, 0]), u[0, 0]
+    if not p.imag > 0.0:
+        raise NonDecayingError(t=r.t, v=vc, mode_index=r.index)
     if not np.any(u):
         raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
-    return ModeBasis(mode=r, p=ae, u=u)
+    return ModeBasis(mode=r, p=AttenuationExponent(p=p, mode_index=r.index), u=u)
 
 
 def polarization_check(mb: ModeBasis) -> str:

@@ -5,7 +5,8 @@ strict interior local minima seed the refinement.  Each seed is polished
 by Muller's method on the complex determinant det A: first in the speed v
 itself and, when that run does not converge on an accepted root, in the
 uniformizing variable q = p_k of the bulk speed nearest the seed, where
-det A stays analytic although it is not analytic in v.  Iterates are kept
+det A stays analytic although it is not analytic in v (``modes.mode_shapes``
+gives its start values, the kernel's own branch).  Iterates are kept
 in the image of the quadrant, and an undefined one halves its step.  All
 seeds step in lockstep, so each step of every seed together is one call
 of the batched kernel (``point_dets``); a speed's value does not depend on
@@ -32,7 +33,7 @@ from .errors import (
     StartFailureError,
 )
 from .material import MaterialCoefficients
-from .modes import ComplexSpeed
+from .modes import ComplexSpeed, mode_shapes
 from .secular import (
     amplitudes,  # not called here; bench/tracing.py wraps search.amplitudes
     nullspace_amplitude,
@@ -320,8 +321,7 @@ def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
     if converged and root.classification == "converged":
         return root
     t = min(mode_speeds(M).t_values(), key=lambda t: abs(z0 - math.sqrt(t)))
-    q = [cmath.sqrt(zk * zk / t - 1.0) for zk in z]
-    q = [qk if qk.imag > 0.0 else -qk for qk in q]  # the decaying branch, as the kernel's
+    q = mode_shapes(np.array(z), np.array([t]), 0.0, 0.0, 0.0)[0][:, 0].tolist()
     in_q, _ = yield from _muller(q, z, start, lambda q: cmath.sqrt(t * (1.0 + q * q)),
                                  _clamp_q, evals, MAX_EVALS)
     if abs(in_q[1][0]) < abs(best[1][0]):
@@ -369,16 +369,15 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     within ``MULLER_RADIUS_STEPS`` initial steps of the seed.  When it
     converges on a point that classifies as "converged", that point is the
     root.  Otherwise a second run restarts from the same three start points
-    and their values in q = p_k, the decaying branch of sqrt(v^2 / t_k - 1)
-    for the bulk speed sqrt(t_k) nearest the seed, with v = sqrt(t_k (1 +
-    q^2)).  det A is analytic in q at that bulk speed, where it is not in
-    v.  The second run keeps to Re q <= 0, Im q >= 0, the image of the
-    quadrant, and to a disc of ``MULLER_RADIUS_STEPS`` start offsets
-    measured in q.  The root is the evaluated point of smallest |det| over
-    both runs, so it never worsens the seed value.  ``iterations`` counts
-    every evaluation, start points included.  Each step is one
-    ``point_dets`` call: this is the lockstep refinement of
-    ``find_rayleigh`` run on one seed.
+    and their values in q = p_k (``modes.mode_shapes``) for the bulk speed
+    sqrt(t_k) nearest the seed, with v = sqrt(t_k (1 + q^2)).  det A is
+    analytic in q at that bulk speed, where it is not in v.  The second run
+    keeps to Re q <= 0, Im q >= 0, the image of the quadrant, and to a disc
+    of ``MULLER_RADIUS_STEPS`` start offsets measured in q.  The root is the
+    evaluated point of smallest |det| over both runs, so it never worsens
+    the seed value.  ``iterations`` counts every evaluation, start points
+    included.  Each step is one ``point_dets`` call: this is the lockstep
+    refinement of ``find_rayleigh`` run on one seed.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
@@ -414,14 +413,13 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
 
     Scans the lattice, refines every strict interior local minimum by the
     two Muller runs of ``refine_minimum`` (in v, then in q = p_k of the
-    nearest bulk speed) with an initial step of a quarter grid cell,
-    removes duplicates closer
-    than ``DEDUP_TOL`` (keeping the lower objective value), and returns the
-    roots sorted by objective value.  Convergence is judged against the
-    median determinant magnitude of the scan.  The seeds are refined in
-    lockstep, one ``point_dets`` call per step for all of them; each root
-    is the one ``refine_minimum`` gives its seed, and a seed whose start
-    points are all undefined is dropped.
+    nearest bulk speed) with an initial step of a quarter grid cell, removes
+    duplicates closer than ``DEDUP_TOL`` (keeping the lower objective
+    value), and returns the roots sorted by objective value.  Convergence
+    is judged against the median determinant magnitude of the scan.  The
+    seeds are refined in lockstep, one ``point_dets`` call per step for all
+    of them; each root is the one ``refine_minimum`` gives its seed, and a
+    seed whose start points are all undefined is dropped.
 
     Raises
     ------

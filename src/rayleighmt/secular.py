@@ -15,19 +15,16 @@ the speeds one refinement step of every seed needs, and ``point_det`` and
 checks that its kernel is one-dimensional: det D(p) is det Q1 times prod_j
 (p^2 - p_j^2) and ``mode_speeds`` keeps the t_j distinct, so at an
 admissible speed p_k^2 is a simple root and the kernel is a line.  One rule
-decides where A is defined, and ``evaluate`` applies it for every caller:
-the speed lies in the quadrant, every mode decays (Im p_k > 0), no closed
-form vanishes, every column S(p_k) u_k is finite, and |det A| is finite.
-Where the rule fails, ``evaluate`` names the first failure (the speed, the
-first failing mode by index, or the determinant) and
-``SecularKernel.failure`` turns it into the typed error a one-point call
-raises.  ``secular_matrix`` is one more one-point call, for the mode
-weights of a root (``amplitudes``), the fields (``field_eval``) and the
-boundary residual: it returns A with the p_k and u_k of its columns
-(``SecularKernel.mode_shapes``), so a root is checked on the matrix that
-found it.  The closed forms of ``modes.kernel_row`` and the blocks are
-cached on the material; the tests check them against the SVD nullspace of
-D(p_k) and against a 40-digit route that shares only the blocks.
+decides where A is defined, and ``evaluate`` applies it for every caller
+(the failure kinds below); ``SecularKernel.failure`` turns a failure into
+the typed error a one-point call raises.  ``secular_matrix`` is one more
+one-point call, for the mode weights of a root (``amplitudes``), the
+fields (``field_eval``) and the boundary residual: it returns A with the
+p_k and u_k of its columns, so a root is checked on the matrix that found
+it.  p_k and u_k come from ``modes.mode_shapes``, as on every route.  The
+closed forms of ``modes.kernel_row`` and the blocks are cached on the
+material; the tests check them against the SVD nullspace of D(p_k) and
+against a 40-digit route that shares only the blocks.
 """
 
 from __future__ import annotations
@@ -51,6 +48,7 @@ from .modes import (
     Matrix5,
     kernel_row,
     material_blocks,
+    mode_shapes,
     mode_vector,  # not called here; bench/tracing.py wraps secular.mode_vector
 )
 from .spectrum import mode_speeds
@@ -144,7 +142,6 @@ class SecularKernel:
     material).
     """
 
-    roots: tuple  # ModeRoot, indices 1..5
     t: np.ndarray  # (5,)
     u0: np.ndarray  # (5 modes, 5 components)
     u1: np.ndarray
@@ -161,18 +158,12 @@ class SecularKernel:
         t = np.array([r.t for r in roots])
         q1, _, v_lin, _, _, _, s0 = material_blocks(M)
         lone = (u0 != 0.0) & (u1 == 0.0) & (u2 == 0.0)
-        return cls(roots=roots, t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
+        return cls(t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
                    q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy())
 
     def mode_shapes(self, v: np.ndarray) -> tuple:
-        """``(p, u)`` at complex speeds v, shape (n,): the branch of p_k with
-        Im p_k > 0 where one exists (n, 5), and the closed forms u_k (n, 5
-        modes, 5 components).  An overflow leaves a NaN or infinite entry
-        that ``evaluate`` rejects."""
-        vv = v[:, None]
-        root = np.sqrt(vv * vv / self.t - 1.0)
-        p = np.where(root.imag > 0.0, root, -root)
-        return p, self.u0 + p[..., None] * self.u1 + vv[..., None] * self.u2
+        """``modes.mode_shapes`` of the five modes: p (n, 5), u (n, 5, 5)."""
+        return mode_shapes(v, self.t, self.u0, self.u1, self.u2)
 
     def evaluate(self, v: np.ndarray) -> tuple:
         """``(A, det, mode, kind)`` at any complex speeds v, shape (n,).
@@ -239,7 +230,7 @@ class SecularKernel:
             except ValueError as exc:
                 return exc
         if kind == NON_DECAYING:
-            return NonDecayingError(t=self.roots[mode - 1].t, v=v, mode_index=mode)
+            return NonDecayingError(t=float(self.t[mode - 1]), v=v, mode_index=mode)
         if kind == ZERO_KERNEL:
             return DegenerateKernelError(
                 f"closed-form kernel vector vanishes for mode {mode}")

@@ -8,7 +8,8 @@ vectors and the batched secular kernel are those of the general pipeline
 ``solve`` handle these materials like any other, and the determinant of
 a case is ``point_det``'s.  This module adds the paper's labelled speeds,
 its explicit secular expansions and the checks that tie them to the
-determinant and to the general route.
+determinant and to the general route.  The expansions take the kernel's
+p_k (``modes.mode_shapes``), for all the cross-check's samples in one pass.
 
 Roots are numbered in the label order of ``modes.case_speeds`` (transverse
 pair, the cubic's linear factor, its quadratic factor), which need not be
@@ -37,7 +38,7 @@ from .material import (
     check_strong_ellipticity,
     classify_coupling,
 )
-from .modes import ComplexSpeed, case_speeds, p_from_t
+from .modes import ComplexSpeed, _case_factors, case_speeds, mode_shapes, p_from_t
 from .secular import secular_kernel
 from .spectrum import GAP_RTOL, ModeRoot, min_gap, mode_speeds
 
@@ -125,6 +126,14 @@ def _case_ii_expression(M: MaterialCoefficients, p, t, vc: complex) -> complex:
     return vc * micro * inner
 
 
+def _expansion(case: CouplingCase):
+    """The explicit expansion of a regime, for one speed or an array of them
+    (p_k in label order); ``WrongCaseError`` for the third, which has none."""
+    if case is CouplingCase.CASE_III:
+        raise WrongCaseError(expected="case_i or case_ii", actual=case.value)
+    return _case_i_expression if case is CouplingCase.CASE_I else _case_ii_expression
+
+
 def secular_case_explicit(M: MaterialCoefficients, v: ComplexSpeed,
                           case: CouplingCase) -> complex:
     """Fully expanded secular expression for the first two regimes.
@@ -138,14 +147,10 @@ def secular_case_explicit(M: MaterialCoefficients, v: ComplexSpeed,
         If the material is not of the requested case, or the case has no
         explicit expansion.
     """
-    if case is CouplingCase.CASE_III:
-        raise WrongCaseError(expected="case_i or case_ii", actual=case.value)
+    expression = _expansion(case)
     rs = roots_case(M, case)
-    t = rs.t_values()
     p = [p_from_t(v, r.t, r.index).p for r in rs.roots]
-    if case is CouplingCase.CASE_I:
-        return _case_i_expression(M, p, t, complex(v))
-    return _case_ii_expression(M, p, t, complex(v))
+    return expression(M, p, rs.t_values(), complex(v))
 
 
 def reduced_cubic_coefficients(M: MaterialCoefficients, case: CouplingCase) -> tuple:
@@ -156,17 +161,15 @@ def reduced_cubic_coefficients(M: MaterialCoefficients, case: CouplingCase) -> t
     coefficients once the case's couplings vanish.
     """
     _require_case(M, case)
-    pw = M.p_wave_modulus
-    u = case_speeds(M, case)[2][0]
+    _, (u, _), num, _, den = _case_factors(M, case)
+    c1 = 2.0 * num / den  # the sum of the quadratic factor's roots
+    # c0 is their product (Vieta), simplified by hand
     if case is CouplingCase.CASE_I:
-        c1 = (M.m ** 2 + M.a * M.d + M.b * M.k) / (M.a * M.b)
         c0 = M.k * M.d / (M.a * M.b)
     elif case is CouplingCase.CASE_II:
-        c1 = (M.a * pw + M.beta ** 2 + M.k * M.rho) / (M.a * M.rho)
-        c0 = pw * M.k / (M.a * M.rho)
+        c0 = M.p_wave_modulus * M.k / (M.a * M.rho)
     else:
-        c1 = (M.b * pw + M.d * M.rho) / (M.rho * M.b)
-        c0 = (pw * M.d - M.eps_long ** 2) / (M.rho * M.b)
+        c0 = (M.p_wave_modulus * M.d - M.eps_long ** 2) / (M.rho * M.b)
     return (u + c1, u * c1 + c0, u * c0)
 
 
@@ -178,8 +181,6 @@ class CaseCrossCheck:
     case: CouplingCase
     total: int
     agreements: int
-    explicit_roots: int
-    det_roots: int
 
 
 #: Random speeds ``cross_check_case`` draws, and the seed of the draw.
@@ -195,11 +196,13 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     """Compare the explicit secular expression against the determinant.
 
     Both functions are evaluated at ``CROSS_CHECK_SAMPLES`` random
-    admissible speeds, the determinant in one ``SecularKernel.evaluate``
-    call; a sample counts as a root of either function when its magnitude
-    falls below ``CROSS_CHECK_ROOT_RTOL`` times that function's median
-    magnitude over the sample set.  Agreement means both functions give the
-    same root flag.  Only the first two regimes have explicit expressions.
+    subsonic speeds, each in one array pass: the expansion from the p_k of
+    ``mode_shapes`` at the labelled roots, the determinant from one
+    ``SecularKernel.evaluate`` call.  A sample counts as a root of either
+    function when its magnitude falls below ``CROSS_CHECK_ROOT_RTOL`` times
+    that function's median magnitude over the sample set.  Agreement means
+    both functions give the same root flag.  Only the first two regimes
+    have explicit expressions.
 
     Raises
     ------
@@ -209,34 +212,27 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
         If the determinant is undefined at a sample: the error ``point_det``
         raises at the first such sample, named from the batch.
     """
-    rs = roots_case(M, case)
-    c = math.sqrt(min(rs.t_values()))
+    t = roots_case(M, case).t_values()
+    c = math.sqrt(min(t))
     rng = np.random.default_rng(CROSS_CHECK_SEED)
-    v_res = rng.uniform(0.05 * c, 0.95 * c, CROSS_CHECK_SAMPLES)
-    v_ims = rng.uniform(0.0, 0.4 * c, CROSS_CHECK_SAMPLES)
-
-    explicit_mags = np.array([abs(secular_case_explicit(M, ComplexSpeed(x, y), case))
-                              for x, y in zip(v_res, v_ims)])
+    v = (rng.uniform(0.05 * c, 0.95 * c, CROSS_CHECK_SAMPLES)
+         - 1j * rng.uniform(0.0, 0.4 * c, CROSS_CHECK_SAMPLES))
+    p, _ = mode_shapes(v, np.array(t), 0.0, 0.0, 0.0)  # all decay below sqrt(t_min)
+    explicit_mags = np.abs(_expansion(case)(M, p.T, t, v))
     # the kernel orders the modes as mode_speeds does, not by label; that
     # permutation can flip the sign of det A but not its magnitude
-    v = v_res - 1j * v_ims
     kernel = secular_kernel(M)
     _, det, mode, kind = kernel.evaluate(v)
     if kind.any():
         i = np.flatnonzero(kind)[0]
-        raise ModeFailureError(v_res[i], v_ims[i],
+        raise ModeFailureError(v[i].real, -v[i].imag,
                                kernel.failure(complex(v[i]), int(mode[i]), int(kind[i])))
     det_mags = np.abs(det)
 
     explicit_flags = explicit_mags <= CROSS_CHECK_ROOT_RTOL * np.median(explicit_mags)
     det_flags = det_mags <= CROSS_CHECK_ROOT_RTOL * np.median(det_mags)
-    return CaseCrossCheck(
-        case=case,
-        total=CROSS_CHECK_SAMPLES,
-        agreements=int(np.sum(explicit_flags == det_flags)),
-        explicit_roots=int(np.sum(explicit_flags)),
-        det_roots=int(np.sum(det_flags)),
-    )
+    return CaseCrossCheck(case=case, total=CROSS_CHECK_SAMPLES,
+                          agreements=int(np.sum(explicit_flags == det_flags)))
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,6 @@ class LimitReport:
     case: CouplingCase
     scales: tuple
     gaps: tuple
-    limit_ts: tuple
 
     @property
     def rates(self) -> tuple:
@@ -294,5 +289,4 @@ def limit_consistency(M_general: MaterialCoefficients, case: CouplingCase) -> Li
         )
         ts = sorted(mode_speeds(M_scaled).t_values())
         gaps.append(max(abs(x - y) for x, y in zip(ts, target)))
-    return LimitReport(case=case, scales=LIMIT_SCALES, gaps=tuple(gaps),
-                       limit_ts=tuple(target))
+    return LimitReport(case=case, scales=LIMIT_SCALES, gaps=tuple(gaps))

@@ -481,3 +481,23 @@ def test_stagnated_minima_have_no_gamma(reference):
     for root in roots:
         if root.classification == "stagnated":
             assert root.gamma is None
+
+
+#: sqrt(2 - 2/sqrt(3)): the classical Rayleigh root of case_i.json, on the
+#: real axis below every bulk speed, where det A changes sign.
+CASE_I_REAL_ROOT = 0.9194016867619661
+
+
+@pytest.mark.xfail(strict=True, reason="the subsonic segment lies on the lattice's "
+                                       "top row, and only interior minima seed (ROADMAP item 2)")
+def test_solve_finds_the_real_root_of_case_i(case_i_material):
+    roots = find_rayleigh(case_i_material, default_window(case_i_material))
+    assert any(abs(complex(r.v) - CASE_I_REAL_ROOT) <= 1e-12 for r in roots)
+
+
+@pytest.mark.xfail(strict=True, reason="the run in q lands on p_3 = 0 at sqrt(k/a) and "
+                                       "calls it converged (ROADMAP item 1)")
+def test_solve_rejects_the_branch_point_artefact_of_case_iii(case_iii_material):
+    roots = find_rayleigh(case_iii_material, default_window(case_iii_material))
+    near = [r for r in roots if abs(complex(r.v) - 1.0) <= 1e-6]
+    assert all(r.classification != "converged" for r in near)

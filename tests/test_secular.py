@@ -25,6 +25,7 @@ from rayleighmt import (
     mode_speeds,
     mode_vector,
     objective_F,
+    p_from_t,
     secular_matrix,
     validate_coefficients,
 )
@@ -709,3 +710,43 @@ def test_mode_failure_message_plain_speed(reference):
         objective_F(reference, np.float64(0.75), -np.float64(0.0))
     assert "np.float64" not in str(err.value)
     assert "v = (0.75+0j)" in str(err.value)
+
+
+def test_scalar_route_reads_the_kernel_bit_for_bit(reference, case_i_material,
+                                                   case_ii_material, case_iii_material):
+    # mode_vector and p_from_t take p and u from the kernel's own arithmetic
+    # (modes.mode_shapes): at every speed they return its bits, and
+    # p_from_t raises exactly where the kernel finds a mode non-decaying
+    rng = np.random.default_rng(59)
+    materials = [reference, case_i_material, case_ii_material, case_iii_material,
+                 random_material(rng), random_material(rng)]
+    ranked = 0  # speeds the kernel ranks NON_DECAYING
+    for M in materials:
+        kernel, roots = secular_kernel(M), mode_speeds(M).roots
+        w = default_window(M, nx=64, ny=32)
+        speeds = np.concatenate([(w.re_values()[:, None] + 1j * w.im_values()).ravel(),
+                                 HUGE_SPEEDS])
+        p, u = kernel.mode_shapes(speeds)
+        _, _, mode, kind = kernel.evaluate(speeds)
+        for z, pz, uz, m, k in zip(speeds, p, u, mode.tolist(), kind.tolist()):
+            v = ComplexSpeed.from_complex(z)
+            raised = []
+            for r in roots:
+                j = r.index - 1
+                try:
+                    ae = p_from_t(v, r.t, r.index)
+                except NonDecayingError:
+                    assert not pz[j].imag > 0.0, (M, z, r.index)
+                    raised.append(r.index)
+                    with pytest.raises(NonDecayingError):
+                        mode_vector(M, v, r)
+                    continue
+                assert pz[j].imag > 0.0, (M, z, r.index)
+                mb = mode_vector(M, v, r)
+                for got in (ae.p, mb.p.p):
+                    assert np.complex128(got).tobytes() == pz[j].tobytes(), (M, z, r.index)
+                assert mb.u.tobytes() == uz[j].tobytes(), (M, z, r.index)
+            if k == NON_DECAYING:
+                assert raised[0] == m, (M, z)
+                ranked += 1
+    assert ranked

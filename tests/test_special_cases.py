@@ -23,7 +23,8 @@ from rayleighmt import (
     secular_case_explicit,
     validate_coefficients,
 )
-from rayleighmt import secular
+from rayleighmt import secular, special_cases
+from rayleighmt.modes import mode_shapes
 from rayleighmt.secular import point_det, secular_matrix
 
 from helpers import mode_vector_matrix, nullspace_sine
@@ -133,6 +134,22 @@ def test_explicit_matches_det_zero_sets(case_i_material, case_ii_material):
         cc = cross_check_case(M, case)
         assert cc.total == 200
         assert cc.agreements == cc.total, (cc.agreements, cc.total)
+
+
+def test_explicit_array_pass_matches_one_speed_calls(case_i_material, case_ii_material):
+    # cross_check_case evaluates the expansion at all its samples in one
+    # numpy pass; numpy and Python complex arithmetic round differently, and
+    # the expansions cancel, so the two agree to 1e-12 (3.3e-13 seen), not
+    # bit for bit
+    rng = np.random.default_rng(5)
+    v = rng.uniform(0.05, 0.9, 50) - 1j * rng.uniform(0.0, 0.4, 50)
+    for M, case in ((case_i_material, CouplingCase.CASE_I),
+                    (case_ii_material, CouplingCase.CASE_II)):
+        t = roots_case(M, case).t_values()
+        p, _ = mode_shapes(v, np.array(t), 0.0, 0.0, 0.0)
+        batch = special_cases._expansion(case)(M, p.T, t, v)
+        one = [secular_case_explicit(M, ComplexSpeed.from_complex(z), case) for z in v]
+        np.testing.assert_allclose(batch, one, rtol=1e-12, atol=0.0)
 
 
 def test_cross_check_raises_where_det_is_undefined(case_i_material, monkeypatch):
