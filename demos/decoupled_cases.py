@@ -12,16 +12,14 @@ Run:
   python3 demos/decoupled_cases.py
 """
 
-import math
 from pathlib import Path
 
 from rayleighmt import (
-    ScanWindow,
     cross_check_case,
+    default_window,
     find_rayleigh,
     limit_consistency,
     load_material,
-    mode_speeds,
     roots_case,
     validate_coefficients,
 )
@@ -47,11 +45,8 @@ def main():
             cc = cross_check_case(M, case)
             print(f"  explicit vs determinant agreement: "
                   f"{cc.agreements}/{cc.total} samples")
-        c = math.sqrt(max(mode_speeds(M).t_values()))
-        window = ScanWindow(re_min=0.02 * c, re_max=1.25 * c,
-                            im_min=-0.45 * c, im_max=0.0, nx=128, ny=64)
         print("  find_rayleigh roots:")
-        for r in find_rayleigh(M, window):
+        for r in find_rayleigh(M, default_window(M)):
             print(f"    v = {complex(r.v):.10f}  {r.classification}")
         if case is CouplingCase.CASE_III:
             # the thermal column k p eps2 vanishes as p -> 0 at t = k/a

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rayleighmt import ScanWindow, grid_scan, load_material, local_minima, mode_speeds
+from rayleighmt import default_window, grid_scan, load_material, local_minima
 
 MATERIALS = Path(__file__).resolve().parent.parent / "materials"
 SHADES = " .:-=+*#%@"
@@ -41,9 +41,7 @@ def render(grid) -> str:
 
 def main():
     M = load_material(MATERIALS / "reference.json")
-    c = math.sqrt(max(mode_speeds(M).t_values()))
-    window = ScanWindow(re_min=0.02 * c, re_max=1.25 * c,
-                        im_min=-0.45 * c, im_max=0.0, nx=72, ny=24)
+    window = default_window(M, nx=72, ny=24)
     grid = grid_scan(M, window)
     print(f"window: Re v in [{window.re_min:.3f}, {window.re_max:.3f}], "
           f"Im v in [{window.im_min:.3f}, {window.im_max:.3f}]")

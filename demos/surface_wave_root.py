@@ -8,18 +8,16 @@ Run:
   python3 demos/surface_wave_root.py
 """
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from rayleighmt import (
-    ScanWindow,
     boundary_residual,
+    default_window,
     field_eval,
     find_rayleigh,
     load_material,
-    mode_speeds,
 )
 
 MATERIALS = Path(__file__).resolve().parent.parent / "materials"
@@ -29,10 +27,7 @@ def main():
     M = load_material(MATERIALS / "reference.json")
     # window past the fastest bulk speed: the damped root can sit above
     # every bulk speed, so a window capped at the slowest one misses it
-    c = math.sqrt(max(mode_speeds(M).t_values()))
-    window = ScanWindow(re_min=0.02 * c, re_max=1.25 * c,
-                        im_min=-0.45 * c, im_max=0.0, nx=128, ny=64)
-    roots = find_rayleigh(M, window)
+    roots = find_rayleigh(M, default_window(M))
     print(f"{len(roots)} candidate minima:")
     for r in roots:
         print(f"  v = {complex(r.v):.12f}  |det A| = {r.det_abs:.3e}  "

@@ -62,6 +62,7 @@ from .search import (
     RefineOptions,
     ScanGrid,
     ScanWindow,
+    default_window,
     find_rayleigh,
     grid_scan,
     local_minima,

@@ -28,7 +28,7 @@ from .material import (
     load_material,
 )
 from .modes import ComplexSpeed, assemble_Dp, mode_vector
-from .search import ScanWindow, find_rayleigh, grid_scan
+from .search import ScanWindow, default_window, find_rayleigh, grid_scan
 from .secular import boundary_residual
 from .special_cases import cross_check_case, reduced_cubic_coefficients, roots_case
 from .spectrum import mode_speeds, polynomial_residual
@@ -92,26 +92,15 @@ def _scalar_text(val) -> str:
     return str(val)
 
 
-def _default_window(M: MaterialCoefficients, args: argparse.Namespace,
-                    nx: int, ny: int) -> ScanWindow:
-    """Fill unset window options from the material's mode speeds.
-
-    Damped roots can sit above every bulk speed, so the window runs from
-    just above zero up to 1.25 times the fastest mode speed.
-    """
-    bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
-    if any(val is None for val in bounds):
-        c = math.sqrt(max(mode_speeds(M).t_values()))
-        defaults = (0.02 * c, 1.25 * c, -0.45 * c, 0.0)
-        bounds = tuple(
-            val if val is not None else default
-            for val, default in zip(bounds, defaults)
-        )
-    return ScanWindow(
-        re_min=bounds[0], re_max=bounds[1], im_min=bounds[2], im_max=bounds[3],
-        nx=args.nx if args.nx is not None else nx,
-        ny=args.ny if args.ny is not None else ny,
-    )
+def _window(M: MaterialCoefficients, args: argparse.Namespace) -> ScanWindow:
+    """The window of the options; ``default_window`` gives the bounds not
+    set, and is not called when all are."""
+    bounds = {name: getattr(args, name) for name in ("re_min", "re_max", "im_min", "im_max")}
+    if None in bounds.values():
+        window = default_window(M)
+        bounds = {name: getattr(window, name) if val is None else val
+                  for name, val in bounds.items()}
+    return ScanWindow(**bounds, nx=args.nx, ny=args.ny)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -162,7 +151,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     M = load_material(args.material)
-    window = _default_window(M, args, nx=64, ny=32)
+    window = _window(M, args)
     grid = grid_scan(M, window)
     lines = ["re_v,im_v,F"]
     res = [float(x) for x in window.re_values()]
@@ -181,7 +170,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     M = load_material(args.material)
-    window = _default_window(M, args, nx=128, ny=64)
+    window = _window(M, args)
     roots = find_rayleigh(M, window, det_ratio_tol=args.tol_det)
     payload = {
         "window": {
@@ -234,12 +223,9 @@ def cmd_case(args: argparse.Namespace) -> int:
         ],
     }
 
-    C = derived_cubic(M)
-    reduced = reduced_cubic_coefficients(M, case)
-    general = (C.b4, C.b2, C.b0)
+    C, reduced = derived_cubic(M), reduced_cubic_coefficients(M, case)
     payload["reduced_cubic_max_rel_err"] = max(
-        abs(x - y) / max(abs(y), 1e-300) for x, y in zip(reduced, general)
-    )
+        abs(x - y) / max(abs(y), 1e-300) for x, y in zip(reduced, (C.b4, C.b2, C.b0)))
 
     c = math.sqrt(min(rs.t_values()))
     v_probe = ComplexSpeed(0.5 * c, 0.1 * c)
@@ -280,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--material", required=True, help="material JSON file")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
-    def add_window(p):
-        p.add_argument("--re-min", type=float, default=None)
-        p.add_argument("--re-max", type=float, default=None)
-        p.add_argument("--im-min", type=float, default=None)
-        p.add_argument("--im-max", type=float, default=None)
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--ny", type=int, default=None)
+    def add_window(p, nx, ny):
+        for name in ("--re-min", "--re-max", "--im-min", "--im-max"):
+            p.add_argument(name, type=float)
+        p.add_argument("--nx", type=int, default=nx)
+        p.add_argument("--ny", type=int, default=ny)
 
     p_check = sub.add_parser("check", help="admissibility and coupling report")
     add_common(p_check)
@@ -298,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="objective samples over a window (CSV)")
     add_common(p_scan)
-    add_window(p_scan)
+    add_window(p_scan, nx=64, ny=32)
     p_scan.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     p_solve = sub.add_parser("solve", help="locate surface-wave roots")
     add_common(p_solve)
-    add_window(p_solve)
+    add_window(p_solve, nx=128, ny=64)
     p_solve.add_argument("--out", default=None, help="also write the JSON report here")
     p_solve.add_argument("--tol-det", type=float, default=1e-6,
                          help="determinant ratio accepted as converged")

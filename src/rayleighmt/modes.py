@@ -327,15 +327,18 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
         Where ``p_from_t`` raises it: no decaying branch, or a NaN one.
     DegenerateKernelError
         If the closed form degenerates to the zero vector.
+    numpy.linalg.LinAlgError
+        If p_k or u_k overflows, as the batched kernel names such a mode.
     """
-    rows = kernel_row(M, r)
     vc = complex(v)
-    p, u = mode_shapes(np.array([vc]), np.array([r.t]), *np.array(rows)[:, None])
+    p, u = mode_shapes(np.array([vc]), np.array([r.t]), *np.array(kernel_row(M, r))[:, None])
     p, u = complex(p[0, 0]), u[0, 0]
     if not p.imag > 0.0:
         raise NonDecayingError(t=r.t, v=vc, mode_index=r.index)
     if not np.any(u):
         raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
+    if not (cmath.isfinite(p) and np.isfinite(u).all()):
+        raise np.linalg.LinAlgError(f"kernel vector of mode {r.index} is not finite")
     return ModeBasis(mode=r, p=AttenuationExponent(p=p, mode_index=r.index), u=u)
 
 
@@ -355,14 +358,10 @@ def polarization_check(mb: ModeBasis) -> str:
     """
     p = mb.p.p
     n_norm = (1.0 + abs(p) ** 2) ** 0.5
-
-    def dot_and_cross(c1, c2):
-        tol = POLARIZATION_RTOL * max(max(abs(c1), abs(c2)) * n_norm, 1e-300)
-        dot = c1 + c2 * p
-        cross = c1 * p - c2
-        return dot, cross, tol
-
-    pairs = [dot_and_cross(mb.u[0], mb.u[1]), dot_and_cross(mb.u[2], mb.u[3])]
+    # (dot, cross, tolerance) of the displacement and microtemperature pairs
+    pairs = [(c1 + c2 * p, c1 * p - c2,
+              POLARIZATION_RTOL * max(max(abs(c1), abs(c2)) * n_norm, 1e-300))
+             for c1, c2 in (mb.u[0:2], mb.u[2:4])]
     if all(abs(dot) <= tol for dot, _, tol in pairs):
         return "orthogonal"
     if all(abs(cross) <= tol for _, cross, tol in pairs):

@@ -88,6 +88,15 @@ class ScanWindow:
         )
 
 
+def default_window(M: MaterialCoefficients, nx: int = 128, ny: int = 64) -> ScanWindow:
+    """The window searched when none is given: Re v in [0.02 c, 1.25 c] and
+    Im v in [-0.45 c, 0], c = sqrt(t_max).  Damped roots can sit above every
+    bulk speed, so the window runs up to 1.25 times the fastest mode speed."""
+    c = math.sqrt(max(mode_speeds(M).t_values()))
+    return ScanWindow(re_min=0.02 * c, re_max=1.25 * c, im_min=-0.45 * c, im_max=0.0,
+                      nx=nx, ny=ny)
+
+
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
     """Objective samples over a window; failed points hold NaN.

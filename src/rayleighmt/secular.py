@@ -20,11 +20,11 @@ decides where A is defined, and ``evaluate`` applies it for every caller
 the typed error a one-point call raises.  ``secular_matrix`` is one more
 one-point call, for the mode weights of a root (``amplitudes``), the
 fields (``field_eval``) and the boundary residual: it returns A with the
-p_k and u_k of its columns, so a root is checked on the matrix that found
-it.  p_k and u_k come from ``modes.mode_shapes``, as on every route.  The
-closed forms of ``modes.kernel_row`` and the blocks are cached on the
-material; the tests check them against the SVD nullspace of D(p_k) and
-against a 40-digit route that shares only the blocks.
+p_k and u_k (``modes.mode_shapes``) that ``evaluate`` built it from, so a
+root is checked on the matrix that found it.  The closed forms of
+``modes.kernel_row`` and the blocks are cached on the material; the tests
+check them against the SVD nullspace of D(p_k) and against a 40-digit
+route that shares only the blocks.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ def secular_matrix(M: MaterialCoefficients, v: ComplexSpeed) -> SecularMatrix:
     Raises the typed error of a failing mode (``SecularKernel.failure``) and
     those of ``secular_kernel``; an overflowing |det A| is no failure here."""
     kernel, vc = secular_kernel(M), complex(v)
-    A, _, mode, kind = kernel.evaluate(np.array([vc]))
+    A, _, mode, kind, p, u = kernel.evaluate(np.array([vc]))
     if kind[0] and kind[0] != DET_NOT_FINITE:
         raise kernel.failure(vc, int(mode[0]), int(kind[0]))
-    p, u = kernel.mode_shapes(np.array([vc]))
     return SecularMatrix(A=A[0], p=p[0], u=u[0])
 
 
@@ -161,25 +160,22 @@ class SecularKernel:
         return cls(t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
                    q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy())
 
-    def mode_shapes(self, v: np.ndarray) -> tuple:
-        """``modes.mode_shapes`` of the five modes: p (n, 5), u (n, 5, 5)."""
-        return mode_shapes(v, self.t, self.u0, self.u1, self.u2)
-
     def evaluate(self, v: np.ndarray) -> tuple:
-        """``(A, det, mode, kind)`` at any complex speeds v, shape (n,).
+        """``(A, det, mode, kind, p, u)`` at any complex speeds v, shape (n,).
 
         ``A`` is the (n, 5, 5) stack whose column k is S(p_k) u_k and ``det``
         its determinants, meaningless where ``kind`` is nonzero.  ``kind`` is
         0 where the speed is defined and otherwise its first failure, in the
         order above; ``mode`` is the failing mode of a per-mode kind, else 0.
         Only failing speeds are ranked; ``det`` is computed only if some
-        speed has no failing mode.
+        speed has no failing mode.  ``p`` (n, 5) and ``u`` (n, 5, 5) are the
+        ``modes.mode_shapes`` that A is built from.
         """
         n = len(v)
         # the speeds ComplexSpeed accepts: finite, nonzero, Re v >= 0, Im v <= 0
         admissible = np.isfinite(v) & (v.real >= 0.0) & (v.imag <= 0.0) & (v != 0.0)
         with np.errstate(all="ignore"):
-            p, u = self.mode_shapes(v)
+            p, u = mode_shapes(v, self.t, self.u0, self.u1, self.u2)
             pp, vm = p[..., None], v[:, None, None]
             svT = self.s0T + vm * self.vT  # the v-dependent part of S(p), transposed
             uq = (u.reshape(-1, 5) @ self.q1T).reshape(u.shape)
@@ -215,7 +211,7 @@ class SecularKernel:
                 else:
                     m = modes.index(False)
                     mode[i], kind[i] = m + 1, next(c for c, ok in checks if not ok[i, m])
-        return A, det, mode, kind
+        return A, det, mode, kind, p, u
 
     def failure(self, v: complex, mode: int, kind: int) -> Exception:
         """The typed error of the failure ``evaluate`` ranked at speed v: the
@@ -260,7 +256,7 @@ def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
         kernel = secular_kernel(M)
     except RayleighError:
         return np.full(v.shape, np.nan)
-    _, det, _, kind = kernel.evaluate(v.ravel())
+    _, det, _, kind, _, _ = kernel.evaluate(v.ravel())
     mag = np.abs(det).reshape(v.shape)
     with np.errstate(divide="ignore"):
         F = np.where(mag == 0.0, F_SENTINEL, np.log(mag))
@@ -282,7 +278,7 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
     v = complex(v_r, -v_i)
     try:
         kernel = secular_kernel(M)
-        _, det, mode, kind = kernel.evaluate(np.array([v]))
+        _, det, mode, kind, _, _ = kernel.evaluate(np.array([v]))
         if kind[0]:
             raise kernel.failure(v, int(mode[0]), int(kind[0]))
     except (RayleighError, ValueError) as exc:
@@ -299,7 +295,7 @@ def point_dets(M: MaterialCoefficients, zs) -> list:
         kernel = secular_kernel(M)
     except RayleighError:
         return [None] * len(zs)
-    A, det, _, kind = kernel.evaluate(np.array(zs, dtype=complex))
+    A, det, _, kind, _, _ = kernel.evaluate(np.array(zs, dtype=complex))
     return [(complex(d), a) if not k else None for d, a, k in zip(det, A, kind)]
 
 

@@ -8,8 +8,9 @@ vectors and the batched secular kernel are those of the general pipeline
 ``solve`` handle these materials like any other, and the determinant of
 a case is ``point_det``'s.  This module adds the paper's labelled speeds,
 its explicit secular expansions and the checks that tie them to the
-determinant and to the general route.  The expansions take the kernel's
-p_k (``modes.mode_shapes``), for all the cross-check's samples in one pass.
+determinant and to the general route.  An expansion takes the kernel's
+p_k (``modes.mode_shapes``) in one pass over an array of speeds: the
+cross-check's samples, or the one speed of ``secular_case_explicit``.
 
 Roots are numbered in the label order of ``modes.case_speeds`` (transverse
 pair, the cubic's linear factor, its quadratic factor), which need not be
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import (
     DegenerateRootsError,
     ModeFailureError,
+    NonDecayingError,
     NotStronglyEllipticError,
     WrongCaseError,
 )
@@ -38,7 +40,7 @@ from .material import (
     check_strong_ellipticity,
     classify_coupling,
 )
-from .modes import ComplexSpeed, _case_factors, case_speeds, mode_shapes, p_from_t
+from .modes import ComplexSpeed, _case_factors, case_speeds, mode_shapes
 from .secular import secular_kernel
 from .spectrum import GAP_RTOL, ModeRoot, min_gap, mode_speeds
 
@@ -89,7 +91,7 @@ def roots_case(M: MaterialCoefficients, case: CouplingCase) -> CaseRootSet:
     return CaseRootSet(case=case, roots=roots, labels=labels)
 
 
-def _case_i_expression(M: MaterialCoefficients, p, t, vc: complex) -> complex:
+def _case_i_expression(M: MaterialCoefficients, p, t, vc: np.ndarray) -> np.ndarray:
     mu, a, b, d, k, m = M.mu, M.a, M.b, M.d, M.k, M.m
     d23 = M.d2 + M.d3
     v2 = vc * vc
@@ -107,7 +109,7 @@ def _case_i_expression(M: MaterialCoefficients, p, t, vc: complex) -> complex:
     return vc * classical * inner
 
 
-def _case_ii_expression(M: MaterialCoefficients, p, t, vc: complex) -> complex:
+def _case_ii_expression(M: MaterialCoefficients, p, t, vc: np.ndarray) -> np.ndarray:
     mu, a, k, rho, beta = M.mu, M.a, M.k, M.rho, M.beta
     pw = M.p_wave_modulus
     d23 = M.d2 + M.d3
@@ -126,17 +128,31 @@ def _case_ii_expression(M: MaterialCoefficients, p, t, vc: complex) -> complex:
     return vc * micro * inner
 
 
-def _expansion(case: CouplingCase):
-    """The explicit expansion of a regime, for one speed or an array of them
-    (p_k in label order); ``WrongCaseError`` for the third, which has none."""
+def _explicit(M: MaterialCoefficients, case: CouplingCase) -> tuple:
+    """``(t, f)``: a regime's labelled squared mode speeds and its explicit
+    expansion f over an array of speeds.  ``WrongCaseError`` for the third
+    regime, which has none, comes before the errors of ``roots_case``; f
+    raises ``p_from_t``'s error for the first speed and mode without decay."""
     if case is CouplingCase.CASE_III:
         raise WrongCaseError(expected="case_i or case_ii", actual=case.value)
-    return _case_i_expression if case is CouplingCase.CASE_I else _case_ii_expression
+    expression = _case_i_expression if case is CouplingCase.CASE_I else _case_ii_expression
+    t = roots_case(M, case).t_values()
+
+    def f(v: np.ndarray) -> np.ndarray:
+        p, _ = mode_shapes(v, np.array(t), 0.0, 0.0, 0.0)
+        stuck = np.argwhere(~(p.imag > 0.0))
+        if len(stuck):
+            i, j = stuck[0].tolist()
+            raise NonDecayingError(t=t[j], v=complex(v[i]), mode_index=j + 1)
+        return expression(M, p.T, t, v)
+
+    return t, f
 
 
 def secular_case_explicit(M: MaterialCoefficients, v: ComplexSpeed,
                           case: CouplingCase) -> complex:
-    """Fully expanded secular expression for the first two regimes.
+    """Fully expanded secular expression for the first two regimes, by the
+    array pass of ``cross_check_case``.
 
     The third regime has no tractable expansion; the determinant
     (``point_det``) is its only secular function.
@@ -146,11 +162,11 @@ def secular_case_explicit(M: MaterialCoefficients, v: ComplexSpeed,
     WrongCaseError
         If the material is not of the requested case, or the case has no
         explicit expansion.
+    NonDecayingError
+        Where ``p_from_t`` raises it for a labelled root.
     """
-    expression = _expansion(case)
-    rs = roots_case(M, case)
-    p = [p_from_t(v, r.t, r.index).p for r in rs.roots]
-    return expression(M, p, rs.t_values(), complex(v))
+    _, f = _explicit(M, case)
+    return complex(f(np.array([complex(v)]))[0])
 
 
 def reduced_cubic_coefficients(M: MaterialCoefficients, case: CouplingCase) -> tuple:
@@ -196,8 +212,8 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     """Compare the explicit secular expression against the determinant.
 
     Both functions are evaluated at ``CROSS_CHECK_SAMPLES`` random
-    subsonic speeds, each in one array pass: the expansion from the p_k of
-    ``mode_shapes`` at the labelled roots, the determinant from one
+    subsonic speeds, each in one array pass: the expansion by the pass
+    ``secular_case_explicit`` makes at one speed, the determinant from one
     ``SecularKernel.evaluate`` call.  A sample counts as a root of either
     function when its magnitude falls below ``CROSS_CHECK_ROOT_RTOL`` times
     that function's median magnitude over the sample set.  Agreement means
@@ -212,17 +228,16 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
         If the determinant is undefined at a sample: the error ``point_det``
         raises at the first such sample, named from the batch.
     """
-    t = roots_case(M, case).t_values()
+    t, explicit = _explicit(M, case)
     c = math.sqrt(min(t))
     rng = np.random.default_rng(CROSS_CHECK_SEED)
     v = (rng.uniform(0.05 * c, 0.95 * c, CROSS_CHECK_SAMPLES)
          - 1j * rng.uniform(0.0, 0.4 * c, CROSS_CHECK_SAMPLES))
-    p, _ = mode_shapes(v, np.array(t), 0.0, 0.0, 0.0)  # all decay below sqrt(t_min)
-    explicit_mags = np.abs(_expansion(case)(M, p.T, t, v))
+    explicit_mags = np.abs(explicit(v))  # every mode decays below sqrt(t_min)
     # the kernel orders the modes as mode_speeds does, not by label; that
     # permutation can flip the sign of det A but not its magnitude
     kernel = secular_kernel(M)
-    _, det, mode, kind = kernel.evaluate(v)
+    _, det, mode, kind, _, _ = kernel.evaluate(v)
     if kind.any():
         i = np.flatnonzero(kind)[0]
         raise ModeFailureError(v[i].real, -v[i].imag,
@@ -246,16 +261,9 @@ class LimitReport:
     @property
     def rates(self) -> tuple:
         """Convergence order of gap vs coupling scale between steps."""
-        out = []
-        for i in range(len(self.gaps) - 1):
-            if self.gaps[i] > 0.0 and self.gaps[i + 1] > 0.0:
-                out.append(
-                    math.log(self.gaps[i + 1] / self.gaps[i])
-                    / math.log(self.scales[i + 1] / self.scales[i])
-                )
-            else:
-                out.append(float("inf"))
-        return tuple(out)
+        return tuple(math.log(g1 / g0) / math.log(s1 / s0) if g0 > 0.0 and g1 > 0.0
+                     else math.inf for g0, g1, s0, s1 in zip(
+                         self.gaps, self.gaps[1:], self.scales, self.scales[1:]))
 
     @property
     def converged(self) -> bool:

@@ -1,9 +1,8 @@
-import math
 from pathlib import Path
 
 import pytest
 
-from rayleighmt import ScanWindow, find_rayleigh, load_material, mode_speeds
+from rayleighmt import default_window, find_rayleigh, load_material
 
 MATERIALS = Path(__file__).resolve().parent.parent / "materials"
 
@@ -26,12 +25,6 @@ def case_ii_material():
 @pytest.fixture(scope="session")
 def case_iii_material():
     return load_material(MATERIALS / "case_iii.json")
-
-
-def default_window(M, nx=128, ny=64):
-    c = math.sqrt(max(mode_speeds(M).t_values()))
-    return ScanWindow(re_min=0.02 * c, re_max=1.25 * c,
-                      im_min=-0.45 * c, im_max=0.0, nx=nx, ny=ny)
 
 
 @pytest.fixture(scope="session")

@@ -199,8 +199,8 @@ def full_matrices(kernel, v):
     failing mode and, within it, by the first failing check, then by the
     determinant.
 
-    Returns ``(A, det, mode, kind)``; kept as the reference the lean kernel
-    must match bit for bit (``det`` where ``kind`` is 0).
+    Returns ``(A, det, mode, kind, p, u)``; kept as the reference the lean
+    kernel must match bit for bit (``det`` where ``kind`` is 0).
     """
     admissible = np.array([_in_quadrant(z) for z in v.tolist()], dtype=bool)
     with np.errstate(all="ignore"):
@@ -225,7 +225,7 @@ def full_matrices(kernel, v):
                         np.where(np.isfinite(np.abs(det)), 0, secular.DET_NOT_FINITE))
         mode = np.where(admissible, mode, 0)
         kind = np.where(admissible, kind, secular.INADMISSIBLE)
-        return A, det, mode, kind
+        return A, det, mode, kind, p, u
 
 
 #: Budgets of the removed Muller-then-simplex refinement, frozen here so

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from rayleighmt import ComplexSpeed, CouplingCase, load_material, secular_case_explicit
+from rayleighmt import (
+    ComplexSpeed,
+    CouplingCase,
+    default_window,
+    load_material,
+    secular_case_explicit,
+)
 from rayleighmt.cli import main
 
 from conftest import MATERIALS
@@ -232,6 +238,29 @@ def test_solve_rejects_infinite_window():
     assert proc.returncode == 1
     assert "ValueError: window bounds must be finite, got re_max = inf" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_unset_window_options_come_from_default_window(capsys, tmp_path):
+    # each unset bound is default_window's; with every bound set the mode
+    # speeds are not asked for, so a non-elliptic material fails at the
+    # lattice, not at its mode speeds
+    code, out, _ = run(capsys, "solve", "--material", REF, "--re-min", "0.5", "--ny", "48")
+    w = default_window(load_material(REF))
+    assert code == 0
+    assert json.loads(out)["window"] == {"re_min": 0.5, "re_max": w.re_max,
+                                         "im_min": w.im_min, "im_max": w.im_max,
+                                         "nx": 128, "ny": 48}
+    raw = json.loads((MATERIALS / "reference.json").read_text())
+    raw["mu"] = -1.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    bounds = ("--re-min", "0.1", "--re-max", "0.5", "--im-min", "-0.2", "--im-max", "0")
+    code, _, err = run(capsys, "scan", "--material", str(path), *bounds, "--nx", "4", "--ny", "3")
+    assert code == 1
+    assert err.startswith("error: AllPointsFailedError:")
+    code, _, err = run(capsys, "scan", "--material", str(path), *bounds[:2])
+    assert code == 1
+    assert err.startswith("error: NotStronglyEllipticError:")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-0.5"])

@@ -497,8 +497,10 @@ def _edge_cases(materials):
 
 
 def _assert_matches_full_d_kernel(kernel, v):
-    A, det, mode, kind = kernel.evaluate(v)
-    A_ref, det_ref, mode_ref, kind_ref = full_matrices(kernel, v)
+    A, det, mode, kind, p, u = kernel.evaluate(v)
+    A_ref, det_ref, mode_ref, kind_ref, p_ref, u_ref = full_matrices(kernel, v)
+    assert p.tobytes() == p_ref.tobytes()
+    assert u.tobytes() == u_ref.tobytes()
     assert np.array_equal(A, A_ref, equal_nan=True)
     assert np.array_equal(mode, mode_ref)
     assert np.array_equal(kind, kind_ref)
@@ -621,7 +623,7 @@ def _named_failures(M, v):
     as one ``SecularKernel.evaluate`` call names them, after checking that
     ``objective_F`` raises that error, with that message, at each of them."""
     kernel = secular_kernel(M)
-    _, _, mode, kind = kernel.evaluate(v)
+    _, _, mode, kind, _, _ = kernel.evaluate(v)
     named, bad = Counter(), kind != 0
     for z, m, k in zip(v[bad].tolist(), mode[bad].tolist(), kind[bad].tolist()):
         err = kernel.failure(z, m, k)
@@ -695,7 +697,7 @@ def test_point_det_matches_row_evaluate():
         kernel = secular_kernel(M)
         w = default_window(M, nx=24, ny=16)
         for re_v in w.re_values():
-            _, det, _, kind = kernel.evaluate(re_v + 1j * w.im_values())
+            _, det, _, kind, _, _ = kernel.evaluate(re_v + 1j * w.im_values())
             for im_v, d, k in zip(w.im_values(), det, kind):
                 if k:
                     with pytest.raises(ModeFailureError):
@@ -715,19 +717,20 @@ def test_mode_failure_message_plain_speed(reference):
 def test_scalar_route_reads_the_kernel_bit_for_bit(reference, case_i_material,
                                                    case_ii_material, case_iii_material):
     # mode_vector and p_from_t take p and u from the kernel's own arithmetic
-    # (modes.mode_shapes): at every speed they return its bits, and
-    # p_from_t raises exactly where the kernel finds a mode non-decaying
+    # (modes.mode_shapes): at every speed they return its bits, p_from_t
+    # raises exactly where the kernel finds a mode non-decaying, and
+    # mode_vector also raises where the kernel's p or u is not finite
     rng = np.random.default_rng(59)
     materials = [reference, case_i_material, case_ii_material, case_iii_material,
                  random_material(rng), random_material(rng)]
     ranked = 0  # speeds the kernel ranks NON_DECAYING
+    overflowed = 0  # decaying modes whose p or u is not finite
     for M in materials:
         kernel, roots = secular_kernel(M), mode_speeds(M).roots
         w = default_window(M, nx=64, ny=32)
         speeds = np.concatenate([(w.re_values()[:, None] + 1j * w.im_values()).ravel(),
                                  HUGE_SPEEDS])
-        p, u = kernel.mode_shapes(speeds)
-        _, _, mode, kind = kernel.evaluate(speeds)
+        _, _, mode, kind, p, u = kernel.evaluate(speeds)
         for z, pz, uz, m, k in zip(speeds, p, u, mode.tolist(), kind.tolist()):
             v = ComplexSpeed.from_complex(z)
             raised = []
@@ -742,11 +745,58 @@ def test_scalar_route_reads_the_kernel_bit_for_bit(reference, case_i_material,
                         mode_vector(M, v, r)
                     continue
                 assert pz[j].imag > 0.0, (M, z, r.index)
+                assert np.complex128(ae.p).tobytes() == pz[j].tobytes(), (M, z, r.index)
+                if not (np.isfinite(pz[j]) and np.isfinite(uz[j]).all()):
+                    with pytest.raises(np.linalg.LinAlgError, match=f"mode {r.index} "):
+                        mode_vector(M, v, r)
+                    overflowed += 1
+                    continue
                 mb = mode_vector(M, v, r)
-                for got in (ae.p, mb.p.p):
-                    assert np.complex128(got).tobytes() == pz[j].tobytes(), (M, z, r.index)
+                assert np.complex128(mb.p.p).tobytes() == pz[j].tobytes(), (M, z, r.index)
                 assert mb.u.tobytes() == uz[j].tobytes(), (M, z, r.index)
             if k == NON_DECAYING:
                 assert raised[0] == m, (M, z)
                 ranked += 1
-    assert ranked
+    assert ranked and overflowed
+
+
+def test_mode_vector_finite_or_typed_at_huge_speeds(reference):
+    # near |v| ~ 1e153 a decaying branch can overflow (p = -inf + inf j
+    # passes Im p > 0): mode_vector then raises the LinAlgError the kernel
+    # names a non-finite column by, and never returns a non-finite vector
+    outcomes = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in HUGE_SPEEDS.tolist():
+            v = ComplexSpeed.from_complex(z)
+            for r in mode_speeds(reference).roots:
+                try:
+                    mb = mode_vector(reference, v, r)
+                except (NonDecayingError, np.linalg.LinAlgError) as exc:
+                    outcomes[type(exc).__name__] += 1
+                    continue
+                assert cmath.isfinite(mb.p.p) and np.isfinite(mb.u).all(), (z, r.index)
+                outcomes["finite"] += 1
+    assert outcomes["LinAlgError"] == 133
+    assert outcomes.keys() == {"finite", "NonDecayingError", "LinAlgError"}
+
+
+def test_secular_matrix_evaluates_the_kernel_once(reference, monkeypatch):
+    # A, p and u come from one kernel evaluation: no second pass over the
+    # mode shapes
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(secular, "mode_shapes", counted("mode_shapes", secular.mode_shapes))
+    monkeypatch.setattr(SecularKernel, "evaluate", counted("evaluate", SecularKernel.evaluate))
+    v = ComplexSpeed.from_complex(1.038454844666989 - 0.02631077604792278j)
+    sm = secular_matrix(reference, v)
+    assert calls == {"mode_shapes": 1, "evaluate": 1}
+    A, _, _, _, p, u = secular_kernel(reference).evaluate(np.array([complex(v)]))
+    assert sm.A.tobytes() == A[0].tobytes()
+    assert sm.p.tobytes() == p[0].tobytes() and sm.u.tobytes() == u[0].tobytes()

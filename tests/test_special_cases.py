@@ -10,6 +10,7 @@ from rayleighmt import (
     CouplingCase,
     DegenerateRootsError,
     ModeFailureError,
+    NonDecayingError,
     WrongCaseError,
     assemble_Dp,
     cross_check_case,
@@ -17,6 +18,7 @@ from rayleighmt import (
     limit_consistency,
     mode_vector,
     numeric_nullspace,
+    p_from_t,
     polarization_check,
     reduced_cubic_coefficients,
     roots_case,
@@ -24,7 +26,6 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import secular, special_cases
-from rayleighmt.modes import mode_shapes
 from rayleighmt.secular import point_det, secular_matrix
 
 from helpers import mode_vector_matrix, nullspace_sine
@@ -137,19 +138,53 @@ def test_explicit_matches_det_zero_sets(case_i_material, case_ii_material):
 
 
 def test_explicit_array_pass_matches_one_speed_calls(case_i_material, case_ii_material):
-    # cross_check_case evaluates the expansion at all its samples in one
-    # numpy pass; numpy and Python complex arithmetic round differently, and
-    # the expansions cancel, so the two agree to 1e-12 (3.3e-13 seen), not
-    # bit for bit
+    # secular_case_explicit is the array pass of cross_check_case at one
+    # speed, so the two agree bit for bit
     rng = np.random.default_rng(5)
     v = rng.uniform(0.05, 0.9, 50) - 1j * rng.uniform(0.0, 0.4, 50)
     for M, case in ((case_i_material, CouplingCase.CASE_I),
                     (case_ii_material, CouplingCase.CASE_II)):
-        t = roots_case(M, case).t_values()
-        p, _ = mode_shapes(v, np.array(t), 0.0, 0.0, 0.0)
-        batch = special_cases._expansion(case)(M, p.T, t, v)
+        t, explicit = special_cases._explicit(M, case)
+        assert t == roots_case(M, case).t_values()
         one = [secular_case_explicit(M, ComplexSpeed.from_complex(z), case) for z in v]
-        np.testing.assert_allclose(batch, one, rtol=1e-12, atol=0.0)
+        assert explicit(v).tobytes() == np.array(one).tobytes()
+
+
+def test_explicit_raises_what_the_one_mode_route_raises(case_i_material, case_ii_material,
+                                                       case_iii_material, monkeypatch):
+    # past a bulk speed the expansion raises the NonDecayingError p_from_t
+    # raises at the first non-decaying mode by label, with the same t, v,
+    # mode index and message
+    for M, case in ((case_i_material, CouplingCase.CASE_I),
+                    (case_ii_material, CouplingCase.CASE_II)):
+        roots = roots_case(M, case).roots
+        top = math.sqrt(max(r.t for r in roots))
+        named = set()
+        for x in np.linspace(0.1, 1.5 * top, 40).tolist() + [math.sqrt(r.t) * 1.001
+                                                             for r in roots]:
+            v = ComplexSpeed(x, 0.0)
+            expected = None
+            for r in roots:
+                try:
+                    p_from_t(v, r.t, r.index)
+                except NonDecayingError as exc:
+                    expected = exc
+                    break
+            if expected is None:
+                secular_case_explicit(M, v, case)
+                continue
+            with pytest.raises(NonDecayingError) as err:
+                secular_case_explicit(M, v, case)
+            got = err.value
+            assert (got.t, got.v, got.mode_index) == (expected.t, expected.v,
+                                                       expected.mode_index), x
+            assert type(got.mode_index) is int and str(got) == str(expected), x
+            named.add(got.mode_index)
+        assert named == {1, 5}  # the slowest mode by label is the last one
+    # the third regime is refused before its speeds are computed
+    monkeypatch.setattr(special_cases, "roots_case", None)
+    with pytest.raises(WrongCaseError, match="case_i or case_ii"):
+        secular_case_explicit(case_iii_material, VPROBE, CouplingCase.CASE_III)
 
 
 def test_cross_check_raises_where_det_is_undefined(case_i_material, monkeypatch):
