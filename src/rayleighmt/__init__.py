@@ -80,7 +80,6 @@ from .secular import (
 )
 from .special_cases import (
     CaseCrossCheck,
-    CaseRootSet,
     LimitReport,
     cross_check_case,
     limit_consistency,

@@ -10,6 +10,7 @@ serialize as objects with "re" and "im" members.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -134,10 +135,9 @@ def cmd_roots(args: argparse.Namespace) -> int:
     if args.case:
         case = classify_coupling(M)
         rs = roots_case(M, case)
-        labels = [{"label": label} for label in rs.labels]
     else:
         rs = mode_speeds(M)
-        labels = [{}] * len(rs.roots)
+    labels = [{"label": label} for label in rs.labels] or [{}] * len(rs.roots)
     rows = []
     for root, label in zip(rs.roots, labels):
         q2_res, q3_res = polynomial_residual(C, root.t)
@@ -254,7 +254,10 @@ def cmd_case(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="rayleighmt",
         description="Rayleigh surface waves in thermoelastic half-spaces "

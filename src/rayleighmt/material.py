@@ -27,10 +27,7 @@ COEFFICIENT_KEYS = (
 )
 
 # "lambda" is a Python keyword, so the dataclass field is named "lam".
-_FIELD_NAMES = (
-    "rho", "a", "b", "k", "lam", "mu",
-    "d1", "d2", "d3", "eps1", "eps2", "beta", "m",
-)
+_FIELD_NAMES = tuple("lam" if key == "lambda" else key for key in COEFFICIENT_KEYS)
 
 
 @dataclass(frozen=True)

@@ -42,19 +42,7 @@ from .material import (
 )
 from .modes import ComplexSpeed, _case_factors, case_speeds, mode_shapes
 from .secular import secular_kernel
-from .spectrum import GAP_RTOL, ModeRoot, min_gap, mode_speeds
-
-
-@dataclass(frozen=True)
-class CaseRootSet:
-    """Squared mode speeds of a decoupled material, with formula labels."""
-
-    case: CouplingCase
-    roots: tuple
-    labels: tuple
-
-    def t_values(self) -> tuple:
-        return tuple(r.t for r in self.roots)
+from .spectrum import GAP_RTOL, ModeRoot, RootSet, min_gap, mode_speeds
 
 
 def _require_case(M: MaterialCoefficients, case: CouplingCase) -> None:
@@ -68,8 +56,10 @@ def _require_case(M: MaterialCoefficients, case: CouplingCase) -> None:
         raise NotStronglyEllipticError(report.violations)
 
 
-def roots_case(M: MaterialCoefficients, case: CouplingCase) -> CaseRootSet:
-    """Closed-form squared mode speeds for one decoupled regime.
+def roots_case(M: MaterialCoefficients, case: CouplingCase) -> RootSet:
+    """Closed-form squared mode speeds for one decoupled regime, as the
+    ``RootSet`` of ``mode_speeds`` with each speed's formula in ``labels``
+    and its factor in ``source``.
 
     Raises
     ------
@@ -84,11 +74,11 @@ def roots_case(M: MaterialCoefficients, case: CouplingCase) -> CaseRootSet:
     """
     _require_case(M, case)
     ts, labels, factors = zip(*case_speeds(M, case))
-    min_gap(ts, GAP_RTOL * max(abs(t) for t in ts), combinations(range(5), 2),
-            lambda i, j: DegenerateRootsError(
-                f"{case.value} speeds {labels[i]} and {labels[j]} coincide at t = {ts[i]!r}"))
+    gap = min_gap(ts, GAP_RTOL * max(abs(t) for t in ts), combinations(range(5), 2),
+                  lambda i, j: DegenerateRootsError(
+                      f"{case.value} speeds {labels[i]} and {labels[j]} coincide at t = {ts[i]!r}"))
     roots = tuple(ModeRoot(i, t, f) for i, (t, f) in enumerate(zip(ts, factors), start=1))
-    return CaseRootSet(case=case, roots=roots, labels=labels)
+    return RootSet(roots=roots, pairwise_min_gap=gap, labels=labels)
 
 
 def _case_i_expression(M: MaterialCoefficients, p, t, vc: np.ndarray) -> np.ndarray:

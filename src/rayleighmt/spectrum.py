@@ -4,8 +4,8 @@ The plane-wave analysis factors the propagation condition into a quadratic
 ``q2`` (transverse modes) and a cubic ``q3`` (longitudinal and thermal
 modes).  Both are solved in closed form: the quadratic by its radical, the
 cubic by the trigonometric formula for three distinct real roots.
-``min_gap`` keeps five speeds distinct, for ``mode_speeds`` and for the
-closed forms of ``special_cases.roots_case``.
+``min_gap`` keeps five speeds distinct, and ``RootSet`` holds them, for
+``mode_speeds`` and for the closed forms of ``special_cases.roots_case``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CommonRootError, DomainError, IndistinctRootsError
+from .errors import CommonRootError, IndistinctRootsError
 from .material import (
     CubicCoefficients,
     MaterialCoefficients,
@@ -23,9 +23,6 @@ from .material import (
 
 #: Relative gap (scaled by b4) below which two mode speeds count as equal.
 GAP_RTOL = 1e-9
-
-#: Allowed overshoot of the arccos argument before it is a hard error.
-ACOS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,10 +36,14 @@ class ModeRoot:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All five squared mode speeds of a material, indexed 1..5."""
+    """All five squared mode speeds of a material, indexed 1..5, with the
+    smallest gap between two of them.  ``labels`` names the closed form of
+    each speed for ``special_cases.roots_case``; ``mode_speeds`` leaves it
+    empty."""
 
     roots: tuple
     pairwise_min_gap: float
+    labels: tuple = ()
 
     def t_values(self) -> tuple:
         return tuple(r.t for r in self.roots)
@@ -68,16 +69,13 @@ def roots_q3(C: CubicCoefficients) -> tuple:
     """Roots of the cubic factor, in descending order.
 
     Evaluates the trigonometric closed form.  The distinct-root criterion
-    ``h0^2 < (4/27) h1^3`` must hold; it also guarantees the arccos argument
-    lies inside [-1, 1] up to roundoff.
+    ``h0^2 < (4/27) h1^3`` must hold; it bounds the arccos argument by 1,
+    so only a roundoff overshoot is left, and it is clamped.
 
     Raises
     ------
     IndistinctRootsError
         If the distinct-root criterion fails.
-    DomainError
-        If the arccos argument leaves [-1, 1] by more than the roundoff
-        band; smaller overshoots are clamped.
     """
     if not check_distinct_cubic_roots(C):
         raise IndistinctRootsError(
@@ -85,8 +83,6 @@ def roots_q3(C: CubicCoefficients) -> tuple:
             f">= (4/27) h1^3 = {(4.0 / 27.0) * C.h1 ** 3!r})"
         )
     arg = (-3.0 * C.h0 / (2.0 * C.h1)) * math.sqrt(3.0 / C.h1)
-    if abs(arg) > 1.0 + ACOS_SLACK:
-        raise DomainError(f"arccos argument {arg!r} outside [-1, 1]")
     arg = min(1.0, max(-1.0, arg))
     theta = math.acos(arg)
     radius = 2.0 * math.sqrt(C.h1 / 3.0)

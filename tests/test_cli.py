@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payload shapes, output files."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from rayleighmt import (
     load_material,
     secular_case_explicit,
 )
-from rayleighmt.cli import main
+from rayleighmt.cli import _jsonable, main
 
 from conftest import MATERIALS
 
@@ -213,6 +214,27 @@ def test_solve_text_format_prints_plain_numbers(capsys):
     assert code == 0
     assert "- 1.0 + 0.0i" in out
     assert "np." not in out
+
+
+def test_solve_out_file_holds_the_json_report(capsys, tmp_path):
+    # --out writes the JSON report whatever --format prints
+    window = ("--re-min", "0.8", "--re-max", "1.3", "--im-min", "-0.4", "--im-max", "0",
+              "--nx", "48", "--ny", "24", "--verify")
+    code, printed, _ = run(capsys, "solve", "--material", REF, *window)
+    assert code == 0
+    for fmt in ("json", "text"):
+        out_path = tmp_path / f"{fmt}.json"
+        code, out, _ = run(capsys, "solve", "--material", REF, *window,
+                           "--format", fmt, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8") == printed
+        assert (out == printed) == (fmt == "json")
+
+
+def test_jsonable_writes_non_finite_floats_as_repr():
+    payload = {"det_abs": math.inf, "gamma": [complex(1.0, -0.5), -math.inf, math.nan]}
+    assert _jsonable(payload) == {"det_abs": "inf",
+                                  "gamma": [{"re": 1.0, "im": -0.5}, "-inf", "nan"]}
 
 
 def test_module_entry_point():

@@ -60,6 +60,14 @@ def test_validate_rejects_non_numeric(bad):
         validate_coefficients(raw)
 
 
+def test_load_material_rejects_a_null_coefficient(tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(dict(RAW_REF, rho=None)))
+    with pytest.raises(NonFiniteError) as err:
+        load_material(path)
+    assert err.value.name == "rho"
+
+
 def test_replace_and_to_dict_round_trip():
     M = validate_coefficients(RAW_REF)
     M2 = M.replace(d3=5.0)

@@ -99,6 +99,34 @@ def test_material_blocks_are_kept_read_only(reference):
     assert changed[0][4, 4] == 2.0 * reference.k and blocks[0][4, 4] == reference.k
 
 
+#: The slots (row, column) of eps1 and eps2 in Q2 and S0.
+EPS_SLOTS = ((0, 3), (3, 0), (1, 2), (2, 1))
+
+
+def _symmetrized_flux_gap(M):
+    """Q2 - (S0 + S0^T): zero when a stored energy gives the fluxes."""
+    _, q2, *_, s0 = material_blocks(M)
+    return q2 - (s0 + s0.T)
+
+
+def test_p_linear_block_is_the_symmetrized_flux_block():
+    # ROADMAP item 16: the relation holds for every coefficient but the
+    # elastic-microthermal couplings, whatever the material
+    rng = np.random.default_rng(16)
+    rest = np.ones((5, 5), dtype=bool)
+    rest[tuple(zip(*EPS_SLOTS))] = False
+    for _ in range(20):
+        assert not _symmetrized_flux_gap(random_material(rng))[rest].any()
+
+
+@pytest.mark.xfail(strict=True, reason="Q2 holds eps1 + eps2 where S0 + S0^T holds 2 eps2 "
+                                       "and 2 eps1 (ROADMAP item 16)")
+def test_eps_slots_of_the_flux_block_symmetrize_to_q2():
+    M = random_material(np.random.default_rng(16))
+    assert M.eps1 != M.eps2
+    assert not _symmetrized_flux_gap(M)[tuple(zip(*EPS_SLOTS))].any()
+
+
 def test_determinant_factorizes():
     rng = np.random.default_rng(7)
     for _ in range(100):

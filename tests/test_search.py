@@ -24,7 +24,7 @@ from rayleighmt import (
 )
 from rayleighmt import search
 from rayleighmt.search import DEDUP_TOL, grid_median_det
-from rayleighmt.secular import secular_objective
+from rayleighmt.secular import point_dets, secular_objective
 
 import helpers
 from conftest import default_window
@@ -278,6 +278,21 @@ def test_refine_halves_an_undefined_step(monkeypatch):
     assert root.classification == "converged"
     assert abs(complex(root.v) - (1.4853950190584049 - 0.0030446170951926328j)) <= 1e-8
     assert root.iterations == 10
+
+
+def test_refine_stops_at_one_undefined_start_point(reference):
+    # the +hx start point lies on the real axis past the slowest bulk speed,
+    # where no mode decays: both Muller runs give up at once, and the root
+    # is the defined start point of smaller |det|
+    x = math.sqrt(min(mode_speeds(reference).t_values())) - 5e-4
+    starts = [complex(x, -0.0), complex(x + 1e-3, -0.0), complex(x, -1e-3)]
+    entries = point_dets(reference, starts)
+    assert [entry is None for entry in entries] == [False, True, False]
+    root = refine_minimum(reference, ComplexSpeed(x, 0.0),
+                          RefineOptions(initial_step=(1e-3, 1e-3)))
+    assert root.iterations == 3
+    defined = [(z, entry[0]) for z, entry in zip(starts, entries) if entry is not None]
+    assert complex(root.v) == min(defined, key=lambda z_det: abs(z_det[1]))[0]
 
 
 def test_refine_does_not_accept_the_static_limit():

@@ -1,6 +1,7 @@
 """Decoupled coupling regimes: roots, kernels, explicit secular cross-checks."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from rayleighmt import (
     ComplexSpeed,
     CouplingCase,
+    DegenerateKernelError,
     DegenerateRootsError,
     ModeFailureError,
     NonDecayingError,
+    NotStronglyEllipticError,
     WrongCaseError,
     assemble_Dp,
     cross_check_case,
@@ -79,6 +82,33 @@ def test_roots_case_rejects_coincident_speeds():
     with pytest.raises(DegenerateRootsError) as info:
         roots_case(validate_coefficients(several), CouplingCase.CASE_I)
     assert str(info.value) == "case_i speeds mu/rho and (lambda+2mu)/rho coincide at t = 1.0"
+
+
+def test_roots_case_rejects_an_inadmissible_material(case_i_material):
+    with pytest.raises(NotStronglyEllipticError) as info:
+        roots_case(case_i_material.replace(k=-1.0), CouplingCase.CASE_I)
+    assert info.value.violations == ("k>0",)
+
+
+@pytest.mark.parametrize("fixture,case", [
+    ("case_i_material", CouplingCase.CASE_I),
+    ("case_ii_material", CouplingCase.CASE_II),
+    ("case_iii_material", CouplingCase.CASE_III),
+])
+def test_roots_case_min_gap_is_the_smallest_pairwise_gap(fixture, case, request):
+    rs = roots_case(request.getfixturevalue(fixture), case)
+    ts = rs.t_values()
+    assert rs.pairwise_min_gap == min(abs(x - y) for x, y in combinations(ts, 2))
+
+
+def test_case_iii_closed_form_vanishes_without_longitudinal_coupling(case_iii_material):
+    # with eps1 + 2 eps2 = 0 the P wave at (lambda+2mu)/rho decouples from
+    # the microtemperatures, and its closed-form row is the zero vector
+    M = case_iii_material.replace(eps1=-2.0 * case_iii_material.eps2)
+    rs = roots_case(M, CouplingCase.CASE_III)
+    p_wave = min(rs.roots, key=lambda r: abs(r.t - M.p_wave_modulus / M.rho))
+    with pytest.raises(DegenerateKernelError):
+        mode_vector(M, VPROBE, p_wave)
 
 
 @pytest.mark.parametrize("fixture,case", [

@@ -43,6 +43,7 @@ def test_mode_speeds_reference(reference):
     assert rs.t_values() == pytest.approx(REF_Q2 + REF_Q3, rel=1e-15, abs=0.0)
     assert math.isclose(rs.pairwise_min_gap, REF_MIN_GAP, rel_tol=1e-12)
     assert len(list(rs)) == 5
+    assert rs.labels == ()
 
 
 def test_roots_descending_within_factor():
