@@ -10,6 +10,7 @@ serialize as objects with "re" and "im" members.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import InputError, RayleighError
 from .material import (
-    CASE_ZEROED_COUPLINGS,
     CouplingCase,
     MaterialCoefficients,
     check_distinct_cubic_roots,
@@ -71,15 +71,13 @@ def _emit_text(payload, indent: int = 0) -> None:
                 _emit_text(val, indent + 1)
             else:
                 print(f"{pad}{key}: {_scalar_text(val)}")
-    elif isinstance(payload, (list, tuple)):
+    else:
         for val in payload:
             if isinstance(val, (dict, list, tuple)):
                 _emit_text(val, indent)
                 print()
             else:
                 print(f"{pad}- {_scalar_text(val)}")
-    else:
-        print(f"{pad}{_scalar_text(payload)}")
 
 
 def _scalar_text(val) -> str:
@@ -109,20 +107,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = check_strong_ellipticity(M)
     case = classify_coupling(M)
     payload = {
-        "strong_ellipticity": {
-            "passed": report.passed,
-            "violations": list(report.violations),
-            "margins": report.margins,
-        },
+        "strong_ellipticity": dataclasses.asdict(report),
         "coupling": {"case": case.value, "description": case.description},
     }
     distinct = None
     if report.passed:
         C = derived_cubic(M)
-        payload["cubic"] = {
-            "d": C.d, "a2": C.a2, "a0": C.a0,
-            "b4": C.b4, "b2": C.b2, "b0": C.b0, "h0": C.h0, "h1": C.h1,
-        }
+        payload["cubic"] = dataclasses.asdict(C)
         distinct = check_distinct_cubic_roots(C)
     payload["distinct_cubic_roots"] = distinct
     _emit(payload, args.format)
@@ -171,13 +162,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     M = load_material(args.material)
     window = _window(M, args)
-    roots = find_rayleigh(M, window, det_ratio_tol=args.tol_det)
+    roots = find_rayleigh(M, window)
     payload = {
-        "window": {
-            "re_min": window.re_min, "re_max": window.re_max,
-            "im_min": window.im_min, "im_max": window.im_max,
-            "nx": window.nx, "ny": window.ny,
-        },
+        "window": dataclasses.asdict(window),
         "roots": [
             {
                 "v_re": complex(root.v).real,
@@ -209,10 +196,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_case(args: argparse.Namespace) -> int:
     M = load_material(args.material)
     case = classify_coupling(M)
-    if case not in CASE_ZEROED_COUPLINGS:
-        raise RayleighError(
-            f"material classifies as {case.value}; no decoupled route applies"
-        )
     rs = roots_case(M, case)
     payload = {
         "case": case.value,
@@ -292,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_solve)
     add_window(p_solve, nx=128, ny=64)
     p_solve.add_argument("--out", default=None, help="also write the JSON report here")
-    p_solve.add_argument("--tol-det", type=float, default=1e-6,
-                         help="determinant ratio accepted as converged")
     p_solve.add_argument("--verify", action="store_true",
                          help="report boundary residuals at several wavenumbers")
 

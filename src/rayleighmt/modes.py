@@ -283,6 +283,10 @@ def kernel_row(M: MaterialCoefficients, r: ModeRoot) -> tuple:
             return _transverse(M.eps2, M.rho * t - M.mu)
         if slot == 2:
             return (0.0, 0.0, 0.0, 0.0, M.eps2), _ZERO, _ZERO  # thermal, at k/a
+        if e12 == 0.0:
+            # eps1 + 2 eps2 = 0 decouples the P wave at (lambda+2mu)/rho from
+            # the longitudinal microtemperature wave at d/b
+            return _longitudinal(M.b * t - M.d, M.rho * t - M.p_wave_modulus, 0.0)
         return _longitudinal(e12, M.rho * t - M.p_wave_modulus, 0.0)
     if slot < 2:
         # the shear wave at mu/rho or the microtemperature one at d2/b

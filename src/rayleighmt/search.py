@@ -177,16 +177,17 @@ def local_minima(grid: ScanGrid) -> list:
 
 @dataclass(frozen=True)
 class RefineOptions:
-    """Stopping and acceptance parameters of the refinement.
+    """Start and acceptance scale of the refinement.
 
     ``initial_step`` spaces the three start points, whose offsets set the
-    radius of each run's disc.  ``MAX_EVALS`` bounds the evaluations of both
-    runs together and ``DIAMETER_TOL`` their last step.
+    radius of each run's disc.  ``det_scale`` is the |det A| that
+    ``DET_RATIO_TOL`` is relative to (the seed's when None).  ``MAX_EVALS``
+    bounds the evaluations of both runs together and ``DIAMETER_TOL`` their
+    last step.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
-    det_ratio_tol: float = 1e-6
-    det_scale: float = None  # reference |det|; falls back to the seed value
+    det_scale: float = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +283,18 @@ def _muller(w: list, z: list, start: list, speed, clamp, evals: list, limit: int
     return best, False
 
 
-def _classify(best: tuple, scale: float, opts: RefineOptions, iterations: int) -> RayleighRoot:
+def _det_abs(f: float) -> float:
+    """|det A| from F = ln |det A|, infinite for F at or above 700."""
+    return math.exp(f) if f < 700.0 else math.inf
+
+
+def _classify(best: tuple, scale: float, iterations: int) -> RayleighRoot:
     """The speed and ``point_dets`` entry ``best = (z, (det, A))``,
-    classified against ``scale``."""
+    classified against ``DET_RATIO_TOL`` times ``scale``."""
     z, (det, A) = best
     f = objective_from_det(det)
-    det_abs = math.exp(f) if f < 700.0 else math.inf
-    converged = math.isfinite(det_abs) and det_abs <= opts.det_ratio_tol * scale
+    det_abs = _det_abs(f)
+    converged = math.isfinite(det_abs) and det_abs <= DET_RATIO_TOL * scale
     gamma = None
     if converged:
         try:
@@ -313,20 +319,19 @@ def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
     hx, hy = opts.initial_step
     z = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
     start = yield z
-    f_values = [objective_from_det(entry[0]) for entry in start if entry is not None]
-    if all(math.isinf(f) for f in f_values):
+    if all(entry is None for entry in start):
         raise StartFailureError(
             f"objective undefined at seed v = {complex(v0)!r} and all perturbations"
         )
-    f_seed = min(f_values)
     scale = opts.det_scale
     if scale is None:
-        scale = math.exp(f_seed) if f_seed < 700.0 else math.inf
+        scale = _det_abs(min(objective_from_det(entry[0])
+                             for entry in start if entry is not None))
     evals = [len(z)]
 
     best, converged = yield from _muller(z, z, start, lambda v: v, _clamp, evals,
                                          MAX_EVALS // 2)
-    root = _classify(best, scale, opts, evals[0])
+    root = _classify(best, scale, evals[0])
     if converged and root.classification == "converged":
         return root
     t = min(mode_speeds(M).t_values(), key=lambda t: abs(z0 - math.sqrt(t)))
@@ -335,7 +340,7 @@ def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
                                  _clamp_q, evals, MAX_EVALS)
     if abs(in_q[1][0]) < abs(best[1][0]):
         best = in_q
-    return _classify(best, scale, opts, evals[0])
+    return _classify(best, scale, evals[0])
 
 
 def _refine_lockstep(M: MaterialCoefficients, seeds: list, opts: RefineOptions) -> list:
@@ -389,8 +394,8 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     refinement of ``find_rayleigh`` run on one seed.
 
     The root is classified "converged" when its determinant magnitude is at
-    most ``opts.det_ratio_tol`` times the reference scale ``opts.det_scale``
-    (the seed determinant magnitude when no scale is given) and
+    most ``DET_RATIO_TOL`` times the reference scale ``opts.det_scale`` (the
+    seed determinant magnitude when no scale is given) and
     ``nullspace_amplitude`` finds singular the secular matrix that the
     batched kernel returned at that point.
 
@@ -409,6 +414,11 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
 #: Roots closer than this in the complex plane count as duplicates.
 DEDUP_TOL = 1e-6
 
+#: A refined point is accepted as a root when its |det A| is at most this
+#: times the reference scale (``RefineOptions.det_scale``): the scan median
+#: in ``find_rayleigh``.
+DET_RATIO_TOL = 1e-6
+
 
 def grid_median_det(grid: ScanGrid) -> float:
     """Median determinant magnitude over the evaluable lattice points."""
@@ -416,39 +426,31 @@ def grid_median_det(grid: ScanGrid) -> float:
     return float(np.median(np.exp(np.minimum(finite, 700.0))))
 
 
-def find_rayleigh(M: MaterialCoefficients, window: ScanWindow,
-                  det_ratio_tol: float = 1e-6) -> list:
+def find_rayleigh(M: MaterialCoefficients, window: ScanWindow) -> list:
     """Locate surface-wave roots inside a window.
 
     Scans the lattice, refines every strict interior local minimum by the
     two Muller runs of ``refine_minimum`` (in v, then in q = p_k of the
     nearest bulk speed) with an initial step of a quarter grid cell, removes
     duplicates closer than ``DEDUP_TOL`` (keeping the lower objective
-    value), and returns the roots sorted by objective value.  Convergence
-    is judged against the median determinant magnitude of the scan.  The
+    value), and returns the roots sorted by objective value.  A root is
+    accepted at |det A| at most ``DET_RATIO_TOL`` times the median
+    determinant magnitude of the scan (``grid_median_det``).  The
     seeds are refined in lockstep, one ``point_dets`` call per step for all
     of them; each root is the one ``refine_minimum`` gives its seed, and a
     seed whose start points are all undefined is dropped.
 
     Raises
     ------
-    ValueError
-        If ``det_ratio_tol`` is not a nonnegative number.
     AllPointsFailedError
         Propagated from the scan.
     """
-    if not det_ratio_tol >= 0.0:
-        raise ValueError(f"det_ratio_tol must be a nonnegative number, got {det_ratio_tol!r}")
     grid = grid_scan(M, window)
     seeds = local_minima(grid)
     if not seeds:
         return []
     dx, dy = grid.window.cell_size()
-    opts = RefineOptions(
-        initial_step=(dx / 4.0, abs(dy) / 4.0),
-        det_ratio_tol=det_ratio_tol,
-        det_scale=grid_median_det(grid),
-    )
+    opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0), det_scale=grid_median_det(grid))
     res = grid.window.re_values()
     ims = grid.window.im_values()
     refined = [root for root in _refine_lockstep(

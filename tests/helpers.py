@@ -318,10 +318,10 @@ def _reference_nelder_mead(objective, simplex, f_values, evals):
     return simplex[best], f_values[best]
 
 
-def _reference_classify(M, z, f, scale, opts, iterations):
+def _reference_classify(M, z, f, scale, iterations):
     v = ComplexSpeed.from_complex(z)
     det_abs = math.exp(f) if f < 700.0 else math.inf
-    converged = math.isfinite(det_abs) and det_abs <= opts.det_ratio_tol * scale
+    converged = math.isfinite(det_abs) and det_abs <= search.DET_RATIO_TOL * scale
     gamma = None
     if converged:
         try:
@@ -375,9 +375,9 @@ def reference_refine_minimum(M, v0, opts=search.RefineOptions()):
     polished = _reference_muller(det_at, simplex, dets, opts, evals)
     if polished is not None:
         root = _reference_classify(M, polished[0], secular.objective_from_det(polished[1]),
-                                   scale, opts, evals[0])
+                                   scale, evals[0])
         if root.classification == "converged":
             return root
     BRANCHES["handover"] += 1
     z_best, f_best = _reference_nelder_mead(objective, simplex, f_values, evals)
-    return _reference_classify(M, z_best, f_best, scale, opts, evals[0])
+    return _reference_classify(M, z_best, f_best, scale, evals[0])

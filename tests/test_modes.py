@@ -21,6 +21,7 @@ from rayleighmt import (
     polarization_check,
     validate_coefficients,
 )
+from rayleighmt import modes
 from rayleighmt.modes import material_blocks
 
 from helpers import nullspace_sine, random_material, random_speed
@@ -266,6 +267,16 @@ def test_mode_vector_requires_general_coupling(case_i_material):
     rs = mode_speeds(M)
     with pytest.raises(UnsupportedCouplingError):
         mode_vector(M, V05, rs.roots[0])
+
+
+def test_mode_vector_names_a_vanishing_closed_form(reference, monkeypatch):
+    # no admissible material zeroes a closed form (the case III P wave with
+    # eps1 + 2 eps2 = 0 has a row of its own), so the rows are zeroed here
+    monkeypatch.setattr(modes, "kernel_row", lambda M, r: ((0.0,) * 5,) * 3)
+    root = mode_speeds(reference).roots[3]
+    with pytest.raises(DegenerateKernelError,
+                       match="closed-form kernel vector vanishes for mode 4"):
+        mode_vector(reference, V05, root)
 
 
 def test_numeric_nullspace_trivial_cases():

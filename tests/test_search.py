@@ -295,6 +295,59 @@ def test_refine_stops_at_one_undefined_start_point(reference):
     assert complex(root.v) == min(defined, key=lambda z_det: abs(z_det[1]))[0]
 
 
+SINGULAR_A = np.diag([1.0, 1.0, 1.0, 1.0, 0.0]).astype(complex)
+
+
+def test_refine_gives_up_where_the_parabola_has_no_root(reference, monkeypatch):
+    # det A is 1 at every speed: the parabola through the start points is
+    # flat, its root divides by zero, and both runs give up without
+    # evaluating an iterate
+    calls = []
+
+    def flat_dets(M, zs):
+        calls.append(list(zs))
+        return [(1.0 + 0j, SINGULAR_A) for _ in zs]
+
+    monkeypatch.setattr(search, "point_dets", flat_dets)
+    root = refine_minimum(reference, ComplexSpeed(1.0, 0.5), RefineOptions())
+    assert len(calls) == 1
+    assert root.iterations == 3
+    assert complex(root.v) == 1.0 - 0.5j  # the first of three equal |det|
+    assert root.classification == "stagnated" and root.gamma is None
+
+
+@pytest.mark.parametrize("det_scale,classification", [(1e6, "converged"),
+                                                      (0.99e6, "stagnated")])
+def test_refine_accepts_a_det_up_to_1e_6_of_the_scale(reference, monkeypatch, det_scale,
+                                                       classification):
+    # |det A| = 1 at every speed and A singular: the point is accepted
+    # exactly when 1 <= DET_RATIO_TOL * det_scale
+    monkeypatch.setattr(search, "point_dets", lambda M, zs: [(1.0 + 0j, SINGULAR_A) for _ in zs])
+    root = refine_minimum(reference, ComplexSpeed(1.0, 0.5), RefineOptions(det_scale=det_scale))
+    assert root.det_abs == 1.0
+    assert root.classification == classification
+
+
+def test_refine_converges_on_an_iterate_where_det_vanishes(reference, monkeypatch):
+    # det A = v - r with r the +hx start point, all in exact binary
+    # fractions: the first Muller step lands on r again, where det A is 0.
+    # The run in v ends there converged, and the run in q never starts;
+    # another step would divide by the zero spacing of r and r.
+    def no_run_in_q(M):
+        raise AssertionError("the run in v did not stop on the vanishing det")
+
+    r = 1.125 - 0.5j
+    monkeypatch.setattr(search, "point_dets", lambda M, zs: [(z - r, SINGULAR_A) for z in zs])
+    monkeypatch.setattr(search, "mode_speeds", no_run_in_q)
+    root = refine_minimum(reference, ComplexSpeed(1.0, 0.5),
+                          RefineOptions(initial_step=(0.125, 0.125)))
+    assert root.iterations == 4
+    assert complex(root.v) == r
+    assert root.det_abs == 0.0
+    assert root.classification == "converged"
+    assert list(root.gamma) == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
 def test_refine_does_not_accept_the_static_limit():
     # as v -> 0 every p_k -> i and det A -> 0 without a surface wave; the
     # removed simplex fallback walked there from this seed (204 evaluations,

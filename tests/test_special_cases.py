@@ -9,7 +9,6 @@ import pytest
 from rayleighmt import (
     ComplexSpeed,
     CouplingCase,
-    DegenerateKernelError,
     DegenerateRootsError,
     ModeFailureError,
     NonDecayingError,
@@ -101,20 +100,18 @@ def test_roots_case_min_gap_is_the_smallest_pairwise_gap(fixture, case, request)
     assert rs.pairwise_min_gap == min(abs(x - y) for x, y in combinations(ts, 2))
 
 
-def test_case_iii_closed_form_vanishes_without_longitudinal_coupling(case_iii_material):
-    # with eps1 + 2 eps2 = 0 the P wave at (lambda+2mu)/rho decouples from
-    # the microtemperatures, and its closed-form row is the zero vector
-    M = case_iii_material.replace(eps1=-2.0 * case_iii_material.eps2)
-    rs = roots_case(M, CouplingCase.CASE_III)
-    p_wave = min(rs.roots, key=lambda r: abs(r.t - M.p_wave_modulus / M.rho))
-    with pytest.raises(DegenerateKernelError):
-        mode_vector(M, VPROBE, p_wave)
+@pytest.fixture
+def case_iii_p_wave_decoupled(case_iii_material):
+    """Case III with eps1 + 2 eps2 = 0: the P wave at (lambda+2mu)/rho
+    decouples from the microtemperatures."""
+    return case_iii_material.replace(eps1=-2.0 * case_iii_material.eps2)
 
 
 @pytest.mark.parametrize("fixture,case", [
     ("case_i_material", CouplingCase.CASE_I),
     ("case_ii_material", CouplingCase.CASE_II),
     ("case_iii_material", CouplingCase.CASE_III),
+    ("case_iii_p_wave_decoupled", CouplingCase.CASE_III),
 ])
 def test_case_kernels_in_nullspace(fixture, case, request):
     M = request.getfixturevalue(fixture)

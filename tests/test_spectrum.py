@@ -9,6 +9,7 @@ from rayleighmt import (
     CommonRootError,
     CubicCoefficients,
     IndistinctRootsError,
+    check_distinct_cubic_roots,
     derived_cubic,
     mode_speeds,
     polynomial_residual,
@@ -101,6 +102,25 @@ def test_cubic_double_root_refused():
                           h0=-2.0 / 27.0, h1=1.0 / 3.0)
     with pytest.raises(IndistinctRootsError):
         roots_q3(C)
+
+
+def test_cubic_roots_within_the_gap_refused_past_the_criterion():
+    # case I with the P wave (lambda+2mu)/rho = 2.5 also a root of the
+    # quadratic factor (k = 45/56, here one ulp below): q3 has a double root
+    # up to rounding.  The rounded h0^2 < (4/27) h1^3 still holds, but the
+    # arccos argument rounds to 1, so two trigonometric roots fall within
+    # GAP_RTOL * b4 of each other
+    M = validate_coefficients({
+        "rho": 1.0, "a": 0.25, "b": 1.0, "k": 0.8035714285714285, "lambda": 2.0, "mu": 0.25,
+        "d1": 2.0, "d2": 1.0, "d3": 3.0, "eps1": 0.0, "eps2": 0.0,
+        "beta": 0.0, "m": 0.5,
+    })
+    C = derived_cubic(M)
+    assert check_distinct_cubic_roots(C)
+    ts = roots_q3(C)
+    assert abs(ts[1] - ts[2]) <= GAP_RTOL * C.b4
+    with pytest.raises(IndistinctRootsError, match=r"^cubic factor roots \S+ and \S+ coincide$"):
+        mode_speeds(M)
 
 
 def test_transverse_double_root_refused():
