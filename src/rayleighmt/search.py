@@ -111,23 +111,24 @@ class ScanGrid:
     failure_causes: dict = field(default_factory=dict)
 
 
-#: Lattice points ``grid_scan`` asks the batched objective for in one call,
-#: rounded down to whole lattice rows (one row at the least).  Fewer calls
-#: spend less on per-call numpy overhead; larger ones raise the peak memory.
+#: Lattice points per batched objective call of ``grid_scan``, at most: fewer
+#: calls spend less on per-call numpy overhead, larger ones raise peak memory.
 _SCAN_CHUNK = 256
 
 
 def grid_scan(M: MaterialCoefficients, window: ScanWindow, threads=None) -> ScanGrid:
     """Sample the objective on the window lattice.
 
-    Each call of the batched objective evaluates a block of whole lattice
-    rows (a row is one Re v and every Im v) of about ``_SCAN_CHUNK``
-    points; a point's value does not depend on the block it is in.  Points
-    outside the admissible quadrant or where the objective is undefined
-    become NaN and are counted as failures.  Each of them is evaluated once
-    more by ``objective_F``, whose typed error is tallied in
-    ``failure_causes``, so the failures are exactly the points where
-    ``objective_F`` raises.  ``threads`` is accepted and ignored.
+    Each call of the batched objective evaluates at most ``_SCAN_CHUNK``
+    consecutive lattice points in row-major order (a row is one Re v and
+    every Im v), from speeds built for that call alone (a lattice-sized
+    array of them slowed the reference solve by a quarter in some heap
+    layouts); a point's value does not depend on the call.  Points outside
+    the admissible quadrant or where the objective is undefined become NaN
+    and are counted as failures.  Each of them is evaluated once more by
+    ``objective_F``, whose typed error is tallied in ``failure_causes``, so
+    the failures are exactly the points where ``objective_F`` raises.
+    ``threads`` is accepted and ignored.
 
     Raises
     ------
@@ -137,9 +138,9 @@ def grid_scan(M: MaterialCoefficients, window: ScanWindow, threads=None) -> Scan
     res = window.re_values()
     ims = window.im_values()
     values = np.empty((window.nx, window.ny))
-    step = max(1, _SCAN_CHUNK // window.ny)
-    for i in range(0, window.nx, step):
-        values[i:i + step] = secular_objective(M, res[i:i + step, None] + 1j * ims)
+    for k in range(0, values.size, _SCAN_CHUNK):
+        i, j = np.divmod(np.arange(k, min(k + _SCAN_CHUNK, values.size)), window.ny)
+        values.flat[k:k + _SCAN_CHUNK] = secular_objective(M, res[i] + 1j * ims[j])
 
     causes = Counter()
     for i, j in zip(*np.nonzero(np.isnan(values))):
@@ -202,7 +203,8 @@ class RayleighRoot:
     classification: str  # "converged" or "stagnated"
 
 
-#: Bound on the last Muller step, in the variable the run iterates in.
+#: Bound on the last Muller step: times |z0| (the clamped seed) in v, and as
+#: it is in the dimensionless q = p_k, so neither stop depends on the units.
 DIAMETER_TOL = 1e-10
 
 #: Evaluations the refinement of one seed may spend, start points
@@ -226,7 +228,7 @@ def _clamp_q(q: complex) -> complex:
     return complex(min(q.real, 0.0), max(q.imag, 0.0))
 
 
-def _muller(w: list, z: list, start: list, speed, clamp, evals: list, limit: int):
+def _muller(w: list, z: list, start: list, speed, clamp, tol: float, evals: list, limit: int):
     """Muller iterates on det A in a variable w of the speed v = speed(w).
 
     A generator: ``w`` holds the three start points in that variable, ``z``
@@ -236,11 +238,10 @@ def _muller(w: list, z: list, start: list, speed, clamp, evals: list, limit: int
     divided differences, takes the root nearer the newest point (the
     denominator of larger modulus) and moves it into the image of the
     quadrant with ``clamp``.  An undefined iterate halves its step toward
-    the newest point.  The run converges once a step is at most
-    ``DIAMETER_TOL`` or the determinant vanishes.  It gives up on an
-    undefined start point, a vanishing denominator, a step out of the disc
-    of ``MULLER_RADIUS_STEPS`` start offsets around ``w[0]``, or ``evals``
-    reaching ``limit``.
+    the newest point.  The run converges once a step is at most ``tol`` or
+    the determinant vanishes.  It gives up on an undefined start point, a
+    vanishing denominator, a step out of the disc of ``MULLER_RADIUS_STEPS``
+    start offsets around ``w[0]``, or ``evals`` reaching ``limit``.
     Returns ``(best, converged)``: the evaluated speed of smallest |det|
     with its entry, ``(z, (det, A))``, and whether the run converged.
     """
@@ -265,7 +266,7 @@ def _muller(w: list, z: list, start: list, speed, clamp, evals: list, limit: int
                 break
             if not abs(w_new - seed) <= radius:  # also catches a NaN step
                 break
-        if abs(w_new - w[2]) <= DIAMETER_TOL:
+        if abs(w_new - w[2]) <= tol:
             return best, True
         z_new = speed(w_new)
         (entry,) = yield [z_new]
@@ -329,15 +330,15 @@ def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
                              for entry in start if entry is not None))
     evals = [len(z)]
 
-    best, converged = yield from _muller(z, z, start, lambda v: v, _clamp, evals,
-                                         MAX_EVALS // 2)
+    best, converged = yield from _muller(z, z, start, lambda v: v, _clamp,
+                                         DIAMETER_TOL * abs(z0), evals, MAX_EVALS // 2)
     root = _classify(best, scale, evals[0])
     if converged and root.classification == "converged":
         return root
     t = min(mode_speeds(M).t_values(), key=lambda t: abs(z0 - math.sqrt(t)))
     q = mode_shapes(np.array(z), np.array([t]), 0.0, 0.0, 0.0)[0][:, 0].tolist()
     in_q, _ = yield from _muller(q, z, start, lambda q: cmath.sqrt(t * (1.0 + q * q)),
-                                 _clamp_q, evals, MAX_EVALS)
+                                 _clamp_q, DIAMETER_TOL, evals, MAX_EVALS)
     if abs(in_q[1][0]) < abs(best[1][0]):
         best = in_q
     return _classify(best, scale, evals[0])
@@ -387,11 +388,12 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     sqrt(t_k) nearest the seed, with v = sqrt(t_k (1 + q^2)).  det A is
     analytic in q at that bulk speed, where it is not in v.  The second run
     keeps to Re q <= 0, Im q >= 0, the image of the quadrant, and to a disc
-    of ``MULLER_RADIUS_STEPS`` start offsets measured in q.  The root is the
-    evaluated point of smallest |det| over both runs, so it never worsens
-    the seed value.  ``iterations`` counts every evaluation, start points
-    included.  Each step is one ``point_dets`` call: this is the lockstep
-    refinement of ``find_rayleigh`` run on one seed.
+    of ``MULLER_RADIUS_STEPS`` start offsets measured in q.  A run stops at a
+    step of ``DIAMETER_TOL`` times |seed| in v, or of ``DIAMETER_TOL`` in q.
+    The root is the evaluated point of smallest |det| over both runs, so it
+    never worsens the seed value.  ``iterations`` counts every evaluation,
+    start points included.  Each step is one ``point_dets`` call: this is
+    the lockstep refinement of ``find_rayleigh`` run on one seed.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``DET_RATIO_TOL`` times the reference scale ``opts.det_scale`` (the
@@ -411,7 +413,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     return root
 
 
-#: Roots closer than this in the complex plane count as duplicates.
+#: Roots closer than this times the window's largest absolute bound merge.
 DEDUP_TOL = 1e-6
 
 #: A refined point is accepted as a root when its |det A| is at most this
@@ -432,13 +434,14 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow) -> list:
     Scans the lattice, refines every strict interior local minimum by the
     two Muller runs of ``refine_minimum`` (in v, then in q = p_k of the
     nearest bulk speed) with an initial step of a quarter grid cell, removes
-    duplicates closer than ``DEDUP_TOL`` (keeping the lower objective
-    value), and returns the roots sorted by objective value.  A root is
-    accepted at |det A| at most ``DET_RATIO_TOL`` times the median
-    determinant magnitude of the scan (``grid_median_det``).  The
-    seeds are refined in lockstep, one ``point_dets`` call per step for all
-    of them; each root is the one ``refine_minimum`` gives its seed, and a
-    seed whose start points are all undefined is dropped.
+    duplicates closer than ``DEDUP_TOL`` times the window's largest absolute
+    bound (keeping the lower objective value), and returns the roots sorted
+    by objective value.  A root is accepted at |det A| at most
+    ``DET_RATIO_TOL`` times the median determinant magnitude of the scan
+    (``grid_median_det``).  The seeds are refined in lockstep, one
+    ``point_dets`` call per step for all of them; each root is the one
+    ``refine_minimum`` gives its seed, and a seed whose start points are all
+    undefined is dropped.
 
     Raises
     ------
@@ -447,8 +450,6 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow) -> list:
     """
     grid = grid_scan(M, window)
     seeds = local_minima(grid)
-    if not seeds:
-        return []
     dx, dy = grid.window.cell_size()
     opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0), det_scale=grid_median_det(grid))
     res = grid.window.re_values()
@@ -457,8 +458,9 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow) -> list:
         M, [ComplexSpeed(res[i], -ims[j]) for i, j in seeds], opts)
         if isinstance(root, RayleighRoot)]
     refined.sort(key=lambda root: root.f_value)
+    tol = DEDUP_TOL * max(map(abs, (window.re_min, window.re_max, window.im_min, window.im_max)))
     kept = []
     for root in refined:
-        if all(abs(complex(root.v) - complex(other.v)) > DEDUP_TOL for other in kept):
+        if all(abs(complex(root.v) - complex(other.v)) > tol for other in kept):
             kept.append(root)
     return kept

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     DegenerateRootsError,
-    ModeFailureError,
     NonDecayingError,
     NotStronglyEllipticError,
     WrongCaseError,
@@ -41,7 +40,7 @@ from .material import (
     classify_coupling,
 )
 from .modes import ComplexSpeed, _case_factors, case_speeds, mode_shapes
-from .secular import secular_kernel
+from .secular import point_det, secular_kernel
 from .spectrum import GAP_RTOL, ModeRoot, RootSet, min_gap, mode_speeds
 
 
@@ -216,7 +215,7 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
         Propagated when the material or the case does not fit.
     ModeFailureError
         If the determinant is undefined at a sample: the error ``point_det``
-        raises at the first such sample, named from the batch.
+        raises at the first such sample.
     """
     t, explicit = _explicit(M, case)
     c = math.sqrt(min(t))
@@ -226,12 +225,10 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     explicit_mags = np.abs(explicit(v))  # every mode decays below sqrt(t_min)
     # the kernel orders the modes as mode_speeds does, not by label; that
     # permutation can flip the sign of det A but not its magnitude
-    kernel = secular_kernel(M)
-    _, det, mode, kind, _, _ = kernel.evaluate(v)
+    _, det, _, kind, _, _ = secular_kernel(M).evaluate(v)
     if kind.any():
-        i = np.flatnonzero(kind)[0]
-        raise ModeFailureError(v[i].real, -v[i].imag,
-                               kernel.failure(complex(v[i]), int(mode[i]), int(kind[i])))
+        bad = v[np.flatnonzero(kind)[0]]
+        point_det(M, bad.real, -bad.imag)  # raises, naming the sample's failure
     det_mags = np.abs(det)
 
     explicit_flags = explicit_mags <= CROSS_CHECK_ROOT_RTOL * np.median(explicit_mags)

@@ -10,10 +10,12 @@ from rayleighmt import (
     ComplexSpeed,
     DegenerateKernelError,
     DomainError,
+    ModeRoot,
     NonDecayingError,
     UnsupportedCouplingError,
     assemble_Dp,
     derived_cubic,
+    kernel_row,
     mode_speeds,
     mode_vector,
     numeric_nullspace,
@@ -60,6 +62,15 @@ def test_p_from_t_non_decaying():
 def test_p_from_t_rejects_nonpositive_t():
     with pytest.raises(DomainError):
         p_from_t(V05, 0.0)
+
+
+def test_kernel_row_rejects_nonpositive_t(reference):
+    # a root built by hand can carry a squared speed that mode_speeds never gives
+    message = "squared mode speed must be positive"
+    with pytest.raises(DomainError, match=message):
+        kernel_row(reference, ModeRoot(1, -1.0, "q2"))
+    with pytest.raises(DomainError, match=message):
+        mode_vector(reference, V05, ModeRoot(1, 0.0, "q2"))
 
 
 def test_branch_invariants_property():

@@ -132,9 +132,9 @@ def _row_scan(M, w):
 
 
 def test_grid_scan_blocks_match_row_calls(reference):
-    # blocks of rows give every point the bits of one-row calls: with nx
-    # not a multiple of the rows per block, with rows longer than a block
-    # (one row per call), and on the smallest lattice
+    # calls of _SCAN_CHUNK row-major points give every point the bits of
+    # one-row calls: with calls that end inside a row, with rows longer than
+    # a call (a row split over calls), and on the smallest lattice
     rows = search._SCAN_CHUNK // 48
     rng = np.random.default_rng(31)
     for M in [reference] + [random_material(rng) for _ in range(3)]:
@@ -429,6 +429,11 @@ def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
             refine(INDISTINCT, ComplexSpeed(0.5, 0.1))
 
 
+def _dedup_tol(w):
+    """The distance below which ``find_rayleigh`` merges two roots in ``w``."""
+    return DEDUP_TOL * max(abs(w.re_min), abs(w.re_max), abs(w.im_min), abs(w.im_max))
+
+
 def _find_rayleigh_seed_by_seed(M, w, refine=refine_minimum):
     """``find_rayleigh`` with each seed refined by a ``refine`` call of its
     own, on the seeds and options ``find_rayleigh`` gives them."""
@@ -445,7 +450,7 @@ def _find_rayleigh_seed_by_seed(M, w, refine=refine_minimum):
     roots.sort(key=lambda root: root.f_value)
     kept = []
     for root in roots:
-        if all(abs(complex(root.v) - complex(other.v)) > DEDUP_TOL for other in kept):
+        if all(abs(complex(root.v) - complex(other.v)) > _dedup_tol(w) for other in kept):
             kept.append(root)
     return kept
 
@@ -530,7 +535,23 @@ def test_find_rayleigh_sorted_and_deduped(reference):
     assert fs == sorted(fs)
     for i, a in enumerate(roots):
         for b in roots[i + 1:]:
-            assert abs(complex(a.v) - complex(b.v)) > DEDUP_TOL
+            assert abs(complex(a.v) - complex(b.v)) > _dedup_tol(w)
+
+
+def test_solve_is_scale_free(reference):
+    # rho, a and b times s with beta and m times sqrt(s) multiply every speed
+    # by s^-1/2 and give D(p) at v / sqrt(s) the reference's value at v: the
+    # search takes the same steps to the same roots, scaled
+    base = find_rayleigh(reference, default_window(reference))
+    assert [root.iterations for root in base] == [6, 40, 40]
+    for s in (1e-12, 1e-8, 1e4, 1e8, 1e12):
+        M = reference.replace(rho=s * reference.rho, a=s * reference.a, b=s * reference.b,
+                              beta=math.sqrt(s) * reference.beta, m=math.sqrt(s) * reference.m)
+        roots = find_rayleigh(M, default_window(M))
+        assert [root.classification for root in roots] == [b.classification for b in base]
+        assert [root.iterations for root in roots] == [6, 40, 40]
+        for root, b in zip(roots, base):
+            assert abs(complex(root.v) * math.sqrt(s) - complex(b.v)) <= 1e-13 * abs(complex(b.v))
 
 
 def test_converged_classification_uses_grid_median(reference):
