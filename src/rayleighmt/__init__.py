@@ -80,9 +80,7 @@ from .secular import (
 )
 from .special_cases import (
     CaseCrossCheck,
-    LimitReport,
     cross_check_case,
-    limit_consistency,
     reduced_cubic_coefficients,
     roots_case,
     secular_case_explicit,

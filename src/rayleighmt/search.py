@@ -181,10 +181,11 @@ class RefineOptions:
     """Start and acceptance scale of the refinement.
 
     ``initial_step`` spaces the three start points, whose offsets set the
-    radius of each run's disc.  ``det_scale`` is the |det A| that
-    ``DET_RATIO_TOL`` is relative to (the seed's when None).  ``MAX_EVALS``
-    bounds the evaluations of both runs together and ``DIAMETER_TOL`` their
-    last step.
+    radius of each run's disc.  Its default is an absolute speed, not one
+    relative to the seed; ``find_rayleigh`` passes a quarter of a lattice
+    cell.  ``det_scale`` is the |det A| that ``DET_RATIO_TOL`` is relative
+    to (the seed's when None).  ``MAX_EVALS`` bounds the evaluations of
+    both runs together and ``DIAMETER_TOL`` their last step.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
@@ -238,10 +239,10 @@ def _muller(w: list, z: list, start: list, speed, clamp, tol: float, evals: list
     divided differences, takes the root nearer the newest point (the
     denominator of larger modulus) and moves it into the image of the
     quadrant with ``clamp``.  An undefined iterate halves its step toward
-    the newest point.  The run converges once a step is at most ``tol`` or
-    the determinant vanishes.  It gives up on an undefined start point, a
-    vanishing denominator, a step out of the disc of ``MULLER_RADIUS_STEPS``
-    start offsets around ``w[0]``, or ``evals`` reaching ``limit``.
+    the newest point.  The run converges once a step is at most ``tol``.
+    It gives up on an undefined start point, a vanishing denominator, a
+    step out of the disc of ``MULLER_RADIUS_STEPS`` start offsets around
+    ``w[0]``, or ``evals`` reaching ``limit``.
     Returns ``(best, converged)``: the evaluated speed of smallest |det|
     with its entry, ``(z, (det, A))``, and whether the run converged.
     """
@@ -278,8 +279,6 @@ def _muller(w: list, z: list, start: list, speed, clamp, tol: float, evals: list
         w, f = [w[1], w[2], w_new], [f[1], f[2], f_new]
         if abs(f_new) < abs(best[1][0]):
             best = (z_new, entry)
-        if f_new == 0.0:
-            return best, True
         w_new = None
     return best, False
 

@@ -119,10 +119,10 @@ def objective_from_det(det: complex) -> float:
 
 #: Ways a speed can fail, in the order ``SecularKernel.evaluate`` checks
 #: them: outside the quadrant; then, in the first failing mode by index, no
-#: decaying branch (an overflowing v^2's NaN branch included), a vanishing
-#: closed form, or a non-finite entry of its column S(p_k) u_k (an overflow
-#: at a huge speed); last an overflowing |det A| with every entry finite.
-NON_DECAYING, ZERO_KERNEL, NOT_FINITE, INADMISSIBLE, DET_NOT_FINITE = 1, 2, 3, 4, 5
+#: decaying branch (an overflowing v^2's NaN branch included) or a
+#: non-finite entry of its column S(p_k) u_k (an overflow at a huge speed);
+#: last an overflowing |det A| with every entry finite.
+NON_DECAYING, NOT_FINITE, INADMISSIBLE, DET_NOT_FINITE = 1, 2, 3, 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +135,15 @@ class SecularKernel:
     D(p_k).  The transposes of Q1, S0 and V are stored contiguous, so the
     constant product u Q1^T over every mode of every speed is one matrix
     product.  Every component of u_k takes one term of u0, p u1 and v u2 at
-    most (``kernel_row``), so a mode whose u0 holds a component that u1 and
-    u2 leave zero never has u_k = 0; ``can_vanish`` marks the other modes,
-    the only ones checked for a vanishing closed form (none, for a general
-    material).
+    most (``kernel_row``), p_k != 0 where the mode decays and v != 0 where
+    the speed is admissible, so u_k vanishes only where its whole row is
+    zero: a property of the material, which ``build`` rejects once.
     """
 
     t: np.ndarray  # (5,)
     u0: np.ndarray  # (5 modes, 5 components)
     u1: np.ndarray
     u2: np.ndarray
-    can_vanish: np.ndarray  # (5,) bool
     q1T: np.ndarray  # Q1^T, S0^T and V^T, C-contiguous
     s0T: np.ndarray
     vT: np.ndarray
@@ -153,11 +151,14 @@ class SecularKernel:
     @classmethod
     def build(cls, M: MaterialCoefficients) -> "SecularKernel":
         roots = mode_speeds(M).roots
-        u0, u1, u2 = np.array([kernel_row(M, r) for r in roots]).swapaxes(0, 1)
-        t = np.array([r.t for r in roots])
+        rows = np.array([kernel_row(M, r) for r in roots])
+        for r, row in zip(roots, rows):
+            if not row.any():
+                raise DegenerateKernelError(
+                    f"closed-form kernel vector vanishes for mode {r.index}")
+        u0, u1, u2 = rows.swapaxes(0, 1)
         q1, _, v_lin, _, _, _, s0 = material_blocks(M)
-        lone = (u0 != 0.0) & (u1 == 0.0) & (u2 == 0.0)
-        return cls(t=t, u0=u0, u1=u1, u2=u2, can_vanish=~lone.any(axis=1),
+        return cls(t=np.array([r.t for r in roots]), u0=u0, u1=u1, u2=u2,
                    q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy())
 
     def evaluate(self, v: np.ndarray) -> tuple:
@@ -181,14 +182,8 @@ class SecularKernel:
             uq = (u.reshape(-1, 5) @ self.q1T).reshape(u.shape)
             rows = pp * uq + u @ svT  # row k: S(p_k) u_k
             A = np.swapaxes(rows, 1, 2)
-            # (kind, mask of the modes that pass), in the order a mode is checked
-            decays, finite = p.imag > 0.0, np.isfinite(rows).all(axis=-1)
-            checks = [(NON_DECAYING, decays), (NOT_FINITE, finite)]
-            passed = decays & finite
-            if np.count_nonzero(self.can_vanish):
-                nonzero = u.any(axis=-1) | ~self.can_vanish
-                checks.insert(1, (ZERO_KERNEL, nonzero))
-                passed &= nonzero
+            decays = p.imag > 0.0
+            passed = decays & np.isfinite(rows).all(axis=-1)
             defined = admissible & passed.all(axis=1)
             n_defined = np.count_nonzero(defined)
             if n_defined:
@@ -200,7 +195,7 @@ class SecularKernel:
         mode, kind = np.zeros((2, n), dtype=int)
         if n_defined < n:
             # rank each failing speed: the speed itself, then its first
-            # failing mode by index and that mode's first failing check,
+            # failing mode by index (no decay before a non-finite column),
             # then the determinant
             for i in np.flatnonzero(~defined).tolist():
                 modes = passed[i].tolist()
@@ -210,16 +205,15 @@ class SecularKernel:
                     kind[i] = DET_NOT_FINITE
                 else:
                     m = modes.index(False)
-                    mode[i], kind[i] = m + 1, next(c for c, ok in checks if not ok[i, m])
+                    mode[i], kind[i] = m + 1, NOT_FINITE if decays[i, m] else NON_DECAYING
         return A, det, mode, kind, p, u
 
     def failure(self, v: complex, mode: int, kind: int) -> Exception:
         """The typed error of the failure ``evaluate`` ranked at speed v: the
         ``ValueError`` of ``ComplexSpeed`` for an inadmissible speed, the
-        ``NonDecayingError`` or ``DegenerateKernelError`` that ``mode_vector``
-        raises for a mode without a decaying branch or with a vanishing
-        closed form, and a ``LinAlgError`` for a non-finite column of A or a
-        determinant whose modulus is not finite."""
+        ``NonDecayingError`` that ``mode_vector`` raises for a mode without a
+        decaying branch, and a ``LinAlgError`` for a non-finite column of A or
+        a determinant whose modulus is not finite."""
         if kind == INADMISSIBLE:
             try:
                 ComplexSpeed.from_complex(v)
@@ -227,9 +221,6 @@ class SecularKernel:
                 return exc
         if kind == NON_DECAYING:
             return NonDecayingError(t=float(self.t[mode - 1]), v=v, mode_index=mode)
-        if kind == ZERO_KERNEL:
-            return DegenerateKernelError(
-                f"closed-form kernel vector vanishes for mode {mode}")
         if kind == DET_NOT_FINITE:
             return np.linalg.LinAlgError("secular determinant is not finite")
         return np.linalg.LinAlgError(f"secular matrix column of mode {mode} is not finite")
@@ -241,7 +232,8 @@ def secular_kernel(M: MaterialCoefficients) -> SecularKernel:
 
     Raises the errors of ``mode_speeds`` and of ``modes.kernel_row``:
     ``UnsupportedCouplingError`` for a material no closed-form kernel
-    covers (DEGENERATE, or GENERAL with eps2 = 0).
+    covers (DEGENERATE, or GENERAL with eps2 = 0); and
+    ``DegenerateKernelError`` for a mode whose closed form is all zeros.
     """
     return M.memo("_secular_kernel", SecularKernel.build)
 

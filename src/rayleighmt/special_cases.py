@@ -41,7 +41,7 @@ from .material import (
 )
 from .modes import ComplexSpeed, _case_factors, case_speeds, mode_shapes
 from .secular import point_det, secular_kernel
-from .spectrum import GAP_RTOL, ModeRoot, RootSet, min_gap, mode_speeds
+from .spectrum import GAP_RTOL, ModeRoot, RootSet, min_gap
 
 
 def _require_case(M: MaterialCoefficients, case: CouplingCase) -> None:
@@ -216,6 +216,8 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     ModeFailureError
         If the determinant is undefined at a sample: the error ``point_det``
         raises at the first such sample.
+    DegenerateKernelError
+        Where ``secular_kernel`` raises it: a closed form is all zeros.
     """
     t, explicit = _explicit(M, case)
     c = math.sqrt(min(t))
@@ -235,53 +237,3 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     det_flags = det_mags <= CROSS_CHECK_ROOT_RTOL * np.median(det_mags)
     return CaseCrossCheck(case=case, total=CROSS_CHECK_SAMPLES,
                           agreements=int(np.sum(explicit_flags == det_flags)))
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    """Convergence of the general roots to a case's closed forms."""
-
-    case: CouplingCase
-    scales: tuple
-    gaps: tuple
-
-    @property
-    def rates(self) -> tuple:
-        """Convergence order of gap vs coupling scale between steps."""
-        return tuple(math.log(g1 / g0) / math.log(s1 / s0) if g0 > 0.0 and g1 > 0.0
-                     else math.inf for g0, g1, s0, s1 in zip(
-                         self.gaps, self.gaps[1:], self.scales, self.scales[1:]))
-
-    @property
-    def converged(self) -> bool:
-        return self.gaps[-1] <= 1e-4
-
-
-#: Factors by which ``limit_consistency`` scales a case's couplings.
-LIMIT_SCALES = (1e-2, 1e-4, 1e-6)
-
-
-def limit_consistency(M_general: MaterialCoefficients, case: CouplingCase) -> LimitReport:
-    """Drive the case's couplings to zero and compare root sets.
-
-    The couplings the case requires to vanish are scaled by each factor in
-    ``LIMIT_SCALES``; the general pipeline roots of every scaled material are
-    compared against the closed forms of the fully decoupled material.
-
-    Raises
-    ------
-    WrongCaseError
-        If zeroing the couplings does not produce a material of the case.
-    """
-    fields = CASE_ZEROED_COUPLINGS.get(case, ())
-    M_limit = M_general.replace(**{name: 0.0 for name in fields})
-    target = sorted(roots_case(M_limit, case).t_values())
-
-    gaps = []
-    for scale in LIMIT_SCALES:
-        M_scaled = M_general.replace(
-            **{name: getattr(M_general, name) * scale for name in fields}
-        )
-        ts = sorted(mode_speeds(M_scaled).t_values())
-        gaps.append(max(abs(x - y) for x, y in zip(ts, target)))
-    return LimitReport(case=case, scales=LIMIT_SCALES, gaps=tuple(gaps))

@@ -193,11 +193,10 @@ def _in_quadrant(z):
 def full_matrices(kernel, v):
     """``SecularKernel.evaluate`` written out with every check at every
     speed: the quadrant (by ``ComplexSpeed`` itself), then for every mode
-    the non-decaying branch, the vanishing closed form and the finiteness
-    of each column S(p_k) u_k, then the finiteness of |det A|, taken at
-    every speed.  A failure is ranked by the speed, then by the first
-    failing mode and, within it, by the first failing check, then by the
-    determinant.
+    the non-decaying branch and the finiteness of each column S(p_k) u_k,
+    then the finiteness of |det A|, taken at every speed.  A failure is
+    ranked by the speed, then by the first failing mode and, within it, by
+    the first failing check, then by the determinant.
 
     Returns ``(A, det, mode, kind, p, u)``; kept as the reference the lean
     kernel must match bit for bit (``det`` where ``kind`` is 0).
@@ -216,7 +215,6 @@ def full_matrices(kernel, v):
         det = np.linalg.det(A)
 
         kind = np.where(np.isfinite(rows).all(axis=-1), 0, secular.NOT_FINITE)
-        kind = np.where(u.any(axis=-1), kind, secular.ZERO_KERNEL)
         kind = np.where(p.imag > 0.0, kind, secular.NON_DECAYING)
         first = np.argmax(kind > 0, axis=1)
         kind = np.take_along_axis(kind, first[:, None], axis=1)[:, 0]

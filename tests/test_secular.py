@@ -37,7 +37,6 @@ from rayleighmt.secular import (
     INADMISSIBLE,
     NON_DECAYING,
     NOT_FINITE,
-    ZERO_KERNEL,
     SecularKernel,
     det_elimination,
     nullspace_amplitude,
@@ -167,7 +166,6 @@ def test_kernel_failure_errors(reference):
     err = kernel.failure(0.9 + 0j, 2, NON_DECAYING)
     assert isinstance(err, NonDecayingError)
     assert (err.t, err.v, err.mode_index) == (mode_speeds(reference).roots[1].t, 0.9, 2)
-    assert isinstance(kernel.failure(0.9 + 0j, 3, ZERO_KERNEL), DegenerateKernelError)
 
 
 def test_secular_objective_batch(reference, case_i_material):
@@ -510,31 +508,71 @@ def _assert_matches_full_d_kernel(kernel, v):
 
 def test_lean_kernel_matches_full_d_kernel(reference, case_i_material, case_ii_material,
                                            case_iii_material):
-    # the vanishing closed form checked only where it can vanish and the
-    # constant S-block product as one matrix product give the same matrices
-    # and verdicts as checking everything for every mode
+    # the constant S-block product as one matrix product gives the same
+    # matrices and verdicts as checking everything for every mode
     kinds = set()
     cases = list(_lean_cases(reference)) + list(_edge_cases(
         [reference, case_i_material, case_ii_material, case_iii_material]))
     for M, v in cases:
         kinds |= _assert_matches_full_d_kernel(secular_kernel(M), v)
     assert {NON_DECAYING, NOT_FINITE, INADMISSIBLE, DET_NOT_FINITE} <= kinds
-    # no mode of these materials has a closed form that can vanish
-    assert not any(secular_kernel(M).can_vanish.any() for M, _ in cases)
 
 
-def test_lean_kernel_flags_a_vanishing_closed_form(reference, monkeypatch):
-    # a mode whose closed form is all zeros is the one the kernel must still
-    # check, and it fails as ZERO_KERNEL unless an earlier mode fails
+def test_kernel_rejects_a_vanishing_closed_form(reference, monkeypatch):
+    # u_k = u0 + p u1 + v u2 vanishes at no admissible speed unless its whole
+    # row does, and no admissible material has such a row, so one is zeroed
+    # here: the material has no kernel, and no speed a determinant
     rows = {r.index: kernel_row(reference, r) for r in mode_speeds(reference).roots}
     rows[2] = ((0.0,) * 5,) * 3
     monkeypatch.setattr(secular, "kernel_row", lambda M, r: rows[r.index])
-    kernel = SecularKernel.build(reference)
-    assert kernel.can_vanish.tolist() == [False, True, False, False, False]
-    kinds = set()
-    for _, v in _edge_cases([reference]):
-        kinds |= _assert_matches_full_d_kernel(kernel, v)
-    assert {ZERO_KERNEL, NON_DECAYING} <= kinds
+    M = reference.replace()  # a copy without the cached kernel
+    with pytest.raises(DegenerateKernelError,
+                       match="closed-form kernel vector vanishes for mode 2"):
+        secular_kernel(M)
+    with pytest.raises(ModeFailureError) as err:
+        point_det(M, 0.5, 0.1)
+    assert err.value.cause_name == "DegenerateKernelError"
+    assert np.isnan(secular_objective(M, np.array([0.5 - 0.1j, 1.0 - 0.02j]))).all()
+
+
+def _dets_anywhere(M, v):
+    """det A at complex speeds in any quadrant: ``evaluate`` builds A
+    outside the quadrant too, and only its ``det`` is left undefined."""
+    return np.linalg.det(secular_kernel(M).evaluate(v)[0])
+
+
+def test_det_is_odd_or_even_and_conjugate_symmetric(reference, case_i_material,
+                                                    case_ii_material, case_iii_material):
+    # the model has no damping.  P D(p; v) P = D(p; -v) with P = diag(1, 1,
+    # 1, 1, -1), the same for S, and each p_k depends on v^2 alone, so
+    # det A(-v) = +-det A(v) bit for bit, odd where det A ~ v^5 at 0 and
+    # even for case III (v^4).  The blocks are real, and with P' = diag(1,
+    # -1, 1, -1, 1) D(-p) = P' D(p) P' and S(-p) = -P' S(p) P', so off the
+    # real axis det A(conj v) = c conj(det A(v)) with one c per material
+    rng = np.random.default_rng(19)
+    cases = [(reference, -1), (case_i_material, -1), (case_ii_material, -1),
+             (case_iii_material, 1)] + [(random_material(rng), -1) for _ in range(4)]
+    for M, sign in cases:
+        w = default_window(M, nx=16, ny=8)
+        v = (w.re_values()[:, None] + 1j * w.im_values()[w.im_values() < 0.0]).ravel()
+        det = _dets_anywhere(M, v)
+        assert np.isfinite(det).all() and np.array_equal(_dets_anywhere(M, -v), sign * det)
+        c = _dets_anywhere(M, v.conj()) / det.conj()
+        assert np.abs(c - c[0]).max() <= 1e-12 * abs(c[0])
+
+
+def test_roots_come_in_conjugate_pairs(reference, solved_reference):
+    # by that symmetry every non-real root has a conjugate twin: the golden
+    # root decays in time and its conjugate grows, and both are singular
+    # with modes that decay in depth.  So are the imaginary-axis root -iy
+    # and its twin +iy.
+    y = 0.242375085709775
+    golden = complex(solved_reference.v)
+    for v in (golden, golden.conjugate(), -1j * y, 1j * y):
+        A, _, _, _, p, _ = secular_kernel(reference).evaluate(np.array([v]))
+        s = np.linalg.svd(A[0], compute_uv=False)
+        assert s[-1] <= 1e-12 * s[0], v
+        assert p.imag.min() > 0.05, v
 
 
 def test_huge_speed_fails_alike_on_both_routes(reference, capfd):

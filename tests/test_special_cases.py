@@ -9,15 +9,15 @@ import pytest
 from rayleighmt import (
     ComplexSpeed,
     CouplingCase,
+    DegenerateKernelError,
     DegenerateRootsError,
-    ModeFailureError,
     NonDecayingError,
     NotStronglyEllipticError,
     WrongCaseError,
     assemble_Dp,
     cross_check_case,
     derived_cubic,
-    limit_consistency,
+    mode_speeds,
     mode_vector,
     numeric_nullspace,
     p_from_t,
@@ -28,6 +28,7 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import secular, special_cases
+from rayleighmt.material import CASE_ZEROED_COUPLINGS
 from rayleighmt.secular import point_det, secular_matrix
 
 from helpers import mode_vector_matrix, nullspace_sine
@@ -215,13 +216,13 @@ def test_explicit_raises_what_the_one_mode_route_raises(case_i_material, case_ii
 
 
 def test_cross_check_raises_where_det_is_undefined(case_i_material, monkeypatch):
-    # every closed form zeroed: no sample has a determinant, and the check
-    # raises rather than drop them.  The copy builds its own kernel.
+    # every closed form zeroed: the material has no kernel, so no sample
+    # has a determinant, and the check raises the kernel build's error
+    # rather than drop them.  The copy builds its own kernel.
     monkeypatch.setattr(secular, "kernel_row", lambda M, r: ((0.0,) * 5,) * 3)
-    with pytest.raises(ModeFailureError) as err:
+    with pytest.raises(DegenerateKernelError,
+                       match="closed-form kernel vector vanishes for mode 1"):
         cross_check_case(case_i_material.replace(), CouplingCase.CASE_I)
-    assert err.value.cause_name == "DegenerateKernelError"
-    assert "closed-form kernel vector vanishes" in str(err.value)
 
 
 def test_case_i_explicit_is_a_multiple_of_det(case_i_material):
@@ -256,7 +257,9 @@ def test_explicit_unavailable_for_thermal_case(case_iii_material):
     assert np.isfinite(det.real) and np.isfinite(det.imag)
 
 
-def test_limit_consistency_quadratic(case_iii_material, reference):
+def test_limit_consistency_quadratic(reference):
+    # scaling a case's couplings by s takes the general mode speeds to the
+    # case's closed forms as O(s^2)
     M_lim = validate_coefficients({
         "rho": 1.0, "a": 1.0, "b": 1.0, "k": 1.0, "lambda": 1.0, "mu": 1.0,
         "d1": 1.0, "d2": 2.0, "d3": 2.0, "eps1": 0.5, "eps2": 0.5,
@@ -265,8 +268,13 @@ def test_limit_consistency_quadratic(case_iii_material, reference):
     for base, case in ((M_lim, CouplingCase.CASE_I),
                        (M_lim, CouplingCase.CASE_II),
                        (reference, CouplingCase.CASE_III)):
-        rep = limit_consistency(base, case)
-        assert rep.converged
-        assert rep.gaps[-1] <= 1e-10
-        for rate in rep.rates:
-            assert rate == pytest.approx(2.0, abs=0.1)
+        fields = CASE_ZEROED_COUPLINGS[case]
+        target = sorted(roots_case(base.replace(**dict.fromkeys(fields, 0.0)), case).t_values())
+        scales, gaps = (1e-2, 1e-4, 1e-6), []
+        for s in scales:
+            ts = sorted(mode_speeds(base.replace(
+                **{name: getattr(base, name) * s for name in fields})).t_values())
+            gaps.append(max(abs(x - y) for x, y in zip(ts, target)))
+        assert gaps[-1] <= 1e-10
+        for g0, g1, s0, s1 in zip(gaps, gaps[1:], scales, scales[1:]):
+            assert math.log(g1 / g0) / math.log(s1 / s0) == pytest.approx(2.0, abs=0.1)
