@@ -48,6 +48,9 @@ NULLSPACE_RTOL = 1e-10
 #: Relative tolerance for the bilinear polarization tests.
 POLARIZATION_RTOL = 1e-10
 
+#: Distance relative to t within which Gamma and Lambda cancel (``kernel_row``).
+CANCEL_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ComplexSpeed:
@@ -245,9 +248,16 @@ def kernel_row(M: MaterialCoefficients, r: ModeRoot) -> tuple:
     D(p_k) at speed v is spanned by u0 + p_k u1 + v u2, with coefficients
     that depend on the material and t_k alone.  A general material takes
     the transverse row (Phi) or the longitudinal row (Gamma, Lambda and the
-    B factor) by the root's factor.  A decoupled material takes the row of
-    the closed-form speed (``case_speeds``) its t lies nearest to, so a
-    root gets the same row whatever its index.
+    B factor) by the root's factor, the latter replaced within
+    ``CANCEL_RTOL`` of a common root of Gamma and Lambda, where it cancels.
+    A decoupled material takes the row of the closed-form speed
+    (``case_speeds``) its t lies nearest to, so a root gets the same row
+    whatever its index.
+
+    This is the one place that judges a row.  With distinct mode speeds
+    p_k^2 is a simple root of det D(p), so a nonzero row spans its kernel;
+    and u vanishes only where its whole row does (each component takes one
+    term at most, p != 0 and v != 0), which is refused here.
 
     Raises
     ------
@@ -256,7 +266,16 @@ def kernel_row(M: MaterialCoefficients, r: ModeRoot) -> tuple:
         the general rows divide by eps2, m and beta.
     DomainError
         If the squared mode speed is not positive.
+    DegenerateKernelError
+        If the row is all zeros.
     """
+    row = _closed_form(M, r)
+    if not np.any(row):
+        raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
+    return row
+
+
+def _closed_form(M: MaterialCoefficients, r: ModeRoot) -> tuple:
     general = M.eps2 != 0.0 and M.m != 0.0 and M.beta != 0.0
     case = None if general else classify_coupling(M)
     if case is not None and case not in CASE_ZEROED_COUPLINGS:
@@ -274,8 +293,15 @@ def kernel_row(M: MaterialCoefficients, r: ModeRoot) -> tuple:
         # stiffness, and only this choice makes B consistent across rows.
         gamma = M.b * M.beta * (t - M.d / M.b) + M.m * e12
         lam_k = M.rho * M.m * (t - M.p_wave_modulus / M.rho) + M.beta * e12
-        return _longitudinal(gamma, lam_k, (gamma * lam_k - e12 * (
-            M.beta * gamma + M.m * lam_k)) / (M.m * M.beta * t))
+        if max(abs(gamma / (M.b * M.beta)), abs(lam_k / (M.rho * M.m))) > CANCEL_RTOL * t:
+            return _longitudinal(gamma, lam_k, (gamma * lam_k - e12 * (
+                M.beta * gamma + M.m * lam_k)) / (M.m * M.beta * t))
+        # (gamma, lam_k) is along the cross product of rows 1 and 2 of the system
+        # (pw - rho t, e12, beta t; e12, d - b t, m t; beta, m, k - a t) (x, y, z) = 0,
+        # parallel at a common root of both (as eps1 + 2 eps2 = 0, rho d = b pw): use 1 and 3
+        ak = M.k - M.a * t
+        return _longitudinal(e12 * ak - M.beta * M.m * t,
+                             M.beta ** 2 * t + (M.rho * t - M.p_wave_modulus) * ak, -lam_k)
     ts = [speed for speed, _, _ in case_speeds(M, case)]
     slot = min(range(5), key=lambda j: abs(ts[j] - t))
     if case is CouplingCase.CASE_III:
@@ -320,17 +346,14 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
 
     The root may come from ``mode_speeds`` or, for a decoupled material,
     from ``special_cases.roots_case``; both get the same vector.  D(p_k) is
-    not built: with distinct mode speeds p_k^2 is a simple root of det D(p),
-    so its kernel is the line the closed form spans.
+    not built (``kernel_row`` says why).
 
     Raises
     ------
-    UnsupportedCouplingError, DomainError
-        Propagated from ``kernel_row``.
+    UnsupportedCouplingError, DomainError, DegenerateKernelError
+        From ``kernel_row``, at any speed: the owner of the rule that u != 0.
     NonDecayingError
         Where ``p_from_t`` raises it: no decaying branch, or a NaN one.
-    DegenerateKernelError
-        If the closed form degenerates to the zero vector.
     numpy.linalg.LinAlgError
         If p_k or u_k overflows, as the batched kernel names such a mode.
     """
@@ -339,8 +362,6 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
     p, u = complex(p[0, 0]), u[0, 0]
     if not p.imag > 0.0:
         raise NonDecayingError(t=r.t, v=vc, mode_index=r.index)
-    if not np.any(u):
-        raise DegenerateKernelError(f"closed-form kernel vector vanishes for mode {r.index}")
     if not (cmath.isfinite(p) and np.isfinite(u).all()):
         raise np.linalg.LinAlgError(f"kernel vector of mode {r.index} is not finite")
     return ModeBasis(mode=r, p=AttenuationExponent(p=p, mode_index=r.index), u=u)

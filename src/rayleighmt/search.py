@@ -284,8 +284,8 @@ def _muller(w: list, z: list, start: list, speed, clamp, tol: float, evals: list
 
 
 def _det_abs(f: float) -> float:
-    """|det A| from F = ln |det A|, infinite for F at or above 700."""
-    return math.exp(f) if f < 700.0 else math.inf
+    """|det A| from F = ln |det A|, infinite for F at or above ``F_INFINITE``."""
+    return math.exp(f) if f < F_INFINITE else math.inf
 
 
 def _classify(best: tuple, scale: float, iterations: int) -> RayleighRoot:
@@ -420,11 +420,14 @@ DEDUP_TOL = 1e-6
 #: in ``find_rayleigh``.
 DET_RATIO_TOL = 1e-6
 
+#: F = ln |det A| from which |det A| counts as infinite, short of exp's range.
+F_INFINITE = 700.0
+
 
 def grid_median_det(grid: ScanGrid) -> float:
-    """Median determinant magnitude over the evaluable lattice points."""
-    finite = grid.values[np.isfinite(grid.values)]
-    return float(np.median(np.exp(np.minimum(finite, 700.0))))
+    """Median |det A| over the evaluable lattice points, as ``_det_abs`` has it."""
+    F = grid.values[np.isfinite(grid.values)]
+    return float(np.median(np.where(F < F_INFINITE, np.exp(np.minimum(F, F_INFINITE)), np.inf)))
 
 
 def find_rayleigh(M: MaterialCoefficients, window: ScanWindow) -> list:

@@ -11,20 +11,14 @@ A solve builds A one way only: ``SecularKernel.evaluate``, one batched
 kernel over arrays of speeds built on material-only data computed once per
 material.  ``secular_objective`` calls it for the scan, ``point_dets`` for
 the speeds one refinement step of every seed needs, and ``point_det`` and
-``objective_F`` are its one-point calls.  It never builds D(p_k) or
-checks that its kernel is one-dimensional: det D(p) is det Q1 times prod_j
-(p^2 - p_j^2) and ``mode_speeds`` keeps the t_j distinct, so at an
-admissible speed p_k^2 is a simple root and the kernel is a line.  One rule
-decides where A is defined, and ``evaluate`` applies it for every caller
-(the failure kinds below); ``SecularKernel.failure`` turns a failure into
-the typed error a one-point call raises.  ``secular_matrix`` is one more
-one-point call, for the mode weights of a root (``amplitudes``), the
-fields (``field_eval``) and the boundary residual: it returns A with the
-p_k and u_k (``modes.mode_shapes``) that ``evaluate`` built it from, so a
-root is checked on the matrix that found it.  The closed forms of
-``modes.kernel_row`` and the blocks are cached on the material; the tests
-check them against the SVD nullspace of D(p_k) and against a 40-digit
-route that shares only the blocks.
+``objective_F`` are its one-point calls.  One rule decides where A is
+defined, and ``evaluate`` applies it for every caller (the failure kinds
+below); ``SecularKernel.failure`` turns a failure into the typed error a
+one-point call raises.  ``secular_matrix`` is one more one-point call, for
+the mode weights of a root (``amplitudes``), the fields (``field_eval``)
+and the boundary residual: it returns A with the p_k and u_k
+(``modes.mode_shapes``) that ``evaluate`` built it from, so a root is
+checked on the matrix that found it.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateKernelError,
     DomainError,
     ModeFailureError,
     NonDecayingError,
@@ -131,13 +124,11 @@ class SecularKernel:
 
     The closed-form kernel vector of mode k is u_k = u0_k + p_k u1_k +
     v u2_k, with the rows of ``modes.kernel_row`` for the material's
-    coupling regime.  The rows of A need only u_k and S(p_k), never
-    D(p_k).  The transposes of Q1, S0 and V are stored contiguous, so the
-    constant product u Q1^T over every mode of every speed is one matrix
-    product.  Every component of u_k takes one term of u0, p u1 and v u2 at
-    most (``kernel_row``), p_k != 0 where the mode decays and v != 0 where
-    the speed is admissible, so u_k vanishes only where its whole row is
-    zero: a property of the material, which ``build`` rejects once.
+    coupling regime; ``kernel_row`` owns every rule on them, and refuses an
+    all-zero row, so no u_k is checked here.  The rows of A need only u_k
+    and S(p_k), never D(p_k).  The transposes of Q1, S0 and V are stored
+    contiguous, so the constant product u Q1^T over every mode of every
+    speed is one matrix product.
     """
 
     t: np.ndarray  # (5,)
@@ -151,12 +142,7 @@ class SecularKernel:
     @classmethod
     def build(cls, M: MaterialCoefficients) -> "SecularKernel":
         roots = mode_speeds(M).roots
-        rows = np.array([kernel_row(M, r) for r in roots])
-        for r, row in zip(roots, rows):
-            if not row.any():
-                raise DegenerateKernelError(
-                    f"closed-form kernel vector vanishes for mode {r.index}")
-        u0, u1, u2 = rows.swapaxes(0, 1)
+        u0, u1, u2 = np.array([kernel_row(M, r) for r in roots]).swapaxes(0, 1)
         q1, _, v_lin, _, _, _, s0 = material_blocks(M)
         return cls(t=np.array([r.t for r in roots]), u0=u0, u1=u1, u2=u2,
                    q1T=q1.T.copy(), s0T=s0.T.copy(), vT=v_lin.T.copy())
@@ -230,10 +216,10 @@ def secular_kernel(M: MaterialCoefficients) -> SecularKernel:
     """The batched-objective data of a material, built on first use and
     kept on the (frozen) material instance.
 
-    Raises the errors of ``mode_speeds`` and of ``modes.kernel_row``:
-    ``UnsupportedCouplingError`` for a material no closed-form kernel
-    covers (DEGENERATE, or GENERAL with eps2 = 0); and
-    ``DegenerateKernelError`` for a mode whose closed form is all zeros.
+    Raises the errors of ``mode_speeds`` and of ``modes.kernel_row``, the
+    one owner of the rules on the rows: ``UnsupportedCouplingError`` for a
+    material no closed-form kernel covers (DEGENERATE, or GENERAL with
+    eps2 = 0), and ``DegenerateKernelError`` for an all-zero row.
     """
     return M.memo("_secular_kernel", SecularKernel.build)
 

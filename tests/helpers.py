@@ -19,6 +19,7 @@ from rayleighmt import (
     NotARootError,
     RayleighError,
     StartFailureError,
+    assemble_Dp,
     mode_speeds,
     mode_vector,
     validate_coefficients,
@@ -26,8 +27,10 @@ from rayleighmt import (
 from rayleighmt import search, secular
 
 
-def random_material(rng, general=True):
-    """One strongly elliptic material; couplings nonzero when general."""
+def random_material(rng, general=True, e12_zero=False):
+    """One strongly elliptic material; couplings nonzero when general.
+    ``e12_zero`` sets eps1 + 2 eps2 = 0, at least 1e-3 (relative) away from
+    rho d = b (lambda + 2 mu), where ``cancelling_material`` draws."""
     while True:
         raw = {
             "rho": rng.uniform(0.3, 3.0),
@@ -47,15 +50,55 @@ def random_material(rng, general=True):
         if general:
             raw["eps2"] = rng.uniform(0.05, 0.8) * math.sqrt(raw["mu"] * raw["d2"])
             e12 = rng.uniform(0.05, 0.8) * math.sqrt(pw * d)
-            raw["eps1"] = e12 - 2.0 * raw["eps2"]
+            raw["eps1"] = (0.0 if e12_zero else e12) - 2.0 * raw["eps2"]
         else:
             raw["eps1"] = raw["eps2"] = 0.0
+        if e12_zero and abs(raw["rho"] * d - raw["b"] * pw) < 1e-3 * raw["b"] * pw:
+            continue
         M = validate_coefficients(raw)
         try:
             mode_speeds(M)
         except RayleighError:
             continue
         return M
+
+
+#: General materials on which Gamma and Lambda of ``modes.kernel_row``'s
+#: longitudinal row cancel at a mode speed: eps1 + 2 eps2 = 0 with
+#: rho d = b (lambda + 2 mu), at t = d / b.  With that row, ``find_rayleigh``
+#: reported a converged root at a boundary residual of 0.10 and 0.074.
+CANCELLING = [
+    {"rho": 1.5, "a": 0.7, "b": 0.8, "k": 1.3, "mu": 1.1, "lambda": 3.049999999999999,
+     "d1": 0.9, "d2": 1.6, "d3": 0.3, "eps1": -1.2, "eps2": 0.6, "beta": 0.4, "m": 1.7},
+    {"rho": 1.0, "a": 1.0, "b": 1.0, "k": 1.0, "mu": 1.0, "lambda": 0.0,
+     "d1": 0.5, "d2": 1.5, "d3": 0.0, "eps1": -2.0, "eps2": 1.0, "beta": 1.0, "m": 1.0},
+]
+
+
+def cancelling_material(rng):
+    """A general material on which Gamma and Lambda of ``modes.kernel_row``
+    share a root, so that t is a mode speed: d is set, through d1, to meet
+    d / b - m e12 / (b beta) = (lambda + 2 mu) / rho - beta e12 / (rho m),
+    e12 = eps1 + 2 eps2.  Every second draw has e12 = 0 (``CANCELLING``)."""
+    while True:
+        M = random_material(rng)
+        e12 = M.eps_long * float(rng.integers(2))
+        d = (M.b * (M.p_wave_modulus / M.rho - M.beta * e12 / (M.rho * M.m))
+             + M.m * e12 / M.beta)
+        M = validate_coefficients(dict(M.to_dict(), eps1=e12 - 2.0 * M.eps2,
+                                       d1=d - M.d2 - M.d3))
+        try:
+            mode_speeds(M)
+        except RayleighError:
+            continue
+        return M
+
+
+def kernel_residual(M, v, r):
+    """||D(p_k) u_k|| / (||D|| ||u_k||) of ``mode_vector`` at speed v."""
+    mb = mode_vector(M, v, r)
+    D = assemble_Dp(M, v, mb.p.p)
+    return float(np.linalg.norm(D @ mb.u) / (np.linalg.norm(D) * np.linalg.norm(mb.u)))
 
 
 def random_speed(rng, M, im_floor=0.01):

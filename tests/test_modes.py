@@ -26,7 +26,14 @@ from rayleighmt import (
 from rayleighmt import modes
 from rayleighmt.modes import material_blocks
 
-from helpers import nullspace_sine, random_material, random_speed
+from helpers import (
+    CANCELLING,
+    cancelling_material,
+    kernel_residual,
+    nullspace_sine,
+    random_material,
+    random_speed,
+)
 
 V05 = ComplexSpeed(0.5, 0.0)
 
@@ -272,6 +279,33 @@ def test_longitudinal_scalar_needs_total_thermal_stiffness():
             assert res_wrong > 1e-6
 
 
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9])
+@pytest.mark.parametrize("raw", CANCELLING, ids=["cancelling_1", "cancelling_2"])
+def test_kernel_row_where_gamma_and_lambda_cancel(raw, gap):
+    # on the family Gamma and Lambda are roundoff, and their row left kernel
+    # residuals up to 0.44 at these probes (0.016 with d2 moved by 1e-12,
+    # 7e-6 by 1e-9): the cross product of rows 1 and 3 of the longitudinal
+    # system takes over
+    M = validate_coefficients(dict(raw, d2=raw["d2"] * (1.0 + gap)))
+    c = math.sqrt(min(mode_speeds(M).t_values()))
+    for v in (ComplexSpeed(0.5 * c, 0.1 * c), ComplexSpeed(3.0 * c, 0.5 * c)):
+        for r in mode_speeds(M).roots:
+            assert kernel_residual(M, v, r) <= 1e-12
+
+
+@pytest.mark.parametrize("draw", [lambda rng: random_material(rng, e12_zero=True),
+                                  cancelling_material], ids=["e12_zero", "cancelling"])
+def test_kernel_rows_without_longitudinal_coupling(draw):
+    # eps1 + 2 eps2 = 0, which the general sampler never draws, away from
+    # and on the family where Gamma and Lambda cancel
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        M = draw(rng)
+        v = random_speed(rng, M)
+        for r in mode_speeds(M).roots:
+            assert kernel_residual(M, v, r) <= 1e-12
+
+
 def test_mode_vector_requires_general_coupling(case_i_material):
     # beta = eps2 = 0 with eps1 and m nonzero is no regime the closed forms cover
     M = case_i_material.replace(eps1=0.5)
@@ -281,13 +315,17 @@ def test_mode_vector_requires_general_coupling(case_i_material):
 
 
 def test_mode_vector_names_a_vanishing_closed_form(reference, monkeypatch):
-    # no admissible material zeroes a closed form (the case III P wave with
-    # eps1 + 2 eps2 = 0 has a row of its own), so the rows are zeroed here
-    monkeypatch.setattr(modes, "kernel_row", lambda M, r: ((0.0,) * 5,) * 3)
+    # kernel_row refuses an all-zero row.  The rows that vanish on some
+    # admissible material have rows of their own (the case III P wave with
+    # eps1 + 2 eps2 = 0, the common root of Gamma and Lambda), so the
+    # longitudinal rows are zeroed at their source here.  The row is refused
+    # before the speed is looked at: at a speed where mode 4 does not decay
+    monkeypatch.setattr(modes, "_longitudinal", lambda x, y, z: (modes._ZERO,) * 3)
     root = mode_speeds(reference).roots[3]
-    with pytest.raises(DegenerateKernelError,
-                       match="closed-form kernel vector vanishes for mode 4"):
-        mode_vector(reference, V05, root)
+    for v in (V05, ComplexSpeed(10.0, 0.0)):
+        with pytest.raises(DegenerateKernelError,
+                           match="closed-form kernel vector vanishes for mode 4"):
+            mode_vector(reference, v, root)
 
 
 def test_numeric_nullspace_trivial_cases():

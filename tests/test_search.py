@@ -14,6 +14,7 @@ from rayleighmt import (
     ScanGrid,
     ScanWindow,
     StartFailureError,
+    boundary_residual,
     find_rayleigh,
     grid_scan,
     local_minima,
@@ -486,6 +487,47 @@ def test_refinement_loses_no_decaying_root():
                 decaying += 1
                 assert any(abs(v - z) <= 1e-6 for z in ours), v
     assert decaying >= 8
+
+
+def test_grid_median_det_converts_as_the_classification_does():
+    # one F -> |det A| rule: from F_INFINITE up |det A| counts as infinite,
+    # not as exp(F_INFINITE)
+    w = ScanWindow(re_min=0.0, re_max=1.0, im_min=-1.0, im_max=0.0, nx=2, ny=3)
+
+    def median(values):
+        return grid_median_det(ScanGrid(window=w, values=np.reshape(values, (2, 3)), failures=1))
+
+    assert median([1.0, 2.0, 3.0, 699.5, 700.0, np.nan]) == np.exp(3.0)
+    assert median([1.0, 700.0, 900.0, np.nan, 2.0, 1e300]) == math.inf
+    assert median([1.0, 2.0, 700.0, 800.0, np.nan, np.nan]) == math.inf
+    assert search._det_abs(700.0) == math.inf
+
+
+@pytest.mark.parametrize("raw", helpers.CANCELLING, ids=["cancelling_1", "cancelling_2"])
+def test_no_root_at_roundoff_where_gamma_and_lambda_cancel(raw):
+    # with a roundoff kernel row for the mode at t = d / b, det A was roundoff
+    # along a curve, and a point of it was reported converged at a boundary
+    # residual of 0.10 (1.6358202822989958 - 4.8e-16i) or 0.074 (1.7973 - 4.1e-13i)
+    M = validate_coefficients(raw)
+    for root in find_rayleigh(M, default_window(M)):
+        if root.classification == "converged":
+            assert boundary_residual(M, root.v, root.gamma, 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("draw", [lambda rng: random_material(rng, e12_zero=True),
+                                  helpers.cancelling_material], ids=["e12_zero", "cancelling"])
+def test_converged_roots_without_longitudinal_coupling(draw):
+    # eps1 + 2 eps2 = 0, away from and on the family where Gamma and Lambda
+    # cancel: every converged root leaves the surface traction-free
+    rng = np.random.default_rng(73)
+    converged = 0
+    for _ in range(6):
+        M = draw(rng)
+        for root in find_rayleigh(M, default_window(M, nx=48, ny=24)):
+            if root.classification == "converged":
+                converged += 1
+                assert boundary_residual(M, root.v, root.gamma, 1.0) <= 1e-8
+    assert converged >= 6
 
 
 def test_lockstep_refinement_drops_a_seed_that_cannot_start(reference, monkeypatch):

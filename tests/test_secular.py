@@ -29,8 +29,8 @@ from rayleighmt import (
     secular_matrix,
     validate_coefficients,
 )
-from rayleighmt import secular
-from rayleighmt.modes import kernel_row, material_blocks, numeric_nullspace
+from rayleighmt import modes, secular
+from rayleighmt.modes import material_blocks, numeric_nullspace
 from rayleighmt.secular import (
     DET_NOT_FINITE,
     F_SENTINEL,
@@ -520,14 +520,14 @@ def test_lean_kernel_matches_full_d_kernel(reference, case_i_material, case_ii_m
 
 def test_kernel_rejects_a_vanishing_closed_form(reference, monkeypatch):
     # u_k = u0 + p u1 + v u2 vanishes at no admissible speed unless its whole
-    # row does, and no admissible material has such a row, so one is zeroed
-    # here: the material has no kernel, and no speed a determinant
-    rows = {r.index: kernel_row(reference, r) for r in mode_speeds(reference).roots}
-    rows[2] = ((0.0,) * 5,) * 3
-    monkeypatch.setattr(secular, "kernel_row", lambda M, r: rows[r.index])
+    # row does, which kernel_row refuses.  The rows that vanish on some
+    # admissible material have rows of their own, so the longitudinal rows
+    # are zeroed at their source here: the material has no kernel, and no
+    # speed a determinant
+    monkeypatch.setattr(modes, "_longitudinal", lambda x, y, z: (modes._ZERO,) * 3)
     M = reference.replace()  # a copy without the cached kernel
     with pytest.raises(DegenerateKernelError,
-                       match="closed-form kernel vector vanishes for mode 2"):
+                       match="closed-form kernel vector vanishes for mode 3"):
         secular_kernel(M)
     with pytest.raises(ModeFailureError) as err:
         point_det(M, 0.5, 0.1)

@@ -27,7 +27,7 @@ from rayleighmt import (
     secular_case_explicit,
     validate_coefficients,
 )
-from rayleighmt import secular, special_cases
+from rayleighmt import modes, special_cases
 from rayleighmt.material import CASE_ZEROED_COUPLINGS
 from rayleighmt.secular import point_det, secular_matrix
 
@@ -216,10 +216,11 @@ def test_explicit_raises_what_the_one_mode_route_raises(case_i_material, case_ii
 
 
 def test_cross_check_raises_where_det_is_undefined(case_i_material, monkeypatch):
-    # every closed form zeroed: the material has no kernel, so no sample
-    # has a determinant, and the check raises the kernel build's error
-    # rather than drop them.  The copy builds its own kernel.
-    monkeypatch.setattr(secular, "kernel_row", lambda M, r: ((0.0,) * 5,) * 3)
+    # every closed form zeroed at its source: the material has no kernel,
+    # so no sample has a determinant, and the check raises kernel_row's
+    # error rather than drop them.  The copy builds its own kernel.
+    monkeypatch.setattr(modes, "_transverse", lambda x, y: (modes._ZERO,) * 3)
+    monkeypatch.setattr(modes, "_longitudinal", lambda x, y, z: (modes._ZERO,) * 3)
     with pytest.raises(DegenerateKernelError,
                        match="closed-form kernel vector vanishes for mode 1"):
         cross_check_case(case_i_material.replace(), CouplingCase.CASE_I)
