@@ -6,11 +6,11 @@ by Muller's method on the complex determinant det A: first in the speed v
 itself and, when that run does not converge on an accepted root, in the
 uniformizing variable q = p_k of the bulk speed nearest the seed, where
 det A stays analytic although it is not analytic in v (``modes.mode_shapes``
-gives its start values, the kernel's own branch).  Iterates are kept
-in the image of the quadrant, and an undefined one halves its step.  All
-seeds step in lockstep, so each step of every seed together is one call
-of the batched kernel (``point_dets``); a speed's value does not depend on
-the call, so each seed ends where it would alone.  Refined minima are
+gives its start values, the kernel's own branch).  An undefined iterate,
+one out of the admissible quadrant included, halves its step.  All seeds
+step in lockstep, so each step of every seed together is one call of the
+batched kernel (``point_dets``); a speed's value does not depend on the
+call, so each seed ends where it would alone.  Refined minima are
 accepted as surface-wave roots when the secular determinant is small
 against the typical determinant magnitude of the scan; the mode weights
 come from the matrix already computed at the refined point.
@@ -185,11 +185,17 @@ class RefineOptions:
     relative to the seed; ``find_rayleigh`` passes a quarter of a lattice
     cell.  ``det_scale`` is the |det A| that ``DET_RATIO_TOL`` is relative
     to (the seed's when None).  ``MAX_EVALS`` bounds the evaluations of
-    both runs together and ``DIAMETER_TOL`` their last step.
+    both runs together and ``DIAMETER_TOL`` their last step.  Both
+    offsets must be finite and positive, so the start points lie in the
+    admissible quadrant with the seed.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
     det_scale: float = None
+
+    def __post_init__(self):
+        if not all(math.isfinite(h) and h > 0.0 for h in self.initial_step):
+            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +210,7 @@ class RayleighRoot:
     classification: str  # "converged" or "stagnated"
 
 
-#: Bound on the last Muller step: times |z0| (the clamped seed) in v, and as
+#: Bound on the last Muller step: times |z0| (the seed) in v, and as
 #: it is in the dimensionless q = p_k, so neither stop depends on the units.
 DIAMETER_TOL = 1e-10
 
@@ -218,31 +224,20 @@ MAX_EVALS = 80
 MULLER_RADIUS_STEPS = 8.0
 
 
-def _clamp(z: complex) -> complex:
-    """z moved into the admissible quadrant Re v >= 0, Im v <= 0."""
-    return complex(max(z.real, 0.0), min(z.imag, 0.0))
-
-
-def _clamp_q(q: complex) -> complex:
-    """q moved into Re q <= 0, Im q >= 0, the image of the quadrant under
-    q = p_k."""
-    return complex(min(q.real, 0.0), max(q.imag, 0.0))
-
-
-def _muller(w: list, z: list, start: list, speed, clamp, tol: float, evals: list, limit: int):
+def _muller(w: list, z: list, start: list, speed, tol: float, evals: list, limit: int):
     """Muller iterates on det A in a variable w of the speed v = speed(w).
 
     A generator: ``w`` holds the three start points in that variable, ``z``
     their speeds and ``start`` their ``point_dets`` entries; the speed of
     each later iterate is yielded as a one-speed list, to be sent back its
     entry.  Each step fits a parabola through the last three points by
-    divided differences, takes the root nearer the newest point (the
-    denominator of larger modulus) and moves it into the image of the
-    quadrant with ``clamp``.  An undefined iterate halves its step toward
-    the newest point.  The run converges once a step is at most ``tol``.
-    It gives up on an undefined start point, a vanishing denominator, a
-    step out of the disc of ``MULLER_RADIUS_STEPS`` start offsets around
-    ``w[0]``, or ``evals`` reaching ``limit``.
+    divided differences and takes the root nearer the newest point (the
+    denominator of larger modulus).  An undefined iterate, such as a w that
+    ``speed`` maps to NaN or out of the admissible quadrant, halves its
+    step toward the newest point.  The run converges once a step is at
+    most ``tol``.  It gives up on an undefined start point, a vanishing
+    denominator, a step out of the disc of ``MULLER_RADIUS_STEPS`` start
+    offsets around ``w[0]``, or ``evals`` reaching ``limit``.
     Returns ``(best, converged)``: the evaluated speed of smallest |det|
     with its entry, ``(z, (det, A))``, and whether the run converged.
     """
@@ -262,7 +257,7 @@ def _muller(w: list, z: list, start: list, speed, clamp, tol: float, evals: list
                 b = d2 + h2 * a
                 disc = cmath.sqrt(b * b - 4.0 * f[2] * a)
                 den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
-                w_new = clamp(w[2] - 2.0 * f[2] / den)
+                w_new = w[2] - 2.0 * f[2] / den
             except (ZeroDivisionError, OverflowError):
                 break
             if not abs(w_new - seed) <= radius:  # also catches a NaN step
@@ -315,9 +310,9 @@ def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
     """The refinement of one seed (``refine_minimum``) as a generator: it
     yields the list of speeds each step needs, is sent back their
     ``point_dets`` entries, and returns the ``RayleighRoot``."""
-    z0 = _clamp(complex(v0))
+    z0 = complex(v0)
     hx, hy = opts.initial_step
-    z = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
+    z = [z0, z0 + hx, z0 - 1j * hy]
     start = yield z
     if all(entry is None for entry in start):
         raise StartFailureError(
@@ -329,15 +324,18 @@ def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
                              for entry in start if entry is not None))
     evals = [len(z)]
 
-    best, converged = yield from _muller(z, z, start, lambda v: v, _clamp,
+    best, converged = yield from _muller(z, z, start, lambda v: v,
                                          DIAMETER_TOL * abs(z0), evals, MAX_EVALS // 2)
     root = _classify(best, scale, evals[0])
     if converged and root.classification == "converged":
         return root
     t = min(mode_speeds(M).t_values(), key=lambda t: abs(z0 - math.sqrt(t)))
     q = mode_shapes(np.array(z), np.array([t]), 0.0, 0.0, 0.0)[0][:, 0].tolist()
-    in_q, _ = yield from _muller(q, z, start, lambda q: cmath.sqrt(t * (1.0 + q * q)),
-                                 _clamp_q, DIAMETER_TOL, evals, MAX_EVALS)
+
+    def speed(q):  # none outside Re q <= 0 <= Im q, the image of the quadrant
+        return cmath.sqrt(t * (1.0 + q * q)) if q.real <= 0.0 <= q.imag else cmath.nan
+
+    in_q, _ = yield from _muller(q, z, start, speed, DIAMETER_TOL, evals, MAX_EVALS)
     if abs(in_q[1][0]) < abs(best[1][0]):
         best = in_q
     return _classify(best, scale, evals[0])
@@ -376,19 +374,21 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     """Refine a seed speed by Muller's method on det A, in v and then in q.
 
     Both runs start from the seed and its two perturbations by
-    ``opts.initial_step``, +hx along Re v and -hy along Im v, clamped into
-    the admissible quadrant.  det A is holomorphic in the open quadrant, so
-    Muller's method (Muller 1956) in v itself usually lands on a root in a
-    handful of evaluations.  It stops at half of ``MAX_EVALS`` and stays
-    within ``MULLER_RADIUS_STEPS`` initial steps of the seed.  When it
+    ``opts.initial_step``, +hx along Re v and -hy along Im v.  det A is
+    holomorphic in the open quadrant, so Muller's method (Muller 1956) in v
+    itself usually lands on a root in a handful of evaluations.  It stops
+    at half of ``MAX_EVALS`` and stays within ``MULLER_RADIUS_STEPS``
+    initial steps of the seed.  When it
     converges on a point that classifies as "converged", that point is the
     root.  Otherwise a second run restarts from the same three start points
     and their values in q = p_k (``modes.mode_shapes``) for the bulk speed
     sqrt(t_k) nearest the seed, with v = sqrt(t_k (1 + q^2)).  det A is
     analytic in q at that bulk speed, where it is not in v.  The second run
-    keeps to Re q <= 0, Im q >= 0, the image of the quadrant, and to a disc
-    of ``MULLER_RADIUS_STEPS`` start offsets measured in q.  A run stops at a
-    step of ``DIAMETER_TOL`` times |seed| in v, or of ``DIAMETER_TOL`` in q.
+    keeps to a disc of ``MULLER_RADIUS_STEPS`` start offsets measured in q.
+    In both runs an undefined iterate halves its step toward the newest
+    point, and one outside the admissible quadrant (in q, outside its image
+    Re q <= 0, Im q >= 0) is undefined.  A run stops at a step of
+    ``DIAMETER_TOL`` times |seed| in v, or of ``DIAMETER_TOL`` in q.
     The root is the evaluated point of smallest |det| over both runs, so it
     never worsens the seed value.  ``iterations`` counts every evaluation,
     start points included.  Each step is one ``point_dets`` call: this is

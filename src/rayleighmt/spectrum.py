@@ -70,7 +70,7 @@ def roots_q3(C: CubicCoefficients) -> tuple:
 
     Evaluates the trigonometric closed form.  The distinct-root criterion
     ``h0^2 < (4/27) h1^3`` must hold; it bounds the arccos argument by 1,
-    so only a roundoff overshoot is left, and it is clamped.
+    so only a roundoff overshoot is left, and it is cut back to [-1, 1].
 
     Raises
     ------

@@ -277,9 +277,20 @@ REFERENCE_MULLER_MAX_EVALS = 40
 REFERENCE_MAX_EVALS = 500
 REFERENCE_RADIUS_STEPS = 8.0
 
-#: Muller-to-simplex handovers of ``reference_refine_minimum``; a test that
+#: Muller-to-simplex handovers (``"handover"``) and iterates moved into the
+#: quadrant (``"clamped"``) of ``reference_refine_minimum``; a test that
 #: counts them monkeypatches in a fresh Counter.
 BRANCHES = Counter()
+
+
+def _clamp(z):
+    """z moved into the admissible quadrant Re v >= 0, Im v <= 0, as the
+    removed refinement did with every iterate; a move is tallied in
+    ``BRANCHES["clamped"]``."""
+    clamped = complex(max(z.real, 0.0), min(z.imag, 0.0))
+    if clamped != z:
+        BRANCHES["clamped"] += 1
+    return clamped
 
 
 def _reference_muller(det_at, z, dets, opts, evals):
@@ -297,7 +308,7 @@ def _reference_muller(det_at, z, dets, opts, evals):
             b = d2 + h2 * a
             disc = cmath.sqrt(b * b - 4.0 * f[2] * a)
             den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
-            z_new = search._clamp(z[2] - 2.0 * f[2] / den)
+            z_new = _clamp(z[2] - 2.0 * f[2] / den)
         except (ZeroDivisionError, OverflowError):
             return None
         if not abs(z_new - seed) <= radius:
@@ -318,7 +329,7 @@ def _reference_muller(det_at, z, dets, opts, evals):
 
 
 def _reference_nelder_mead(objective, simplex, f_values, evals):
-    clamp = search._clamp
+    clamp = _clamp
 
     def diameter():
         return max(abs(p - q) for idx, p in enumerate(simplex) for q in simplex[idx + 1:])
@@ -376,14 +387,16 @@ def _reference_classify(M, z, f, scale, iterations):
 
 def reference_refine_minimum(M, v0, opts=search.RefineOptions()):
     """``search.refine_minimum`` as it was before the simplex fallback was
-    removed and before refinement batched its evaluations: a Muller stage
-    in v, then a clamped Nelder-Mead on F = ln |det A| where that stage
-    does not converge on an accepted root, with one ``point_det`` or
+    removed, before refinement batched its evaluations and before it
+    stopped clamping iterates into the quadrant: a clamped Muller stage in
+    v, then a clamped Nelder-Mead on F = ln |det A| where that stage does
+    not converge on an accepted root, with one ``point_det`` or
     ``objective_F`` call per candidate speed and ``amplitudes`` at the end.
-    Kept as a test-only cross-check: wherever its Muller stage converges,
-    ``refine_minimum`` must match it bit for bit, and no decaying root it
-    finds may be lost.  Each Muller-to-simplex handover is tallied in
-    ``BRANCHES["handover"]``."""
+    Kept as a test-only cross-check: wherever its Muller stage converges
+    without clamping an iterate, ``refine_minimum`` must match it bit for
+    bit, and no decaying root it finds may be lost.  Each Muller-to-simplex
+    handover is tallied in ``BRANCHES["handover"]``, and each iterate it
+    moves into the quadrant in ``BRANCHES["clamped"]``."""
     evals = [0]
 
     def det_at(z):
@@ -400,9 +413,9 @@ def reference_refine_minimum(M, v0, opts=search.RefineOptions()):
         except ModeFailureError:
             return math.inf
 
-    z0 = search._clamp(complex(v0))
+    z0 = _clamp(complex(v0))
     hx, hy = opts.initial_step
-    simplex = [z0, search._clamp(z0 + hx), search._clamp(z0 - 1j * hy)]
+    simplex = [z0, _clamp(z0 + hx), _clamp(z0 - 1j * hy)]
     dets = [det_at(z) for z in simplex]
     f_values = [math.inf if d is None else secular.objective_from_det(d) for d in dets]
     if all(math.isinf(f) for f in f_values):

@@ -1,5 +1,6 @@
 """Grid scan, local minima extraction, Muller refinement in v and in q, root search."""
 
+import cmath
 import math
 from collections import Counter
 
@@ -24,6 +25,7 @@ from rayleighmt import (
     validate_coefficients,
 )
 from rayleighmt import search
+from rayleighmt.modes import mode_shapes
 from rayleighmt.search import DEDUP_TOL, grid_median_det
 from rayleighmt.secular import point_dets, secular_objective
 
@@ -281,6 +283,32 @@ def test_refine_halves_an_undefined_step(monkeypatch):
     assert root.iterations == 10
 
 
+def test_run_in_q_has_no_speed_outside_the_image_of_the_quadrant(reference, monkeypatch):
+    # q = p_k maps the admissible quadrant onto Re q <= 0 <= Im q, and the
+    # run in q maps back by v = sqrt(t_k (1 + q^2)).  A q outside that image
+    # is the p_k of no admissible speed (a q of the opposite quadrant maps
+    # to the speed whose p_k is -q), so it has no speed and its step halves.
+    speed_maps = []
+    muller = search._muller
+
+    def spy(w, z, start, speed, *rest):
+        speed_maps.append(speed)
+        return (yield from muller(w, z, start, speed, *rest))
+
+    monkeypatch.setattr(search, "_muller", spy)
+    refine_minimum(reference, BRANCH_SEED, BRANCH_OPTS)
+    v_of_q = speed_maps[1]
+    t = min(mode_speeds(reference).t_values(),
+            key=lambda t: abs(complex(BRANCH_SEED) - math.sqrt(t)))
+    for q in (-0.3 + 0.2j, -0.3 + 0.0j, -0.0 + 0.2j, -1e-3 + 4.0j):
+        v = v_of_q(q)
+        assert v.real >= 0.0 >= v.imag
+        p = complex(mode_shapes(np.array([v]), np.array([t]), 0.0, 0.0, 0.0)[0][0, 0])
+        assert abs(p - q) <= 1e-12 * abs(q)
+    for q in (0.3 - 0.2j, 0.3 + 0.2j, -0.3 - 0.2j, 1e-3 + 4.0j):
+        assert cmath.isnan(v_of_q(q))
+
+
 def test_refine_stops_at_one_undefined_start_point(reference):
     # the +hx start point lies on the real axis past the slowest bulk speed,
     # where no mode decays: both Muller runs give up at once, and the root
@@ -363,6 +391,14 @@ def test_refine_never_worsens_seed(reference):
     assert root.f_value <= objective_F(reference, 0.3, 0.1)
 
 
+@pytest.mark.parametrize("step", [(0.0, 1e-3), (1e-3, -1e-3), (math.nan, 1e-3), (1e-3, math.inf)])
+def test_refine_options_reject_a_step_that_is_not_finite_and_positive(step):
+    # the start points are the seed and its offsets +hx and -i hy, so both
+    # offsets must be positive for them to lie in the admissible quadrant
+    with pytest.raises(ValueError, match="initial_step must be finite and positive"):
+        RefineOptions(initial_step=step)
+
+
 def test_refine_start_failure():
     with pytest.raises(StartFailureError) as err:
         refine_minimum(INDISTINCT, ComplexSpeed(np.float64(0.5), np.float64(0.1)))
@@ -394,8 +430,9 @@ def _assert_same_root(ours, theirs):
 
 def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
     # wherever the removed pipeline's Muller stage converges on an accepted
-    # root, the run in v takes the same steps: same root, same bits, same
-    # count, although it now evaluates through the batched kernel
+    # root without clamping an iterate into the quadrant, the run in v takes
+    # the same steps: same root, same bits, same count, although it now
+    # evaluates through the batched kernel
     cases = [(reference, seed, REFERENCE_SEED_OPTS) for seed in REFERENCE_SEEDS]
     rng = np.random.default_rng(47)
     for M in [random_material(rng) for _ in range(2)]:
@@ -404,7 +441,7 @@ def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
         opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0))
         cases += [(M, ComplexSpeed(re, -im), opts)
                   for re in w.re_values()[1:] for im in w.im_values()]
-    for M in [random_material(rng) for _ in range(6)]:
+    for M in [random_material(rng) for _ in range(10)]:
         w = default_window(M, nx=48, ny=24)
         grid = grid_scan(M, w)
         dx, dy = w.cell_size()
@@ -415,12 +452,13 @@ def test_batched_refinement_matches_one_point_reference(reference, monkeypatch):
     monkeypatch.setattr(helpers, "BRANCHES", Counter())
     compared = 0
     for M, seed, opts in cases:
-        handovers = helpers.BRANCHES["handover"]
+        branches = Counter(helpers.BRANCHES)
         theirs = reference_refine_minimum(M, seed, opts)
-        if helpers.BRANCHES["handover"] == handovers:
+        if helpers.BRANCHES == branches:
             _assert_same_root(refine_minimum(M, seed, opts), theirs)
             compared += 1
     assert compared >= 6 and helpers.BRANCHES["handover"] >= 6
+    assert helpers.BRANCHES["clamped"] > 0
     for refine in (refine_minimum, reference_refine_minimum):
         with pytest.raises(StartFailureError):
             refine(INDISTINCT, ComplexSpeed(0.5, 0.1))
@@ -581,13 +619,13 @@ def test_solve_is_scale_free(reference):
     # by s^-1/2 and give D(p) at v / sqrt(s) the reference's value at v: the
     # search takes the same steps to the same roots, scaled
     base = find_rayleigh(reference, default_window(reference))
-    assert [root.iterations for root in base] == [6, 40, 40]
+    assert [root.iterations for root in base] == [6, 3, 3]
     for s in (1e-12, 1e-8, 1e4, 1e8, 1e12):
         M = reference.replace(rho=s * reference.rho, a=s * reference.a, b=s * reference.b,
                               beta=math.sqrt(s) * reference.beta, m=math.sqrt(s) * reference.m)
         roots = find_rayleigh(M, default_window(M))
         assert [root.classification for root in roots] == [b.classification for b in base]
-        assert [root.iterations for root in roots] == [6, 40, 40]
+        assert [root.iterations for root in roots] == [6, 3, 3]
         for root, b in zip(roots, base):
             assert abs(complex(root.v) * math.sqrt(s) - complex(b.v)) <= 1e-13 * abs(complex(b.v))
 
@@ -628,3 +666,55 @@ def test_solve_rejects_the_branch_point_artefact_of_case_iii(case_iii_material):
     roots = find_rayleigh(case_iii_material, default_window(case_iii_material))
     near = [r for r in roots if abs(complex(r.v) - 1.0) <= 1e-6]
     assert all(r.classification != "converged" for r in near)
+
+
+# materials of the seeded benchmark sweep (``random_material`` draws of
+# bench/workloads.py: MaterialSweep(4).cases[14] and MaterialSweep(12).cases[17]),
+# each solved on the 64x32 sweep window
+SWEEP_4_14 = {
+    "rho": 2.9058801899337667, "a": 0.7546292511764623, "b": 2.566711555660597,
+    "k": 1.1053850542550168, "lambda": 1.610720605199053, "mu": 1.3617783657586604,
+    "d1": 0.3518765799900948, "d2": 0.40106751735776397, "d3": 1.529167629798305,
+    "eps1": 1.9129498683820056, "eps2": 0.17971241264120424, "beta": 1.144550727203774,
+    "m": 0.2729071367965077,
+}
+SWEEP_12_17 = {
+    "rho": 1.065052412482839, "a": 1.0971771750525572, "b": 2.476404166509073,
+    "k": 2.6819866484789614, "lambda": 0.6192716565041334, "mu": 2.7329415982345764,
+    "d1": 1.2772548859503188, "d2": 2.3846202143313464, "d3": 0.3392559024659204,
+    "eps1": 1.0027102546076945, "eps2": 1.0743639681247488, "beta": 0.5852286831855592,
+    "m": 1.2016635946616328,
+}
+
+
+def _sweep_roots(raw, v, tol):
+    """The material's sweep-window roots within ``tol`` of ``v``, and the material."""
+    M = validate_coefficients(raw)
+    return [r for r in find_rayleigh(M, default_window(M, nx=64, ny=32))
+            if abs(complex(r.v) - v) <= tol], M
+
+
+def test_sweep_root_next_to_a_bulk_speed_verifies():
+    # 1.6e-5 from a bulk speed; while iterates were clamped into the
+    # quadrant, the refinement ended where the boundary residual was 1.012e-8
+    near, M = _sweep_roots(SWEEP_4_14, 1.0152416792 - 1.2992e-5j, 1e-9)
+    assert [r.classification for r in near] == ["converged"]
+    assert boundary_residual(M, near[0].v, near[0].gamma, 1.0) <= 1e-8
+
+
+def test_sweep_root_that_clamped_iterates_missed():
+    # clamping pulled this seed onto the subsonic root on the real axis and
+    # never reached the damped root next to it (sigma_5 / sigma_1 = 1.9e-16)
+    v = 0.8580475745703978 - 0.0005183013530038685j
+    near, M = _sweep_roots(SWEEP_12_17, v, 1e-10 * abs(v))
+    assert [r.classification for r in near] == ["converged"]
+    assert boundary_residual(M, near[0].v, near[0].gamma, 1.0) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="the subsonic segment lies on the lattice's "
+                                       "top row, and only interior minima seed (ROADMAP item 2)")
+def test_solve_finds_the_subsonic_root_of_a_sweep_material():
+    # det A changes sign on the real axis at 0.8513559393557143, 2.3e-4
+    # below the slowest bulk speed
+    near, _ = _sweep_roots(SWEEP_12_17, 0.8513559393557143, 1e-9)
+    assert [r.classification for r in near] == ["converged"]
