@@ -7,13 +7,10 @@ itself and, when that run does not converge on an accepted root, in the
 uniformizing variable q = p_k of the bulk speed nearest the seed, where
 det A stays analytic although it is not analytic in v (``modes.mode_shapes``
 gives its start values, the kernel's own branch).  An undefined iterate,
-one out of the admissible quadrant included, halves its step.  All seeds
-step in lockstep, so each step of every seed together is one call of the
-batched kernel (``point_dets``); a speed's value does not depend on the
-call, so each seed ends where it would alone.  Refined minima are
-accepted as surface-wave roots when the secular determinant is small
-against the typical determinant magnitude of the scan; the mode weights
-come from the matrix already computed at the refined point.
+one out of the admissible quadrant included, halves its step.  Refined
+minima are accepted as surface-wave roots when the secular determinant is
+small against the typical determinant magnitude of the scan; the mode
+weights come from the matrix already computed at the refined point.
 """
 
 from __future__ import annotations
@@ -185,15 +182,20 @@ class RefineOptions:
     relative to the seed; ``find_rayleigh`` passes a quarter of a lattice
     cell.  ``det_scale`` is the |det A| that ``DET_RATIO_TOL`` is relative
     to (the seed's when None).  ``MAX_EVALS`` bounds the evaluations of
-    both runs together and ``DIAMETER_TOL`` their last step.  Both
-    offsets must be finite and positive, so the start points lie in the
-    admissible quadrant with the seed.
+    both runs together and ``DIAMETER_TOL`` their last step.  The step is
+    a pair of finite and positive offsets, so the start points lie in the
+    admissible quadrant with the seed.  A given scale is positive; it may
+    be +inf, which ``grid_median_det`` returns for a scan of huge |det|.
     """
 
     initial_step: tuple = (1e-3, 1e-3)
     det_scale: float = None
 
     def __post_init__(self):
+        if np.ndim(self.initial_step) != 1 or len(self.initial_step) != 2:
+            raise ValueError(f"initial_step must be a pair, got {self.initial_step!r}")
+        if not (self.det_scale is None or self.det_scale > 0.0):  # also catches NaN
+            raise ValueError(f"det_scale must be None or positive, got {self.det_scale!r}")
         if not all(math.isfinite(h) and h > 0.0 for h in self.initial_step):
             raise ValueError(f"initial_step must be finite and positive, got {self.initial_step!r}")
 
@@ -224,31 +226,33 @@ MAX_EVALS = 80
 MULLER_RADIUS_STEPS = 8.0
 
 
-def _muller(w: list, z: list, start: list, speed, tol: float, evals: list, limit: int):
+def _muller(M: MaterialCoefficients, w: list, z: list, start: list, speed, tol: float,
+            evals: int, limit: int):
     """Muller iterates on det A in a variable w of the speed v = speed(w).
 
-    A generator: ``w`` holds the three start points in that variable, ``z``
-    their speeds and ``start`` their ``point_dets`` entries; the speed of
-    each later iterate is yielded as a one-speed list, to be sent back its
-    entry.  Each step fits a parabola through the last three points by
-    divided differences and takes the root nearer the newest point (the
-    denominator of larger modulus).  An undefined iterate, such as a w that
-    ``speed`` maps to NaN or out of the admissible quadrant, halves its
-    step toward the newest point.  The run converges once a step is at
-    most ``tol``.  It gives up on an undefined start point, a vanishing
-    denominator, a step out of the disc of ``MULLER_RADIUS_STEPS`` start
-    offsets around ``w[0]``, or ``evals`` reaching ``limit``.
-    Returns ``(best, converged)``: the evaluated speed of smallest |det|
-    with its entry, ``(z, (det, A))``, and whether the run converged.
+    ``w`` holds the three start points in that variable, ``z`` their speeds
+    and ``start`` their ``point_dets`` entries; each later iterate is
+    evaluated by a ``point_dets`` call of its own.  Each step fits a
+    parabola through the last three points by divided differences and
+    takes the root nearer the newest point (the denominator of larger
+    modulus).  An undefined iterate, such as a w that ``speed`` maps to NaN
+    or out of the admissible quadrant, halves its step toward the newest
+    point.  The run converges once a step is at most ``tol``.  It gives up
+    on an undefined start point, a vanishing denominator, a step out of the
+    disc of ``MULLER_RADIUS_STEPS`` start offsets around ``w[0]``, or the
+    count ``evals`` of evaluations so far reaching ``limit``.
+    Returns ``(best, converged, evals)``: the evaluated speed of smallest
+    |det| with its entry, ``(z, (det, A))``, whether the run converged, and
+    the evaluation count after the run.
     """
     best = min(((zk, entry) for zk, entry in zip(z, start) if entry is not None),
                key=lambda ze: abs(ze[1][0]))
     if any(entry is None for entry in start):
-        return best, False
+        return best, False, evals
     f = [det for det, _ in start]
     seed, w_new = w[0], None
     radius = MULLER_RADIUS_STEPS * max(abs(w[1] - seed), abs(w[2] - seed))
-    while evals[0] < limit:
+    while evals < limit:
         if w_new is None:
             try:
                 h1, h2 = w[1] - w[0], w[2] - w[1]
@@ -263,10 +267,10 @@ def _muller(w: list, z: list, start: list, speed, tol: float, evals: list, limit
             if not abs(w_new - seed) <= radius:  # also catches a NaN step
                 break
         if abs(w_new - w[2]) <= tol:
-            return best, True
+            return best, True, evals
         z_new = speed(w_new)
-        (entry,) = yield [z_new]
-        evals[0] += 1
+        (entry,) = point_dets(M, [z_new])
+        evals += 1
         if entry is None:
             w_new = w[2] + 0.5 * (w_new - w[2])
             continue
@@ -275,7 +279,7 @@ def _muller(w: list, z: list, start: list, speed, tol: float, evals: list, limit
         if abs(f_new) < abs(best[1][0]):
             best = (z_new, entry)
         w_new = None
-    return best, False
+    return best, False, evals
 
 
 def _det_abs(f: float) -> float:
@@ -306,69 +310,6 @@ def _classify(best: tuple, scale: float, iterations: int) -> RayleighRoot:
     )
 
 
-def _refine(M: MaterialCoefficients, v0: ComplexSpeed, opts: RefineOptions):
-    """The refinement of one seed (``refine_minimum``) as a generator: it
-    yields the list of speeds each step needs, is sent back their
-    ``point_dets`` entries, and returns the ``RayleighRoot``."""
-    z0 = complex(v0)
-    hx, hy = opts.initial_step
-    z = [z0, z0 + hx, z0 - 1j * hy]
-    start = yield z
-    if all(entry is None for entry in start):
-        raise StartFailureError(
-            f"objective undefined at seed v = {complex(v0)!r} and all perturbations"
-        )
-    scale = opts.det_scale
-    if scale is None:
-        scale = _det_abs(min(objective_from_det(entry[0])
-                             for entry in start if entry is not None))
-    evals = [len(z)]
-
-    best, converged = yield from _muller(z, z, start, lambda v: v,
-                                         DIAMETER_TOL * abs(z0), evals, MAX_EVALS // 2)
-    root = _classify(best, scale, evals[0])
-    if converged and root.classification == "converged":
-        return root
-    t = min(mode_speeds(M).t_values(), key=lambda t: abs(z0 - math.sqrt(t)))
-    q = mode_shapes(np.array(z), np.array([t]), 0.0, 0.0, 0.0)[0][:, 0].tolist()
-
-    def speed(q):  # none outside Re q <= 0 <= Im q, the image of the quadrant
-        return cmath.sqrt(t * (1.0 + q * q)) if q.real <= 0.0 <= q.imag else cmath.nan
-
-    in_q, _ = yield from _muller(q, z, start, speed, DIAMETER_TOL, evals, MAX_EVALS)
-    if abs(in_q[1][0]) < abs(best[1][0]):
-        best = in_q
-    return _classify(best, scale, evals[0])
-
-
-def _refine_lockstep(M: MaterialCoefficients, seeds: list, opts: RefineOptions) -> list:
-    """Refine every seed at once: each round makes one ``point_dets`` call
-    on the speeds all unfinished seeds ask for and sends each seed its
-    entries.  A speed's entry does not depend on the call it is in, so every
-    seed takes the steps it takes alone.  Returns one ``RayleighRoot`` per
-    seed, or the ``StartFailureError`` of a seed whose start points are all
-    undefined."""
-    runs = [_refine(M, seed, opts) for seed in seeds]
-    asks = [next(run) for run in runs]
-    results = [None] * len(runs)
-    live = range(len(runs))
-    while live:
-        entries = point_dets(M, [z for k in live for z in asks[k]])
-        at, still = 0, []
-        for k in live:
-            n = len(asks[k])
-            try:
-                asks[k] = runs[k].send(entries[at:at + n])
-                still.append(k)
-            except StopIteration as done:
-                results[k] = done.value
-            except StartFailureError as exc:
-                results[k] = exc
-            at += n
-        live = still
-    return results
-
-
 def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
                    opts: RefineOptions = RefineOptions()) -> RayleighRoot:
     """Refine a seed speed by Muller's method on det A, in v and then in q.
@@ -391,8 +332,8 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     ``DIAMETER_TOL`` times |seed| in v, or of ``DIAMETER_TOL`` in q.
     The root is the evaluated point of smallest |det| over both runs, so it
     never worsens the seed value.  ``iterations`` counts every evaluation,
-    start points included.  Each step is one ``point_dets`` call: this is
-    the lockstep refinement of ``find_rayleigh`` run on one seed.
+    start points included: one ``point_dets`` call evaluates the three start
+    points, and one more each iterate.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``DET_RATIO_TOL`` times the reference scale ``opts.det_scale`` (the
@@ -406,10 +347,34 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
         If the objective is undefined at the seed and at both initial
         perturbations.
     """
-    (root,) = _refine_lockstep(M, [v0], opts)
-    if isinstance(root, StartFailureError):
-        raise root
-    return root
+    z0 = complex(v0)
+    hx, hy = opts.initial_step
+    z = [z0, z0 + hx, z0 - 1j * hy]
+    start = point_dets(M, z)
+    if all(entry is None for entry in start):
+        raise StartFailureError(
+            f"objective undefined at seed v = {z0!r} and all perturbations"
+        )
+    scale = opts.det_scale
+    if scale is None:
+        scale = _det_abs(min(objective_from_det(entry[0])
+                             for entry in start if entry is not None))
+
+    best, converged, evals = _muller(M, z, z, start, lambda v: v, DIAMETER_TOL * abs(z0),
+                                     len(z), MAX_EVALS // 2)
+    root = _classify(best, scale, evals)
+    if converged and root.classification == "converged":
+        return root
+    t = min(mode_speeds(M).t_values(), key=lambda t: abs(z0 - math.sqrt(t)))
+    q = mode_shapes(np.array(z), np.array([t]), 0.0, 0.0, 0.0)[0][:, 0].tolist()
+
+    def speed(q):  # none outside Re q <= 0 <= Im q, the image of the quadrant
+        return cmath.sqrt(t * (1.0 + q * q)) if q.real <= 0.0 <= q.imag else cmath.nan
+
+    in_q, _, evals = _muller(M, q, z, start, speed, DIAMETER_TOL, evals, MAX_EVALS)
+    if abs(in_q[1][0]) < abs(best[1][0]):
+        best = in_q
+    return _classify(best, scale, evals)
 
 
 #: Roots closer than this times the window's largest absolute bound merge.
@@ -440,10 +405,9 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow) -> list:
     bound (keeping the lower objective value), and returns the roots sorted
     by objective value.  A root is accepted at |det A| at most
     ``DET_RATIO_TOL`` times the median determinant magnitude of the scan
-    (``grid_median_det``).  The seeds are refined in lockstep, one
-    ``point_dets`` call per step for all of them; each root is the one
-    ``refine_minimum`` gives its seed, and a seed whose start points are all
-    undefined is dropped.
+    (``grid_median_det``).  Each seed is refined by a ``refine_minimum``
+    call of its own, and a seed whose start points are all undefined is
+    dropped.
 
     Raises
     ------
@@ -456,9 +420,12 @@ def find_rayleigh(M: MaterialCoefficients, window: ScanWindow) -> list:
     opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0), det_scale=grid_median_det(grid))
     res = grid.window.re_values()
     ims = grid.window.im_values()
-    refined = [root for root in _refine_lockstep(
-        M, [ComplexSpeed(res[i], -ims[j]) for i, j in seeds], opts)
-        if isinstance(root, RayleighRoot)]
+    refined = []
+    for i, j in seeds:
+        try:
+            refined.append(refine_minimum(M, ComplexSpeed(res[i], -ims[j]), opts))
+        except StartFailureError:
+            continue
     refined.sort(key=lambda root: root.f_value)
     tol = DEDUP_TOL * max(map(abs, (window.re_min, window.re_max, window.im_min, window.im_max)))
     kept = []

@@ -291,9 +291,9 @@ def test_run_in_q_has_no_speed_outside_the_image_of_the_quadrant(reference, monk
     speed_maps = []
     muller = search._muller
 
-    def spy(w, z, start, speed, *rest):
+    def spy(M, w, z, start, speed, *rest):
         speed_maps.append(speed)
-        return (yield from muller(w, z, start, speed, *rest))
+        return muller(M, w, z, start, speed, *rest)
 
     monkeypatch.setattr(search, "_muller", spy)
     refine_minimum(reference, BRANCH_SEED, BRANCH_OPTS)
@@ -330,7 +330,7 @@ SINGULAR_A = np.diag([1.0, 1.0, 1.0, 1.0, 0.0]).astype(complex)
 def test_refine_gives_up_where_the_parabola_has_no_root(reference, monkeypatch):
     # det A is 1 at every speed: the parabola through the start points is
     # flat, its root divides by zero, and both runs give up without
-    # evaluating an iterate
+    # evaluating an iterate, so the one kernel call is the start points'
     calls = []
 
     def flat_dets(M, zs):
@@ -391,12 +391,31 @@ def test_refine_never_worsens_seed(reference):
     assert root.f_value <= objective_F(reference, 0.3, 0.1)
 
 
-@pytest.mark.parametrize("step", [(0.0, 1e-3), (1e-3, -1e-3), (math.nan, 1e-3), (1e-3, math.inf)])
-def test_refine_options_reject_a_step_that_is_not_finite_and_positive(step):
+STEP_ERROR = "initial_step must be finite and positive"
+PAIR_ERROR = "initial_step must be a pair"
+SCALE_ERROR = "det_scale must be None or positive"
+
+
+@pytest.mark.parametrize("options,match", [
+    (dict(initial_step=(0.0, 1e-3)), STEP_ERROR),
+    (dict(initial_step=(1e-3, -1e-3)), STEP_ERROR),
+    (dict(initial_step=(math.nan, 1e-3)), STEP_ERROR),
+    (dict(initial_step=(1e-3, math.inf)), STEP_ERROR),
+    (dict(initial_step=(1e-3, 1e-3, 1e-3)), PAIR_ERROR),
+    (dict(initial_step=1e-3), PAIR_ERROR),
+    (dict(det_scale=0.0), SCALE_ERROR),
+    (dict(det_scale=-1.0), SCALE_ERROR),
+    (dict(det_scale=math.nan), SCALE_ERROR),
+], ids=["step0", "step1", "step2", "step3", "step_triple", "step_scalar",
+        "det_scale_zero", "det_scale_negative", "det_scale_nan"])
+def test_refine_options_reject_a_step_that_is_not_finite_and_positive(options, match):
     # the start points are the seed and its offsets +hx and -i hy, so both
-    # offsets must be positive for them to lie in the admissible quadrant
-    with pytest.raises(ValueError, match="initial_step must be finite and positive"):
-        RefineOptions(initial_step=step)
+    # offsets must be positive for them to lie in the admissible quadrant.
+    # A scale of 0, below 0 or NaN would call every root stagnated; +inf
+    # stays allowed, as grid_median_det gives it for a scan of huge |det|
+    with pytest.raises(ValueError, match=match):
+        RefineOptions(**options)
+    assert RefineOptions(det_scale=math.inf).det_scale == math.inf
 
 
 def test_refine_start_failure():
@@ -491,8 +510,8 @@ def _find_rayleigh_seed_by_seed(M, w, refine=refine_minimum):
 
 
 def test_lockstep_refinement_matches_seed_by_seed(reference):
-    # find_rayleigh refines all its seeds in one kernel call per step; every
-    # seed must take the steps it takes alone
+    # find_rayleigh must give each seed the root that a refine_minimum call
+    # of its own gives it, on the seeds and options of the scan
     rng = np.random.default_rng(103)
     cases = [(reference, default_window(reference))]
     cases += [(M, default_window(M, nx=64, ny=32)) for M in
@@ -595,6 +614,25 @@ def test_lockstep_refinement_drops_a_seed_that_cannot_start(reference, monkeypat
         _assert_same_root(a, b)
     with pytest.raises(StartFailureError):
         refine_minimum(reference, ComplexSpeed.from_complex(z_bad))
+
+
+def test_find_rayleigh_refines_each_seed_through_the_module_attribute(reference, monkeypatch):
+    # bench/tracing.py counts the refine metrics in a wrapper it sets on
+    # search.refine_minimum: find_rayleigh must call that attribute once per
+    # lattice seed, or the metrics read 0
+    refine, asked = search.refine_minimum, []
+
+    def counting(M, v0, opts):
+        asked.append(complex(v0))
+        return refine(M, v0, opts)
+
+    monkeypatch.setattr(search, "refine_minimum", counting)
+    w = default_window(reference)
+    find_rayleigh(reference, w)
+    seeds = [complex(w.re_values()[i], w.im_values()[j])
+             for i, j in local_minima(grid_scan(reference, w))]
+    assert len(asked) == 3
+    assert asked == seeds
 
 
 def test_find_rayleigh_reference(reference, solved_reference):
