@@ -178,26 +178,27 @@ class RefineOptions:
     """Start and acceptance scale of the refinement.
 
     ``initial_step`` spaces the three start points, whose offsets set the
-    radius of each run's disc.  Its default is an absolute speed, not one
-    relative to the seed; ``find_rayleigh`` passes a quarter of a lattice
-    cell.  ``det_scale`` is the |det A| that ``DET_RATIO_TOL`` is relative
-    to (the seed's when None).  ``MAX_EVALS`` bounds the evaluations of
-    both runs together and ``DIAMETER_TOL`` their last step.  The step is
-    a pair of finite and positive offsets, so the start points lie in the
+    radius of each run's disc: 1e-3 |seed| on each axis when None, so it
+    scales with the units; ``find_rayleigh`` passes a quarter lattice cell.
+    ``det_scale`` is the |det A| that ``DET_RATIO_TOL`` is relative to (the
+    seed's when None).  ``MAX_EVALS`` bounds the evaluations of both runs
+    together and ``DIAMETER_TOL`` their last step.  A given step is a pair
+    of finite and positive offsets, so the start points lie in the
     admissible quadrant with the seed.  A given scale is positive; it may
     be +inf, which ``grid_median_det`` returns for a scan of huge |det|.
     """
 
-    initial_step: tuple = (1e-3, 1e-3)
+    initial_step: tuple = None
     det_scale: float = None
 
     def __post_init__(self):
-        if np.ndim(self.initial_step) != 1 or len(self.initial_step) != 2:
-            raise ValueError(f"initial_step must be a pair, got {self.initial_step!r}")
+        step = self.initial_step
+        if step is not None and (np.ndim(step) != 1 or len(step) != 2):
+            raise ValueError(f"initial_step must be a pair, got {step!r}")
         if not (self.det_scale is None or self.det_scale > 0.0):  # also catches NaN
             raise ValueError(f"det_scale must be None or positive, got {self.det_scale!r}")
-        if not all(math.isfinite(h) and h > 0.0 for h in self.initial_step):
-            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step!r}")
+        if step is not None and not all(math.isfinite(h) and h > 0.0 for h in step):
+            raise ValueError(f"initial_step must be finite and positive, got {step!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,14 +234,15 @@ def _muller(M: MaterialCoefficients, w: list, z: list, start: list, speed, tol: 
     ``w`` holds the three start points in that variable, ``z`` their speeds
     and ``start`` their ``point_dets`` entries; each later iterate is
     evaluated by a ``point_dets`` call of its own.  Each step fits a
-    parabola through the last three points by divided differences and
-    takes the root nearer the newest point (the denominator of larger
-    modulus).  An undefined iterate, such as a w that ``speed`` maps to NaN
-    or out of the admissible quadrant, halves its step toward the newest
-    point.  The run converges once a step is at most ``tol``.  It gives up
-    on an undefined start point, a vanishing denominator, a step out of the
-    disc of ``MULLER_RADIUS_STEPS`` start offsets around ``w[0]``, or the
-    count ``evals`` of evaluations so far reaching ``limit``.
+    parabola through the last three points by divided differences and takes
+    the root nearer the newest point (the denominator of larger modulus).
+    An undefined iterate, such as a w that ``speed`` maps to NaN or out of
+    the admissible quadrant, halves its step toward the newest point; it
+    counts as an evaluation, but a NaN speed costs no ``point_dets`` call.
+    The run converges once a step is at most ``tol``.  It gives up on an
+    undefined start point, a vanishing denominator, a step out of the disc
+    of ``MULLER_RADIUS_STEPS`` start offsets around ``w[0]``, or the count
+    ``evals`` of evaluations so far reaching ``limit``.
     Returns ``(best, converged, evals)``: the evaluated speed of smallest
     |det| with its entry, ``(z, (det, A))``, whether the run converged, and
     the evaluation count after the run.
@@ -269,8 +271,8 @@ def _muller(M: MaterialCoefficients, w: list, z: list, start: list, speed, tol: 
         if abs(w_new - w[2]) <= tol:
             return best, True, evals
         z_new = speed(w_new)
-        (entry,) = point_dets(M, [z_new])
         evals += 1
+        entry = None if cmath.isnan(z_new) else point_dets(M, [z_new])[0]
         if entry is None:
             w_new = w[2] + 0.5 * (w_new - w[2])
             continue
@@ -315,13 +317,13 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     """Refine a seed speed by Muller's method on det A, in v and then in q.
 
     Both runs start from the seed and its two perturbations by
-    ``opts.initial_step``, +hx along Re v and -hy along Im v.  det A is
-    holomorphic in the open quadrant, so Muller's method (Muller 1956) in v
-    itself usually lands on a root in a handful of evaluations.  It stops
-    at half of ``MAX_EVALS`` and stays within ``MULLER_RADIUS_STEPS``
-    initial steps of the seed.  When it
-    converges on a point that classifies as "converged", that point is the
-    root.  Otherwise a second run restarts from the same three start points
+    ``opts.initial_step`` (1e-3 |seed| each by default), +hx along Re v and
+    -hy along Im v.  det A is holomorphic in the open quadrant, so Muller's
+    method (Muller 1956) in v itself usually lands on a root in a handful
+    of evaluations.  It stops at half of ``MAX_EVALS`` and stays within
+    ``MULLER_RADIUS_STEPS`` initial steps of the seed.  When it converges
+    on a point that classifies as "converged", that point is the root.
+    Otherwise a second run restarts from the same three start points
     and their values in q = p_k (``modes.mode_shapes``) for the bulk speed
     sqrt(t_k) nearest the seed, with v = sqrt(t_k (1 + q^2)).  det A is
     analytic in q at that bulk speed, where it is not in v.  The second run
@@ -333,7 +335,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
     The root is the evaluated point of smallest |det| over both runs, so it
     never worsens the seed value.  ``iterations`` counts every evaluation,
     start points included: one ``point_dets`` call evaluates the three start
-    points, and one more each iterate.
+    points, and one more each iterate that has a speed.
 
     The root is classified "converged" when its determinant magnitude is at
     most ``DET_RATIO_TOL`` times the reference scale ``opts.det_scale`` (the
@@ -348,7 +350,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
         perturbations.
     """
     z0 = complex(v0)
-    hx, hy = opts.initial_step
+    hx, hy = (1e-3 * abs(z0),) * 2 if opts.initial_step is None else opts.initial_step
     z = [z0, z0 + hx, z0 - 1j * hy]
     start = point_dets(M, z)
     if all(entry is None for entry in start):

@@ -9,14 +9,13 @@ search objective is F = ln |det A|.
 
 A solve builds A one way only: ``SecularKernel.evaluate``, one batched
 kernel over arrays of speeds built on material-only data computed once per
-material.  ``secular_objective`` calls it for the scan, ``point_dets`` for
-the speeds one refinement step of every seed needs, and ``point_det`` and
-``objective_F`` are its one-point calls.  One rule decides where A is
-defined, and ``evaluate`` applies it for every caller (the failure kinds
-below); ``SecularKernel.failure`` turns a failure into the typed error a
-one-point call raises.  ``secular_matrix`` is one more one-point call, for
+material.  ``secular_objective`` calls it for the scan, ``point_dets``
+for refinement (None where A is undefined), and ``objective_F`` at one
+speed, raising there the typed error of ``SecularKernel.failure``; one
+rule decides where A is defined, and ``evaluate`` applies it for every
+caller (the failure kinds below).  ``secular_matrix`` serves verification:
 the mode weights of a root (``amplitudes``), the fields (``field_eval``)
-and the boundary residual: it returns A with the p_k and u_k
+and the boundary residual.  It returns A with the p_k and u_k
 (``modes.mode_shapes``) that ``evaluate`` built it from, so a root is
 checked on the matrix that found it.
 """
@@ -241,9 +240,22 @@ def secular_objective(M: MaterialCoefficients, v) -> np.ndarray:
     return np.where(kind.reshape(v.shape) == 0, F, np.nan)
 
 
-def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
-    """Secular determinant det A(v) at v = v_r - i v_i, from a one-point call
-    of ``SecularKernel.evaluate``.
+def point_dets(M: MaterialCoefficients, zs) -> list:
+    """det A and the secular matrix A at each complex speed of ``zs`` (v
+    itself, not ``(v_r, v_i)``) from one ``SecularKernel.evaluate`` call: one
+    ``(det, A)`` per speed, or None exactly where ``objective_F`` raises (an
+    undefined speed, or a material no closed-form kernel covers)."""
+    try:
+        kernel = secular_kernel(M)
+    except RayleighError:
+        return [None] * len(zs)
+    A, det, _, kind, _, _ = kernel.evaluate(np.array(zs, dtype=complex))
+    return [(complex(d), a) if not k else None for d, a, k in zip(det, A, kind)]
+
+
+def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
+    """Search objective F(v) = ln |det A(v)| at v = v_r - i v_i, from a
+    one-point call of ``SecularKernel.evaluate``.
 
     Raises
     ------
@@ -261,31 +273,7 @@ def point_det(M: MaterialCoefficients, v_r: float, v_i: float) -> complex:
             raise kernel.failure(v, int(mode[0]), int(kind[0]))
     except (RayleighError, ValueError) as exc:
         raise ModeFailureError(v_r, v_i, exc) from exc
-    return complex(det[0])
-
-
-def point_dets(M: MaterialCoefficients, zs) -> list:
-    """``point_det`` and the secular matrix A at each complex speed of
-    ``zs`` (v itself, not ``(v_r, v_i)``) from one ``SecularKernel.evaluate``
-    call: one ``(det, A)`` per speed, or None exactly where ``point_det``
-    raises (an undefined speed, or a material no closed-form kernel covers)."""
-    try:
-        kernel = secular_kernel(M)
-    except RayleighError:
-        return [None] * len(zs)
-    A, det, _, kind, _, _ = kernel.evaluate(np.array(zs, dtype=complex))
-    return [(complex(d), a) if not k else None for d, a, k in zip(det, A, kind)]
-
-
-def objective_F(M: MaterialCoefficients, v_r: float, v_i: float) -> float:
-    """Search objective F(v) = ln |det A(v)| at v = v_r - i v_i.
-
-    Raises
-    ------
-    ModeFailureError
-        Where ``point_det`` raises it.
-    """
-    return objective_from_det(point_det(M, v_r, v_i))
+    return objective_from_det(det[0])
 
 
 def nullspace_amplitude(A: Matrix5) -> np.ndarray:

@@ -6,9 +6,9 @@ regimes) the secular function itself has a closed form.  The kernel
 vectors and the batched secular kernel are those of the general pipeline
 (``modes.kernel_row`` holds the rows of every regime), so ``scan`` and
 ``solve`` handle these materials like any other, and the determinant of
-a case is ``point_det``'s.  This module adds the paper's labelled speeds,
-its explicit secular expansions and the checks that tie them to the
-determinant and to the general route.  An expansion takes the kernel's
+a case is ``SecularKernel.evaluate``'s.  This module adds the paper's
+labelled speeds, its explicit secular expansions and the checks that tie
+them to the determinant and to the general route.  An expansion takes the kernel's
 p_k (``modes.mode_shapes``) in one pass over an array of speeds: the
 cross-check's samples, or the one speed of ``secular_case_explicit``.
 
@@ -40,7 +40,7 @@ from .material import (
     classify_coupling,
 )
 from .modes import ComplexSpeed, _case_factors, case_speeds, mode_shapes
-from .secular import point_det, secular_kernel
+from .secular import objective_F, secular_kernel
 from .spectrum import GAP_RTOL, ModeRoot, RootSet, min_gap
 
 
@@ -144,7 +144,7 @@ def secular_case_explicit(M: MaterialCoefficients, v: ComplexSpeed,
     array pass of ``cross_check_case``.
 
     The third regime has no tractable expansion; the determinant
-    (``point_det``) is its only secular function.
+    (``secular.point_dets``) is its only secular function.
 
     Raises
     ------
@@ -214,8 +214,8 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     WrongCaseError
         Propagated when the material or the case does not fit.
     ModeFailureError
-        If the determinant is undefined at a sample: the error ``point_det``
-        raises at the first such sample.
+        If the determinant is undefined at a sample: the error
+        ``objective_F`` raises at the first such sample.
     DegenerateKernelError
         Where ``secular_kernel`` raises it: a closed form is all zeros.
     """
@@ -230,7 +230,7 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
     _, det, _, kind, _, _ = secular_kernel(M).evaluate(v)
     if kind.any():
         bad = v[np.flatnonzero(kind)[0]]
-        point_det(M, bad.real, -bad.imag)  # raises, naming the sample's failure
+        objective_F(M, bad.real, -bad.imag)  # raises, naming the sample's failure
     det_mags = np.abs(det)
 
     explicit_flags = explicit_mags <= CROSS_CHECK_ROOT_RTOL * np.median(explicit_mags)

@@ -385,13 +385,14 @@ def _reference_classify(M, z, f, scale, iterations):
                                classification="converged" if converged else "stagnated")
 
 
-def reference_refine_minimum(M, v0, opts=search.RefineOptions()):
+def reference_refine_minimum(M, v0, opts=search.RefineOptions(initial_step=(1e-3, 1e-3))):
     """``search.refine_minimum`` as it was before the simplex fallback was
     removed, before refinement batched its evaluations and before it
     stopped clamping iterates into the quadrant: a clamped Muller stage in
     v, then a clamped Nelder-Mead on F = ln |det A| where that stage does
-    not converge on an accepted root, with one ``point_det`` or
+    not converge on an accepted root, with one ``point_dets`` or
     ``objective_F`` call per candidate speed and ``amplitudes`` at the end.
+    Its default start step is that pipeline's absolute ``(1e-3, 1e-3)``.
     Kept as a test-only cross-check: wherever its Muller stage converges
     without clamping an iterate, ``refine_minimum`` must match it bit for
     bit, and no decaying root it finds may be lost.  Each Muller-to-simplex
@@ -401,10 +402,8 @@ def reference_refine_minimum(M, v0, opts=search.RefineOptions()):
 
     def det_at(z):
         evals[0] += 1
-        try:
-            return secular.point_det(M, z.real, -z.imag)
-        except ModeFailureError:
-            return None
+        (entry,) = secular.point_dets(M, [z])
+        return None if entry is None else entry[0]
 
     def objective(z):
         evals[0] += 1

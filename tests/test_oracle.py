@@ -9,7 +9,7 @@ mp = pytest.importorskip("mpmath").mp
 import oracle  # noqa: E402  (needs mpmath)
 from rayleighmt import mode_speeds, secular_matrix
 from rayleighmt.modes import kernel_row
-from rayleighmt.secular import point_det
+from rayleighmt.secular import point_dets
 
 from helpers import random_material, random_speed
 
@@ -44,7 +44,7 @@ def test_point_det_matches_the_oracle(samples):
     for M, v, _, (_, det, ps, _, pivots) in samples:
         sm = secular_matrix(M, v)
         assert np.abs(sm.p - np.array(ps, dtype=complex)).max() <= 1e-14 * np.abs(sm.p).max()
-        got = point_det(M, v.real, -v.imag) / np.prod(sm.u[range(5), pivots])
+        got = point_dets(M, [v])[0][0] / np.prod(sm.u[range(5), pivots])
         assert abs(got - complex(det)) <= 1e-10 * abs(complex(det))
 
 

@@ -309,6 +309,23 @@ def test_run_in_q_has_no_speed_outside_the_image_of_the_quadrant(reference, monk
         assert cmath.isnan(v_of_q(q))
 
 
+def test_refine_asks_the_kernel_for_no_speed_outside_the_image_of_the_quadrant(
+        case_ii_material, monkeypatch):
+    # the run in q maps a q outside the image of the quadrant to NaN; that
+    # iterate counts as an evaluation but costs no point_dets call (34 such
+    # speeds reached the kernel on this material)
+    kernel_dets, asked = search.point_dets, []
+
+    def spy(M, zs):
+        asked.extend(zs)
+        return kernel_dets(M, zs)
+
+    monkeypatch.setattr(search, "point_dets", spy)
+    roots = find_rayleigh(case_ii_material, default_window(case_ii_material))
+    assert not any(cmath.isnan(z) for z in asked)
+    assert [root.iterations for root in roots] == [7, 7, 3, 80]
+
+
 def test_refine_stops_at_one_undefined_start_point(reference):
     # the +hx start point lies on the real axis past the slowest bulk speed,
     # where no mode decays: both Muller runs give up at once, and the root
@@ -371,6 +388,15 @@ def test_refine_converges_on_an_iterate_where_det_vanishes(reference, monkeypatc
     assert root.det_abs == 0.0
     assert root.classification == "converged"
     assert list(root.gamma) == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_refine_does_not_accept_a_small_det_of_a_regular_matrix(reference, monkeypatch):
+    # |det A| = 1e-12 passes the det test, but A = I is not singular:
+    # nullspace_amplitude refuses it and the root stagnates
+    monkeypatch.setattr(search, "point_dets", lambda M, zs: [(1e-12 + 0j, np.eye(5)) for _ in zs])
+    root = refine_minimum(reference, ComplexSpeed(1.0, 0.5), RefineOptions(det_scale=1.0))
+    assert root.det_abs <= search.DET_RATIO_TOL
+    assert root.classification == "stagnated" and root.gamma is None
 
 
 def test_refine_does_not_accept_the_static_limit():
@@ -488,47 +514,7 @@ def _dedup_tol(w):
     return DEDUP_TOL * max(abs(w.re_min), abs(w.re_max), abs(w.im_min), abs(w.im_max))
 
 
-def _find_rayleigh_seed_by_seed(M, w, refine=refine_minimum):
-    """``find_rayleigh`` with each seed refined by a ``refine`` call of its
-    own, on the seeds and options ``find_rayleigh`` gives them."""
-    grid = grid_scan(M, w)
-    dx, dy = w.cell_size()
-    opts = RefineOptions(initial_step=(dx / 4.0, abs(dy) / 4.0),
-                         det_scale=grid_median_det(grid))
-    roots = []
-    for i, j in search.local_minima(grid):
-        try:
-            roots.append(refine(M, ComplexSpeed(w.re_values()[i], -w.im_values()[j]), opts))
-        except StartFailureError:
-            continue
-    roots.sort(key=lambda root: root.f_value)
-    kept = []
-    for root in roots:
-        if all(abs(complex(root.v) - complex(other.v)) > _dedup_tol(w) for other in kept):
-            kept.append(root)
-    return kept
-
-
-def test_lockstep_refinement_matches_seed_by_seed(reference):
-    # find_rayleigh must give each seed the root that a refine_minimum call
-    # of its own gives it, on the seeds and options of the scan
-    rng = np.random.default_rng(103)
-    cases = [(reference, default_window(reference))]
-    cases += [(M, default_window(M, nx=64, ny=32)) for M in
-              (random_material(rng) for _ in range(8))]
-    seeds, kinds = 0, Counter()
-    for M, w in cases:
-        ours, theirs = find_rayleigh(M, w), _find_rayleigh_seed_by_seed(M, w)
-        assert len(ours) == len(theirs)
-        for a, b in zip(ours, theirs):
-            _assert_same_root(a, b)
-        seeds += len(local_minima(grid_scan(M, w)))
-        kinds.update(root.classification for root in ours)
-    assert seeds > 2 * len(cases)
-    assert kinds["converged"] > 0 and kinds["stagnated"] > 0
-
-
-def test_refinement_loses_no_decaying_root():
+def test_refinement_loses_no_decaying_root(monkeypatch):
     # every decaying root the removed simplex fallback found is found again;
     # material 0's root 0.5764289583762007 - 0.006599420986731245i needs the
     # run in q (the simplex spent 136 evaluations on it)
@@ -538,7 +524,10 @@ def test_refinement_loses_no_decaying_root():
         w = default_window(M, nx=48, ny=24)
         ours = [complex(root.v) for root in find_rayleigh(M, w)
                 if root.classification == "converged"]
-        for root in _find_rayleigh_seed_by_seed(M, w, reference_refine_minimum):
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "refine_minimum", reference_refine_minimum)
+            theirs = find_rayleigh(M, w)
+        for root in theirs:
             v = complex(root.v)
             if root.classification == "converged" and v.imag <= -1e-8:
                 decaying += 1
@@ -587,7 +576,7 @@ def test_converged_roots_without_longitudinal_coupling(draw):
     assert converged >= 6
 
 
-def test_lockstep_refinement_drops_a_seed_that_cannot_start(reference, monkeypatch):
+def test_find_rayleigh_drops_a_seed_that_cannot_start(reference, monkeypatch):
     # a seed whose start points are all undefined is dropped without
     # changing what the other seeds find
     w = default_window(reference)
@@ -666,6 +655,20 @@ def test_solve_is_scale_free(reference):
         assert [root.iterations for root in roots] == [6, 3, 3]
         for root, b in zip(roots, base):
             assert abs(complex(root.v) * math.sqrt(s) - complex(b.v)) <= 1e-13 * abs(complex(b.v))
+
+
+def test_refine_without_options_is_scale_free(reference):
+    # the default start step is relative to the seed: a step of 1e-3 in
+    # absolute speed stagnated on the scaled seed at every s but 1
+    base = refine_minimum(reference, REFERENCE_SEEDS[0])
+    assert base.classification == "converged" and base.iterations == 6
+    assert abs(complex(base.v) - REF_ROOT) <= 1e-8
+    for s in (1e-12, 1e-8, 1e4, 1e8, 1e12):
+        M = reference.replace(rho=s * reference.rho, a=s * reference.a, b=s * reference.b,
+                              beta=math.sqrt(s) * reference.beta, m=math.sqrt(s) * reference.m)
+        root = refine_minimum(M, ComplexSpeed.from_complex(complex(REFERENCE_SEEDS[0]) / math.sqrt(s)))
+        assert root.classification == "converged" and root.iterations == 6
+        assert abs(complex(root.v) * math.sqrt(s) - complex(base.v)) <= 1e-13 * abs(complex(base.v))
 
 
 def test_converged_classification_uses_grid_median(reference):

@@ -41,7 +41,6 @@ from rayleighmt.secular import (
     det_elimination,
     nullspace_amplitude,
     objective_from_det,
-    point_det,
     point_dets,
     secular_kernel,
     secular_objective,
@@ -271,7 +270,7 @@ def test_amplitudes_follow_the_kernel_where_routes_split():
     # neither the kernel nor mode_vector checks the kernel dimension, so
     # both build the same A
     M = validate_coefficients(ROUTE_SPLIT)
-    assert math.isfinite(abs(point_det(M, V_ROUTE_SPLIT.v_r, V_ROUTE_SPLIT.v_i)))
+    assert math.isfinite(abs(point_dets(M, [complex(V_ROUTE_SPLIT)])[0][0]))
     A = secular_matrix(M, V_ROUTE_SPLIT).A
     assert np.linalg.norm(mode_vector_matrix(M, V_ROUTE_SPLIT) - A) <= 1e-12 * np.linalg.norm(A)
     try:
@@ -372,7 +371,7 @@ def test_near_degenerate_kernel_dimension():
     # a null vector of D(p_4) to roundoff
     M = validate_coefficients(NEAR_DEGENERATE)
     v = ComplexSpeed(V_NEAR_DEGENERATE)
-    assert math.isfinite(abs(point_det(M, v.v_r, v.v_i)))
+    assert math.isfinite(abs(point_dets(M, [complex(v)])[0][0]))
     mb = mode_vector(M, v, mode_speeds(M).roots[3])
     D = assemble_Dp(M, v, mb.p.p)
     assert len(numeric_nullspace(D)) == 2
@@ -417,8 +416,8 @@ def test_closed_forms_span_the_kernel_wherever_defined(reference, case_i_materia
         assert np.all(residual <= 1e-12 * scale)
 
 
-def test_point_dets_matches_point_det(reference, case_i_material):
-    # one batched call, mixing every way point_det can succeed or raise
+def test_point_dets_matches_objective_F(reference, case_i_material):
+    # one batched call, mixing every way objective_F can succeed or raise
     golden = 1.038454844666989 - 0.02631077604792278j
     zs = [golden, 0.9 + 0j, 0j, complex(math.nan, 0.0), complex(math.inf, -1.0),
           -0.5 - 0.1j, 0.5 + 0.1j, 1e160 + 0j, V_NEAR_DEGENERATE + 0j, complex(0.7, -0.0)]
@@ -428,11 +427,11 @@ def test_point_dets_matches_point_det(reference, case_i_material):
         assert len(entries) == len(zs)
         for z, entry in zip(zs, entries):
             try:
-                det = point_det(M, z.real, -z.imag)
+                F = objective_F(M, z.real, -z.imag)
             except ModeFailureError:
                 assert entry is None, z
                 continue
-            assert repr(entry[0]) == repr(det), z
+            assert repr(objective_from_det(entry[0])) == repr(F), z
             A = secular_matrix(M, ComplexSpeed.from_complex(z)).A
             assert entry[1].tobytes() == A.tobytes()
     assert point_dets(reference, zs)[0] is not None
@@ -530,7 +529,7 @@ def test_kernel_rejects_a_vanishing_closed_form(reference, monkeypatch):
                        match="closed-form kernel vector vanishes for mode 3"):
         secular_kernel(M)
     with pytest.raises(ModeFailureError) as err:
-        point_det(M, 0.5, 0.1)
+        objective_F(M, 0.5, 0.1)
     assert err.value.cause_name == "DegenerateKernelError"
     assert np.isnan(secular_objective(M, np.array([0.5 - 0.1j, 1.0 - 0.02j]))).all()
 
@@ -592,7 +591,7 @@ def test_huge_speed_fails_alike_on_both_routes(reference, capfd):
             with pytest.raises(NonDecayingError) as res:
                 boundary_residual(reference, v, np.ones(5), 1.0)
             with pytest.raises(ModeFailureError) as err:
-                point_det(reference, v.v_r, v.v_i)
+                objective_F(reference, v.v_r, v.v_i)
         cause = err.value.__cause__
         assert type(cause) is NonDecayingError
         assert ref.value.mode_index == res.value.mode_index == cause.mode_index == mode
@@ -728,7 +727,7 @@ def test_routes_agree_near_the_origin(name, request):
 
 def test_point_det_matches_row_evaluate():
     # refinement's one-point calls and the scan's row calls give the same
-    # determinant to the last bit
+    # determinant to the last bit, and objective_F raises where it has none
     rng = np.random.default_rng(97)
     for _ in range(6):
         M = random_material(rng)
@@ -737,11 +736,13 @@ def test_point_det_matches_row_evaluate():
         for re_v in w.re_values():
             _, det, _, kind, _, _ = kernel.evaluate(re_v + 1j * w.im_values())
             for im_v, d, k in zip(w.im_values(), det, kind):
+                (entry,) = point_dets(M, [complex(re_v, im_v)])
                 if k:
+                    assert entry is None
                     with pytest.raises(ModeFailureError):
-                        point_det(M, re_v, -im_v)
+                        objective_F(M, re_v, -im_v)
                 else:
-                    assert point_det(M, re_v, -im_v) == d
+                    assert entry[0] == d
 
 
 def test_mode_failure_message_plain_speed(reference):

@@ -11,6 +11,7 @@ from rayleighmt import (
     CouplingCase,
     DegenerateKernelError,
     DegenerateRootsError,
+    ModeFailureError,
     NonDecayingError,
     NotStronglyEllipticError,
     WrongCaseError,
@@ -27,9 +28,9 @@ from rayleighmt import (
     secular_case_explicit,
     validate_coefficients,
 )
-from rayleighmt import modes, special_cases
+from rayleighmt import modes, secular, special_cases
 from rayleighmt.material import CASE_ZEROED_COUPLINGS
-from rayleighmt.secular import point_det, secular_matrix
+from rayleighmt.secular import point_dets, secular_matrix
 
 from helpers import mode_vector_matrix, nullspace_sine
 
@@ -226,13 +227,35 @@ def test_cross_check_raises_where_det_is_undefined(case_i_material, monkeypatch)
         cross_check_case(case_i_material.replace(), CouplingCase.CASE_I)
 
 
+def test_cross_check_names_the_first_sample_without_a_determinant(case_i_material,
+                                                                 monkeypatch):
+    # mode 2 grows at the samples past 0.9 c: the check raises objective_F's
+    # error at the first of them, not at a later one
+    c = math.sqrt(min(roots_case(case_i_material, CouplingCase.CASE_I).t_values()))
+    shapes, cut = secular.mode_shapes, 0.9 * c
+
+    def grows_past_the_cut(v, *rest):
+        p, u = shapes(v, *rest)
+        p[v.real > cut, 1] = p[v.real > cut, 1].conj()
+        return p, u
+
+    monkeypatch.setattr(secular, "mode_shapes", grows_past_the_cut)
+    with pytest.raises(ModeFailureError) as err:
+        cross_check_case(case_i_material, CouplingCase.CASE_I)
+    assert err.value.cause_name == "NonDecayingError"
+    assert err.value.__cause__.mode_index == 2
+    rng = np.random.default_rng(special_cases.CROSS_CHECK_SEED)
+    re_v = rng.uniform(0.05 * c, 0.95 * c, special_cases.CROSS_CHECK_SAMPLES)
+    assert err.value.v_r == re_v[np.argmax(re_v > cut)]
+
+
 def test_case_i_explicit_is_a_multiple_of_det(case_i_material):
     # the expansion and the determinant differ by one constant factor
     rng = np.random.default_rng(20)
     ratios = []
     for _ in range(20):
         v = ComplexSpeed(rng.uniform(0.05, 0.95), rng.uniform(0.0, 0.4))
-        ratios.append(point_det(case_i_material, v.v_r, v.v_i)
+        ratios.append(point_dets(case_i_material, [complex(v)])[0][0]
                       / secular_case_explicit(case_i_material, v, CouplingCase.CASE_I))
     ratios = np.array(ratios)
     assert np.abs(ratios - ratios[0]).max() <= 1e-10 * abs(ratios[0])
@@ -254,7 +277,7 @@ def test_explicit_unavailable_for_thermal_case(case_iii_material):
     with pytest.raises(WrongCaseError):
         secular_case_explicit(case_iii_material, VPROBE, CouplingCase.CASE_III)
     # the determinant route still works
-    det = point_det(case_iii_material, VPROBE.v_r, VPROBE.v_i)
+    det = point_dets(case_iii_material, [complex(VPROBE)])[0][0]
     assert np.isfinite(det.real) and np.isfinite(det.imag)
 
 
