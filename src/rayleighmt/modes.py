@@ -74,16 +74,12 @@ class ComplexSpeed:
         if self.v_r == 0.0 and self.v_i == 0.0:
             raise ValueError("speed must be nonzero")
 
-    @property
-    def value(self) -> complex:
-        return complex(self.v_r, -self.v_i)
-
     @classmethod
     def from_complex(cls, z) -> "ComplexSpeed":
         return cls(z.real, -z.imag)
 
     def __complex__(self) -> complex:
-        return self.value
+        return complex(self.v_r, -self.v_i)
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,6 @@ class AttenuationExponent:
     """Depth attenuation exponent of one partial wave."""
 
     p: complex
-    mode_index: int
 
 
 def mode_shapes(v: np.ndarray, t: np.ndarray, u0, u1, u2) -> tuple:
@@ -116,7 +111,7 @@ def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExpon
     ------
     NonDecayingError
         If no candidate has Im p > 0: both are real, or an overflowing
-        v^2 made them NaN.
+        v^2 made them NaN.  It names the mode ``mode_index``.
     DomainError
         If t is not positive.
     """
@@ -126,7 +121,7 @@ def p_from_t(v: ComplexSpeed, t: float, mode_index: int = 0) -> AttenuationExpon
     p = complex(mode_shapes(np.array([vc]), np.array([t]), 0.0, 0.0, 0.0)[0][0, 0])
     if not p.imag > 0.0:
         raise NonDecayingError(t=t, v=vc, mode_index=mode_index)
-    return AttenuationExponent(p=p, mode_index=mode_index)
+    return AttenuationExponent(p=p)
 
 
 #: The constant blocks of D(p) = p^2 Q1 + p (Q2 + v V) + R0 + v R1 + v^2 R2
@@ -364,7 +359,7 @@ def mode_vector(M: MaterialCoefficients, v: ComplexSpeed, r: ModeRoot) -> ModeBa
         raise NonDecayingError(t=r.t, v=vc, mode_index=r.index)
     if not (cmath.isfinite(p) and np.isfinite(u).all()):
         raise np.linalg.LinAlgError(f"kernel vector of mode {r.index} is not finite")
-    return ModeBasis(mode=r, p=AttenuationExponent(p=p, mode_index=r.index), u=u)
+    return ModeBasis(mode=r, p=AttenuationExponent(p=p), u=u)
 
 
 def polarization_check(mb: ModeBasis) -> str:

@@ -181,11 +181,13 @@ class RefineOptions:
     radius of each run's disc: 1e-3 |seed| on each axis when None, so it
     scales with the units; ``find_rayleigh`` passes a quarter lattice cell.
     ``det_scale`` is the |det A| that ``DET_RATIO_TOL`` is relative to (the
-    seed's when None).  ``MAX_EVALS`` bounds the evaluations of both runs
-    together and ``DIAMETER_TOL`` their last step.  A given step is a pair
-    of finite and positive offsets, so the start points lie in the
-    admissible quadrant with the seed.  A given scale is positive; it may
-    be +inf, which ``grid_median_det`` returns for a scan of huge |det|.
+    smallest |det A| of the start points when None).  ``MAX_EVALS`` bounds
+    the evaluations of both runs together and ``DIAMETER_TOL`` their last
+    step.  A given step is a pair of finite and positive offsets, so the
+    start points lie in the admissible quadrant with the seed.  A given
+    scale is positive; it may be +inf, which ``grid_median_det`` returns
+    for a scan of huge |det|, and then every refined |det A| passes the
+    determinant test and ``nullspace_amplitude`` alone decides.
     """
 
     initial_step: tuple = None
@@ -284,18 +286,15 @@ def _muller(M: MaterialCoefficients, w: list, z: list, start: list, speed, tol: 
     return best, False, evals
 
 
-def _det_abs(f: float) -> float:
-    """|det A| from F = ln |det A|, infinite for F at or above ``F_INFINITE``."""
-    return math.exp(f) if f < F_INFINITE else math.inf
-
-
 def _classify(best: tuple, scale: float, iterations: int) -> RayleighRoot:
     """The speed and ``point_dets`` entry ``best = (z, (det, A))``,
-    classified against ``DET_RATIO_TOL`` times ``scale``."""
+    classified against ``DET_RATIO_TOL`` times ``scale``.  ``det_abs`` is
+    |det A| itself, finite wherever an entry exists: ``SecularKernel.evaluate``
+    marks a speed whose |det A| overflows ``DET_NOT_FINITE``, and
+    ``point_dets`` gives no entry there."""
     z, (det, A) = best
-    f = objective_from_det(det)
-    det_abs = _det_abs(f)
-    converged = math.isfinite(det_abs) and det_abs <= DET_RATIO_TOL * scale
+    det_abs = abs(det)
+    converged = det_abs <= DET_RATIO_TOL * scale
     gamma = None
     if converged:
         try:
@@ -304,7 +303,7 @@ def _classify(best: tuple, scale: float, iterations: int) -> RayleighRoot:
             converged = False
     return RayleighRoot(
         v=ComplexSpeed.from_complex(z),
-        f_value=f,
+        f_value=objective_from_det(det),
         det_abs=det_abs,
         gamma=gamma,
         iterations=iterations,
@@ -339,7 +338,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
 
     The root is classified "converged" when its determinant magnitude is at
     most ``DET_RATIO_TOL`` times the reference scale ``opts.det_scale`` (the
-    seed determinant magnitude when no scale is given) and
+    smallest |det A| of the start points when no scale is given) and
     ``nullspace_amplitude`` finds singular the secular matrix that the
     batched kernel returned at that point.
 
@@ -359,8 +358,7 @@ def refine_minimum(M: MaterialCoefficients, v0: ComplexSpeed,
         )
     scale = opts.det_scale
     if scale is None:
-        scale = _det_abs(min(objective_from_det(entry[0])
-                             for entry in start if entry is not None))
+        scale = min(abs(entry[0]) for entry in start if entry is not None)
 
     best, converged, evals = _muller(M, z, z, start, lambda v: v, DIAMETER_TOL * abs(z0),
                                      len(z), MAX_EVALS // 2)
@@ -392,7 +390,10 @@ F_INFINITE = 700.0
 
 
 def grid_median_det(grid: ScanGrid) -> float:
-    """Median |det A| over the evaluable lattice points, as ``_det_abs`` has it."""
+    """Median |det A| over the evaluable lattice points, from the F = ln |det A|
+    that the scan keeps: infinite where F is at or above ``F_INFINITE``.
+    This is the one conversion from F to |det A|; refinement reads |det A|
+    from the determinant itself."""
     F = grid.values[np.isfinite(grid.values)]
     return float(np.median(np.where(F < F_INFINITE, np.exp(np.minimum(F, F_INFINITE)), np.inf)))
 

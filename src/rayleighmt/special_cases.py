@@ -183,7 +183,6 @@ class CaseCrossCheck:
     """Zero-set agreement of the explicit secular expression and the
     determinant over a sample of admissible speeds."""
 
-    case: CouplingCase
     total: int
     agreements: int
 
@@ -235,5 +234,5 @@ def cross_check_case(M: MaterialCoefficients, case: CouplingCase) -> CaseCrossCh
 
     explicit_flags = explicit_mags <= CROSS_CHECK_ROOT_RTOL * np.median(explicit_mags)
     det_flags = det_mags <= CROSS_CHECK_ROOT_RTOL * np.median(det_mags)
-    return CaseCrossCheck(case=case, total=CROSS_CHECK_SAMPLES,
+    return CaseCrossCheck(total=CROSS_CHECK_SAMPLES,
                           agreements=int(np.sum(explicit_flags == det_flags)))

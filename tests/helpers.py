@@ -372,14 +372,15 @@ def _reference_nelder_mead(objective, simplex, f_values, evals):
 
 def _reference_classify(M, z, f, scale, iterations):
     v = ComplexSpeed.from_complex(z)
-    det_abs = math.exp(f) if f < 700.0 else math.inf
-    converged = math.isfinite(det_abs) and det_abs <= search.DET_RATIO_TOL * scale
+    exp_f = math.exp(f) if f < 700.0 else math.inf
+    converged = math.isfinite(exp_f) and exp_f <= search.DET_RATIO_TOL * scale
     gamma = None
     if converged:
         try:
             gamma = secular.amplitudes(M, v)
         except NotARootError:
             converged = False
+    det_abs = abs(secular.point_dets(M, [z])[0][0])
     return search.RayleighRoot(v=v, f_value=f, det_abs=det_abs, gamma=gamma,
                                iterations=iterations,
                                classification="converged" if converged else "stagnated")
@@ -392,6 +393,8 @@ def reference_refine_minimum(M, v0, opts=search.RefineOptions(initial_step=(1e-3
     v, then a clamped Nelder-Mead on F = ln |det A| where that stage does
     not converge on an accepted root, with one ``point_dets`` or
     ``objective_F`` call per candidate speed and ``amplitudes`` at the end.
+    It accepts a root on exp(F) as that pipeline did, but reports
+    ``det_abs`` as |det A| at the root, as ``search.refine_minimum`` does.
     Its default start step is that pipeline's absolute ``(1e-3, 1e-3)``.
     Kept as a test-only cross-check: wherever its Muller stage converges
     without clamping an iterate, ``refine_minimum`` must match it bit for

@@ -331,7 +331,8 @@ def test_solve_verify_matches_fixture(capsys):
     # the fixture is `rayleighmt solve --material materials/reference.json
     # --verify` as printed before refinement ran on complex speeds; gamma
     # and the residuals may move in the last digits when the kernel route
-    # changes, the refinement results may not move at all
+    # changes, the refinement results may not move at all; det_abs is
+    # |det A| itself, not exp(ln |det A|)
     fixture = json.loads((DATA / "reference_solve.json").read_text())
     code, out, _ = run(capsys, "solve", "--material", REF, "--verify")
     payload = json.loads(out)

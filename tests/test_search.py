@@ -374,6 +374,14 @@ def test_refine_accepts_a_det_up_to_1e_6_of_the_scale(reference, monkeypatch, de
     assert root.classification == classification
 
 
+def test_refine_reports_det_abs_as_the_determinant_modulus(reference, monkeypatch):
+    # det_abs is |det A| itself; exp(ln |det A|) gives 1.000000000000001e-12
+    monkeypatch.setattr(search, "point_dets", lambda M, zs: [(1e-12 + 0j, SINGULAR_A) for _ in zs])
+    root = refine_minimum(reference, ComplexSpeed(1.0, 0.5), RefineOptions(det_scale=1.0))
+    assert root.det_abs == 1e-12
+    assert root.classification == "converged"
+
+
 def test_refine_converges_on_an_iterate_where_det_vanishes(reference, monkeypatch):
     # det A = v - r with r the +hx start point, all in exact binary
     # fractions: the first Muller step lands on r again, where det A is 0.
@@ -535,9 +543,8 @@ def test_refinement_loses_no_decaying_root(monkeypatch):
     assert decaying >= 8
 
 
-def test_grid_median_det_converts_as_the_classification_does():
-    # one F -> |det A| rule: from F_INFINITE up |det A| counts as infinite,
-    # not as exp(F_INFINITE)
+def test_grid_median_det_counts_F_INFINITE_and_above_as_infinite():
+    # from F_INFINITE up |det A| counts as infinite, not as exp(F_INFINITE)
     w = ScanWindow(re_min=0.0, re_max=1.0, im_min=-1.0, im_max=0.0, nx=2, ny=3)
 
     def median(values):
@@ -546,7 +553,6 @@ def test_grid_median_det_converts_as_the_classification_does():
     assert median([1.0, 2.0, 3.0, 699.5, 700.0, np.nan]) == np.exp(3.0)
     assert median([1.0, 700.0, 900.0, np.nan, 2.0, 1e300]) == math.inf
     assert median([1.0, 2.0, 700.0, 800.0, np.nan, np.nan]) == math.inf
-    assert search._det_abs(700.0) == math.inf
 
 
 @pytest.mark.parametrize("raw", helpers.CANCELLING, ids=["cancelling_1", "cancelling_2"])

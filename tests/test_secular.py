@@ -655,6 +655,24 @@ def test_undefined_speeds_fail_typed(reference, case_i_material, case_ii_materia
     assert causes == {"NonDecayingError", "LinAlgError"}
 
 
+def test_point_dets_entries_have_a_finite_det(reference):
+    # refinement reads |det A| from these entries without checking it:
+    # evaluate ranks an overflowing |det A| DET_NOT_FINITE, so no entry
+    # holds one, though the ramp below HUGE_SPEEDS reaches |det A| > 1e300
+    ramp = (np.logspace(0, 100, 201)[:, None]
+            * np.exp(-1j * np.array([0.0, 0.4, 1.0, 1.5]))).ravel()
+    rng = np.random.default_rng(83)
+    largest, kinds = 0.0, set()
+    for M in [reference] + [random_material(rng) for _ in range(3)]:
+        for v in (ramp, HUGE_SPEEDS, TINY_SPEEDS, _real_axis(M), OUTSIDE_SPEEDS):
+            for z, entry in zip(v, point_dets(M, v)):
+                if entry is not None:
+                    assert math.isfinite(abs(entry[0])), (M, z)
+                    largest = max(largest, abs(entry[0]))
+            kinds |= set(secular_kernel(M).evaluate(v)[3].tolist())
+    assert largest > 1e300 and DET_NOT_FINITE in kinds
+
+
 def _named_failures(M, v):
     """Tally of ``(cause class, mode index)`` over the undefined speeds of v
     as one ``SecularKernel.evaluate`` call names them, after checking that
